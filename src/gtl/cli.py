@@ -2,9 +2,10 @@
 ones, run standalone hypothesis tests.
 
 Exit codes: 0 success, 2 session validation violations (report still
-written), 3 degenerate statistics input, 64 usage error, 74 I/O error.
-``GTL_THREADS`` caps how many sessions are analyzed concurrently; the
-output is bitwise identical either way.
+written), 3 degenerate statistics input, 64 usage error, 74 I/O error
+(including a bundle file that is not valid UTF-8), 1 any other error,
+e.g. one session whose sampling rate (<= 28 Hz) is too low for the
+default bands, which aborts the whole batch.
 """
 
 from __future__ import annotations
@@ -12,16 +13,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import IngestError, SpecInvalid, StatsError, ToolError
 from .ingest import load_session, write_session
 from .metrics import TIMING_ANCHORS
-from .model import SessionMeta, SessionRecord
+from .model import SessionMeta
 from .report import ReportConfig, build_report, render_csv, render_json, report_has_violations
 from .segmentation import AGGREGATION_LEVELS
 from .simgen import SimSpec, simspec_from_dict, simulate_session
@@ -99,18 +98,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _threads() -> int:
-    raw = os.environ.get("GTL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _cmd_analyze(parser: _Parser, args: argparse.Namespace) -> int:
     if args.window < 2 or args.window & (args.window - 1):
-        parser.error(f"--window {args.window} is not a power of two; the "
-                     "fast transform path requires one")
+        parser.error(f"--window {args.window} is not a power of two")
     if not 0 < args.hop <= args.window:
         parser.error(f"--hop must lie in (0, {args.window}]")
     if not 0.0 < args.label_threshold <= 1.0:
@@ -128,14 +118,13 @@ def _cmd_analyze(parser: _Parser, args: argparse.Namespace) -> int:
         ttest_variant=args.ttest_variant,
     )
 
-    paths = [Path(p) for p in args.session]
     try:
-        records = _load_all(paths)
+        records = [load_session(p) for p in args.session]
     except IngestError as exc:
         print(f"gtl: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    report = build_report(records, config, threads=_threads())
+    report = build_report(records, config)
     text = render_json(report) if args.format == "json" else render_csv(report)
     try:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -146,14 +135,6 @@ def _cmd_analyze(parser: _Parser, args: argparse.Namespace) -> int:
         print("gtl: validation violations found; see report", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
-
-
-def _load_all(paths: Sequence[Path]) -> list[SessionRecord]:
-    n_threads = _threads()
-    if n_threads == 1 or len(paths) <= 1:
-        return [load_session(p) for p in paths]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(load_session, paths))
 
 
 def _meta_from_spec_file(obj: dict, spec: SimSpec) -> SessionMeta:

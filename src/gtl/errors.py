@@ -37,6 +37,10 @@ class MissingFile(IngestError):
     pass
 
 
+class BadEncoding(IngestError):
+    """File bytes are not valid UTF-8."""
+
+
 class BadHeader(IngestError):
     pass
 

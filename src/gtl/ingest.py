@@ -17,6 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import (
+    BadEncoding,
     BadHeader,
     ChannelCountMismatch,
     MalformedMeta,
@@ -50,9 +51,13 @@ EVENTS_FILE = "events.csv"
 GAZE_FILE = "gaze.csv"
 
 
-def _as_text(data: Union[bytes, str]) -> str:
+def _as_text(data: Union[bytes, str], name: str) -> str:
     if isinstance(data, bytes):
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BadEncoding(f"{name} is not valid UTF-8 ({exc.reason})",
+                              row=data.count(b"\n", 0, exc.start) + 1) from None
     return data
 
 
@@ -60,7 +65,7 @@ def _as_text(data: Union[bytes, str]) -> str:
 
 def parse_meta_json(data: Union[bytes, str]) -> SessionMeta:
     try:
-        obj = json.loads(_as_text(data))
+        obj = json.loads(_as_text(data, META_FILE))
     except json.JSONDecodeError as exc:
         raise MalformedMeta(f"meta.json is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -119,7 +124,7 @@ def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta) -> EegRecording:
     metadata rate; the rate inferred from the median spacing must agree
     with ``meta.fs_eeg`` to the same tolerance.
     """
-    text = _as_text(data)
+    text = _as_text(data, EEG_FILE)
     newline = text.find("\n")
     if newline < 0:
         raise BadHeader("eeg.csv has no header row")
@@ -193,11 +198,8 @@ def _first_bad_width(text: str, n_cols: int) -> int:
 def eeg_to_csv(eeg: EegRecording, channel_names: tuple[str, ...]) -> str:
     lines = ["t," + ",".join(channel_names)]
     times = eeg.t0 + np.arange(eeg.n_samples) / eeg.fs
-    columns = eeg.samples
-    for i in range(eeg.n_samples):
-        row = [repr(float(times[i]))]
-        row.extend(repr(float(columns[ch, i])) for ch in range(eeg.n_channels))
-        lines.append(",".join(row))
+    rows = np.column_stack((times, eeg.samples.T)).tolist()
+    lines.extend(",".join(map(repr, row)) for row in rows)
     lines.append("")
     return "\n".join(lines)
 
@@ -215,7 +217,7 @@ def parse_events_csv(data: Union[bytes, str]) -> EventLog:
     fields. The first offending row aborts the parse with a located
     error; a returned log always satisfies the event-log invariants.
     """
-    text = _as_text(data)
+    text = _as_text(data, EVENTS_FILE)
     reader = csv.reader(io.StringIO(text))
     events: list[Event] = []
     open_sentence = False
@@ -299,7 +301,7 @@ def events_to_csv(log: EventLog) -> str:
 # --- gaze.csv ----------------------------------------------------------------
 
 def parse_gaze_csv(data: Union[bytes, str]) -> tuple[GazeSample, ...]:
-    text = _as_text(data)
+    text = _as_text(data, GAZE_FILE)
     lines = text.split("\n")
     if not lines or lines[0].rstrip("\r") != "t,x,y,valid":
         raise BadHeader("gaze.csv header must be 't,x,y,valid'")

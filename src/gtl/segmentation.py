@@ -172,8 +172,9 @@ def aggregate(samples: Sequence[LabeledLoadSample], level: str = "window",
               ) -> dict[tuple, list[float]]:
     """Group window loads and reduce them to one value per unit.
 
-    ``level`` fixes the unit: windows pass through; sentence, session and
-    participant units contribute the arithmetic mean of their windows.
+    ``level`` fixes the unit, and every unit contributes the arithmetic
+    mean of its windows: a window unit holds one window unless the same
+    session was passed in twice.
     ``group_by`` names the partition keys (keyboard / mode / phase /
     participant / session). Samples missing a requested label or, at
     sentence level, a sentence phase are excluded. Groups and the values
@@ -201,10 +202,6 @@ def aggregate(samples: Sequence[LabeledLoadSample], level: str = "window",
     out: dict[tuple, list[float]] = {}
     for gkey in sorted(sums):
         per_group = sums[gkey]
-        if level == "window":
-            values = [per_group[u][0] for u in sorted(per_group)]
-        else:
-            values = [per_group[u][0] / per_group[u][1]
-                      for u in sorted(per_group)]
-        out[gkey] = values
+        out[gkey] = [per_group[u][0] / per_group[u][1]
+                     for u in sorted(per_group)]
     return out

@@ -5,12 +5,14 @@ The transform convention is the positive-exponent DFT
 
     C_k = sum_j c_j * exp(+2*pi*i*j*k / N),   k = 0..N-1
 
-with a radix-2 Cooley-Tukey fast path for power-of-two N and a direct
-O(N^2) fallback otherwise. Band powers are one-sided (bins 0..N/2, no
-factor-2 doubling): P = (1/N) * sum |C_k|^2 over the band's bins. Bin
-ranges are half-open on the right so that adjacent bands never share a
-bin; the band reaching Nyquist additionally includes bin N/2. Power
-ratios are therefore unaffected by the one-sided convention and sum to 1.
+evaluated with numpy's FFT for any N. For real windows C_k is the
+complex conjugate of ``numpy.fft.rfft``'s bin k, so the load pipeline
+takes |C_k|^2 straight from ``rfft``. Band powers are one-sided (bins
+0..N/2, no factor-2 doubling): P = (1/N) * sum |C_k|^2 over the band's
+bins. Bin ranges are half-open on the right so that adjacent bands never
+share a bin; the band reaching Nyquist additionally includes bin N/2.
+Power ratios are therefore unaffected by the one-sided convention and
+sum to 1.
 """
 
 from __future__ import annotations
@@ -161,16 +163,20 @@ def window_count(n_samples: int, window_len: int, hop: int) -> int:
     return (n_samples - window_len) // hop + 1
 
 
+def _frames(x: np.ndarray, n: int, hop: int) -> np.ndarray:
+    """Every full window of one channel, one per row (a read-only view)."""
+    if x.shape[0] < n:
+        return np.empty((0, n))
+    return np.lib.stride_tricks.sliding_window_view(x, n)[::hop]
+
+
 def make_windows(samples: np.ndarray, cfg: AnalysisConfig, fs: float,
                  t0: float = 0.0, channel: int = 0) -> list[Window]:
     """Slice one channel into equal-length windows starting at 0, hop, 2*hop, ..."""
-    x = np.asarray(samples, dtype=np.float64)
-    n = window_count(x.shape[0], cfg.window_len, cfg.hop)
-    return [
-        Window(channel, i * cfg.hop, t0 + (i * cfg.hop) / fs,
-               x[i * cfg.hop:i * cfg.hop + cfg.window_len])
-        for i in range(n)
-    ]
+    frames = _frames(np.asarray(samples, dtype=np.float64), cfg.window_len,
+                     cfg.hop)
+    return [Window(channel, i * cfg.hop, t0 + (i * cfg.hop) / fs, row)
+            for i, row in enumerate(frames)]
 
 
 @lru_cache(maxsize=32)
@@ -187,79 +193,37 @@ def _window_curve(kind: WindowFn, n: int) -> np.ndarray:
     return curve
 
 
+def _taper(x: np.ndarray, kind: WindowFn, detrend: bool) -> np.ndarray:
+    """Per-row mean removal (optional), then the window function along the
+    last axis; returns ``x`` itself when neither applies."""
+    if detrend:
+        x = x - x.mean(axis=-1, keepdims=True)
+    if kind is not WindowFn.RECT:
+        x = x * _window_curve(kind, x.shape[-1])
+    return x
+
+
 def apply_window_fn(w: Window, kind: WindowFn, detrend: bool = False) -> Window:
     """Taper a window; optionally subtract its mean first."""
-    x = w.samples
-    if detrend:
-        x = x - x.mean()
-    if kind is not WindowFn.RECT:
-        x = x * _window_curve(kind, x.shape[0])
-    elif not detrend:
+    x = _taper(w.samples, kind, detrend)
+    if x is w.samples:
         x = x.copy()
     return Window(w.channel, w.start_sample, w.start_t, x)
 
 
-# --- transforms --------------------------------------------------------------
-
-@lru_cache(maxsize=32)
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.zeros(n, dtype=np.intp)
-    for i in range(n):
-        r = 0
-        v = i
-        for _ in range(bits):
-            r = (r << 1) | (v & 1)
-            v >>= 1
-        idx[i] = r
-    idx.setflags(write=False)
-    return idx
-
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 transform over the last axis (positive exponent).
-
-    Accepts any batch shape (..., N) with N a power of two; the batched
-    result is elementwise identical to transforming each row alone.
-    """
-    n = x.shape[-1]
-    out = np.ascontiguousarray(x[..., _bit_reversal(n)], dtype=np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp((2j * np.pi / size) * np.arange(half))
-        view = out.reshape(out.shape[:-1] + (n // size, size))
-        upper = view[..., half:] * tw
-        lower = view[..., :half].copy()
-        view[..., :half] = lower + upper
-        view[..., half:] = lower - upper
-        size *= 2
-    return out
-
-
-def _dft_direct(x: np.ndarray) -> np.ndarray:
-    """O(N^2) evaluation of the positive-exponent transform, any N."""
-    n = x.shape[-1]
-    j = np.arange(n)
-    out = np.empty(x.shape, dtype=np.complex128)
-    for k in range(n):
-        out[..., k] = np.sum(x * np.exp((2j * np.pi * k / n) * j), axis=-1)
-    return out
-
-
-def _transform(x: np.ndarray) -> np.ndarray:
-    n = x.shape[-1]
-    if n >= 2 and (n & (n - 1)) == 0:
-        return _fft_pow2(x)
-    return _dft_direct(np.asarray(x, dtype=np.complex128))
-
+# --- transform ---------------------------------------------------------------
 
 def dft(samples: np.ndarray, fs: float) -> Spectrum:
     """Transform one window of real or complex samples."""
     x = np.asarray(samples)
     if x.ndim != 1 or x.shape[0] < 1:
         raise ValueError("dft expects a non-empty 1-D sample vector")
-    return Spectrum(_transform(x), float(fs))
+    if np.iscomplexobj(x):
+        return Spectrum(np.fft.ifft(x, norm="forward"), float(fs))
+    # real input: bins 0..N/2 from rfft, the rest by C_{N-k} = conj(C_k)
+    half = np.conj(np.fft.rfft(x))
+    upper = np.conj(half[1:(x.shape[0] + 1) // 2][::-1])
+    return Spectrum(np.concatenate((half, upper)), float(fs))
 
 
 # --- band powers -------------------------------------------------------------
@@ -276,24 +240,33 @@ def _band_bins(band: Band, n: int, fs: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _band_power_batch(power_bins: np.ndarray, band: Band, n: int,
-                      fs: float) -> np.ndarray:
-    lo, hi = _band_bins(band, n, fs)
-    return power_bins[..., lo:hi].sum(axis=-1)
+def _band_powers(power_bins: np.ndarray, bands: Sequence[Band], n: int,
+                 fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Band powers (1/N) * sum |C_k|^2 over the last axis of ``power_bins``
+    (|C_k|^2 for k = 0..N/2), one row per band, and their total summed in
+    band order."""
+    per_band = np.stack([power_bins[..., lo:hi].sum(axis=-1) / n
+                         for lo, hi in (_band_bins(b, n, fs) for b in bands)])
+    total = np.zeros(per_band.shape[1:])
+    for row in per_band:
+        total = total + row
+    return per_band, total
+
+
+def _spectrum_bands(s: Spectrum, bands: Sequence[Band],
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    return _band_powers(np.abs(s.coeffs[:s.n // 2 + 1]) ** 2, bands, s.n, s.fs)
 
 
 def spectral_power(s: Spectrum, band: Band) -> float:
     """(1/N) * sum |C_k|^2 over the band's bins."""
-    lo, hi = _band_bins(band, s.n, s.fs)
-    return float(np.sum(np.abs(s.coeffs[lo:hi]) ** 2) / s.n)
+    return float(_spectrum_bands(s, (band,))[0][0])
 
 
 def band_powers(s: Spectrum, bands: Sequence[Band]) -> BandPowers:
-    powers = tuple((b.name, spectral_power(s, b)) for b in bands)
-    total = 0.0
-    for _, p in powers:
-        total += p
-    return BandPowers(powers, total)
+    per_band, total = _spectrum_bands(s, bands)
+    return BandPowers(tuple((b.name, float(p)) for b, p in zip(bands, per_band)),
+                      float(total))
 
 
 def band_ratios(s: Spectrum, bands: Sequence[Band]) -> dict[str, float]:
@@ -327,24 +300,17 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
 
     ratios = np.empty((eeg.n_channels, n_win), dtype=np.float64)
     alive = np.ones(n_win, dtype=bool)
+    load_row = band_names.index(load_band)
+    # one channel per transform: batching all channels raises peak memory
     for ch in range(eeg.n_channels):
-        x = np.lib.stride_tricks.sliding_window_view(
-            eeg.samples[ch], n)[::cfg.hop][:n_win]
-        if cfg.detrend:
-            x = x - x.mean(axis=-1, keepdims=True)
-        if cfg.window_fn is not WindowFn.RECT:
-            x = x * _window_curve(cfg.window_fn, n)
-        coeffs = _transform(x)
-        power_bins = np.abs(coeffs) ** 2
-        per_band = np.stack(
-            [_band_power_batch(power_bins, b, n, eeg.fs) / n for b in bands])
-        total = np.zeros(n_win)
-        for row in per_band:
-            total = total + row
+        x = _taper(_frames(eeg.samples[ch], n, cfg.hop), cfg.window_fn,
+                   cfg.detrend)
+        per_band, total = _band_powers(np.abs(np.fft.rfft(x)) ** 2, bands,
+                                       n, eeg.fs)
         dead = total == 0.0
         alive &= ~dead
         total[dead] = 1.0  # placeholder; dropped below
-        ratios[ch] = per_band[band_names.index(load_band)] / total
+        ratios[ch] = per_band[load_row] / total
 
     loads = ratios.mean(axis=0)
     dropped = int(n_win - alive.sum())

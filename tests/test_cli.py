@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -107,30 +106,6 @@ class TestSimulateAnalyze:
         for x in json_numbers:
             assert x in csv_floats
 
-    def test_parallel_analysis_is_bitwise_identical(self, tmp_path, spec_file):
-        bundles = []
-        for i in range(3):
-            b = tmp_path / f"bundle{i}"
-            main(["simulate", "--spec", str(spec_file), "--seed", str(i + 1),
-                  "--out", str(b)])
-            bundles.append(str(b))
-        args = ["analyze", "--out", "", "--session", *bundles]
-        seq, par = tmp_path / "seq.json", tmp_path / "par.json"
-        old = os.environ.get("GTL_THREADS")
-        try:
-            os.environ["GTL_THREADS"] = "1"
-            args[2] = str(seq)
-            assert main(args) == 0
-            os.environ["GTL_THREADS"] = "4"
-            args[2] = str(par)
-            assert main(args) == 0
-        finally:
-            if old is None:
-                os.environ.pop("GTL_THREADS", None)
-            else:
-                os.environ["GTL_THREADS"] = old
-        assert seq.read_bytes() == par.read_bytes()
-
 
 class TestExitCodes:
     def test_non_power_of_two_window_is_usage_error(self, tmp_path, capsys):
@@ -163,6 +138,21 @@ class TestExitCodes:
         report = json.loads(out.read_text())
         codes = [v["code"] for v in report["sessions"][0]["violations"]]
         assert "TranscriptionMismatch" in codes
+
+    @pytest.mark.parametrize("name", ["meta.json", "eeg.csv", "events.csv"])
+    def test_invalid_utf8_is_located_io_error(self, tmp_path, spec_file,
+                                              capsys, name):
+        bundle = tmp_path / "bundle"
+        main(["simulate", "--spec", str(spec_file), "--out", str(bundle)])
+        lines = (bundle / name).read_bytes().split(b"\n")
+        lines[1] += b"\xff"
+        (bundle / name).write_bytes(b"\n".join(lines))
+        rc = main(["analyze", "--session", str(bundle),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 74
+        err = capsys.readouterr().err
+        assert f"{name} is not valid UTF-8" in err
+        assert "(row 2)" in err
 
     def test_bad_spec_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -242,6 +232,22 @@ class TestAnalysisFlags:
         report = json.loads(out.read_text())
         by_kb = report["load_groups"]["by_keyboard"]
         assert by_kb and by_kb[0]["boxplot"]["n"] >= 1
+
+    def test_repeated_bundle_is_averaged_at_window_level(self, tmp_path,
+                                                         spec_file):
+        # equal Alpha and Beta tones: every window carries about 0.5 Beta
+        spec = json.loads(spec_file.read_text())
+        spec["components"] = [{"freq": 10.0, "amplitude": 8.0},
+                              {"freq": 20.0, "amplitude": 8.0}]
+        spec_file.write_text(json.dumps(spec))
+        bundle = str(tmp_path / "bundle")
+        main(["simulate", "--spec", str(spec_file), "--out", bundle])
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--session", bundle, bundle, "--out", str(out),
+                     "--level", "window"]) == 0
+        report = json.loads(out.read_text())
+        mean = report["load_groups"]["by_keyboard"][0]["boxplot"]["mean"]
+        assert abs(mean - 0.5) <= 0.02
 
 
 class TestReportStructure:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtl.errors import BandOutOfRange, ConfigError, ZeroPower
 from gtl.model import EegRecording
@@ -18,6 +19,25 @@ from gtl.spectral import (
     spectral_power,
     window_count,
 )
+
+
+@st.composite
+def load_cases(draw) -> tuple[np.ndarray, AnalysisConfig]:
+    """Recordings under any power-of-two window configuration; a constant
+    first channel (dropped windows when detrended) is drawn too. At most
+    three channels: below eight values numpy's 1-D mean adds them in
+    order, as the pipeline's per-window channel mean does."""
+    n = 2 ** draw(st.integers(1, 8))
+    hop = draw(st.integers(1, n))
+    cfg = AnalysisConfig(window_len=n, hop=hop,
+                         window_fn=draw(st.sampled_from(list(WindowFn))),
+                         detrend=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    samples = rng.standard_normal((draw(st.integers(1, 3)),
+                                   draw(st.integers(0, n + 5 * hop))))
+    if draw(st.booleans()):
+        samples[0] = 7.0
+    return samples, cfg
 
 
 def direct_dft_oracle(x: np.ndarray) -> np.ndarray:
@@ -290,6 +310,30 @@ class TestLoadSeries:
                 w = apply_window_fn(w, cfg.window_fn, cfg.detrend)
                 per_channel.append(band_ratios(dft(w.samples, fs), bands)["Beta"])
             assert np.mean(np.array(per_channel)) == series.loads[wi]
+
+    @settings(max_examples=100, deadline=None)
+    @given(load_cases())
+    def test_any_config_matches_composed_ops_bitwise(self, case):
+        samples, cfg = case
+        fs = 128.0
+        series = cognitive_load_series(EegRecording(0.0, fs, samples), cfg)
+        bands = default_bands(fs)
+        starts, loads = [], []
+        per_channel = [make_windows(row, cfg, fs, channel=ch)
+                       for ch, row in enumerate(samples)]
+        for windows in zip(*per_channel):
+            try:
+                beta = [band_ratios(dft(apply_window_fn(
+                    w, cfg.window_fn, cfg.detrend).samples, fs), bands)["Beta"]
+                    for w in windows]
+            except ZeroPower:
+                continue
+            starts.append(windows[0].start_t)
+            loads.append(np.mean(np.array(beta)))
+        assert series.starts.tolist() == starts
+        assert series.loads.tolist() == loads
+        assert series.dropped == len(per_channel[0]) - len(loads)
+        assert np.all((series.loads >= 0.0) & (series.loads <= 1.0))
 
     def test_spans_overlap_by_window_minus_hop(self):
         eeg = self._recording(20.0, n_channels=1, seconds=24.0)
