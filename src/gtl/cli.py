@@ -2,10 +2,11 @@
 ones, run standalone hypothesis tests.
 
 Exit codes: 0 success, 2 session validation violations (report still
-written), 3 degenerate statistics input, 64 usage error, 74 I/O error
-(including a bundle file that is not valid UTF-8), 1 any other error,
-e.g. one session whose sampling rate (<= 28 Hz) is too low for the
-default bands, which aborts the whole batch.
+written; these include a session passed twice and a session the analysis
+cannot process, e.g. one whose sampling rate (<= 28 Hz) is too low for
+the default bands), 3 degenerate statistics input, 64 usage error, 74 I/O
+error (including a malformed or non-UTF-8 bundle file), 1 any other
+error.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -66,7 +67,9 @@ def _as_text(data: Union[bytes, str], name: str) -> str:
 def parse_meta_json(data: Union[bytes, str]) -> SessionMeta:
     try:
         obj = json.loads(_as_text(data, META_FILE))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past Python's
+        # digit limit; RecursionError deeply nested arrays or objects
         raise MalformedMeta(f"meta.json is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedMeta("meta.json must hold a JSON object")
@@ -84,7 +87,7 @@ def parse_meta_json(data: Union[bytes, str]) -> SessionMeta:
         )
     except KeyError as exc:
         raise MalformedMeta(f"meta.json misses key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedMeta(f"meta.json field invalid: {exc}") from exc
 
 
@@ -210,6 +213,18 @@ _EVENT_KINDS = {k.value for k in EventKind}
 _KEY_CLASSES = {k.value for k in KeyClass}
 
 
+def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) per record; a record csv cannot read, e.g. a
+    field over csv's size limit, becomes a located MalformedRow."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise MalformedRow(f"events.csv record is unreadable: {exc}",
+                           row=reader.line_num) from None
+
+
 def parse_events_csv(data: Union[bytes, str]) -> EventLog:
     """Parse and structurally validate the event log.
 
@@ -217,14 +232,11 @@ def parse_events_csv(data: Union[bytes, str]) -> EventLog:
     fields. The first offending row aborts the parse with a located
     error; a returned log always satisfies the event-log invariants.
     """
-    text = _as_text(data, EVENTS_FILE)
-    reader = csv.reader(io.StringIO(text))
     events: list[Event] = []
     open_sentence = False
     seen_start = seen_end = False
     prev_t: Optional[float] = None
-    for row in reader:
-        row_no = reader.line_num
+    for row_no, row in _csv_rows(_as_text(data, EVENTS_FILE)):
         if not row:
             continue
         if len(row) != 4:
@@ -237,6 +249,9 @@ def parse_events_csv(data: Union[bytes, str]) -> EventLog:
         except ValueError:
             raise MalformedRow(f"timestamp {raw_t!r} is not a number",
                                row=row_no) from None
+        if not math.isfinite(t):
+            raise MalformedNumber(f"timestamp {raw_t!r} is not a finite number",
+                                  row=row_no)
         if kind not in _EVENT_KINDS:
             raise UnknownKind(f"unknown event kind {kind!r}", row=row_no)
         if prev_t is not None and t < prev_t:

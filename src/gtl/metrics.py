@@ -91,14 +91,17 @@ def sentence_metrics(events: EventLog, sentence_index: int,
     sentences = events.sentences()
     if not 0 <= sentence_index < len(sentences):
         raise MissingSentence(f"sentence index {sentence_index} out of range")
-    s = sentences[sentence_index]
+    return _metrics_of(sentences[sentence_index], timing_anchor)
+
+
+def _metrics_of(s: Sentence, timing_anchor: str) -> SentenceMetrics:
     text, _ = replay_keystrokes(s.keys)
     t_len = len(text)
     n_keys = len(s.keys)
     duration = _sentence_duration(s, timing_anchor)
     n_bksp = sum(1 for ev in s.keys if ev.key_class is KeyClass.BKSP)
     return SentenceMetrics(
-        index=sentence_index,
+        index=s.index,
         transcribed_len=t_len,
         duration_s=duration,
         wpm=wpm(t_len, duration),
@@ -112,9 +115,8 @@ def sentence_metrics(events: EventLog, sentence_index: int,
 def session_metrics(rec: SessionRecord,
                     timing_anchor: str = "shown") -> TypingMetrics:
     """Metrics for every sentence plus unweighted means across sentences."""
-    per_sentence = tuple(
-        sentence_metrics(rec.events, i, timing_anchor)
-        for i in range(len(rec.events.sentences())))
+    per_sentence = tuple(_metrics_of(s, timing_anchor)
+                         for s in rec.events.sentences())
     if not per_sentence:
         return TypingMetrics((), 0.0, 0.0, 0.0, 0.0, 0)
     n = len(per_sentence)

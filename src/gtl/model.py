@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -103,6 +104,11 @@ class EventLog:
 
     def sentences(self) -> list[Sentence]:
         """SHOWN..SUBMIT spans in order; unterminated spans are skipped."""
+        return list(self._sentences)
+
+    @cached_property
+    def _sentences(self) -> tuple[Sentence, ...]:
+        # built on first use and kept; sentences() hands out copies
         out: list[Sentence] = []
         shown: Optional[Event] = None
         keys: list[Event] = []
@@ -116,7 +122,7 @@ class EventLog:
                 out.append(Sentence(len(out), shown, ev, tuple(keys)))
                 shown = None
                 keys = []
-        return out
+        return tuple(out)
 
     @property
     def start_time(self) -> float:
@@ -142,8 +148,8 @@ class SessionMeta:
             raise ValueError(f"keyboard must be one of {KEYBOARDS}, got {self.keyboard!r}")
         if self.session_index < 0:
             raise ValueError("session_index must be >= 0")
-        if not self.fs_eeg > 0:
-            raise ValueError("fs_eeg must be positive")
+        if not 0 < self.fs_eeg < np.inf:
+            raise ValueError("fs_eeg must be positive and finite")
         if not self.channel_names:
             raise ValueError("channel_names must be non-empty")
         if len(set(self.channel_names)) != len(self.channel_names):
@@ -261,6 +267,9 @@ class ViolationCode(str, Enum):
     MARKER_ORDER = "MarkerOrder"
     TRANSCRIPTION_MISMATCH = "TranscriptionMismatch"
     EVENT_OUTSIDE_EEG = "EventOutsideEeg"
+    # raised by report assembly, not by validate_session
+    DUPLICATE_SESSION = "DuplicateSession"
+    ANALYSIS_ERROR = "AnalysisError"
 
 
 @dataclass(frozen=True)

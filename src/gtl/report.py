@@ -26,9 +26,10 @@ from .errors import (
     EmptyTranscription,
     NonPositiveDuration,
     StatsError,
+    ToolError,
     ZeroVariance,
 )
-from .model import SessionRecord, validate_session
+from .model import SessionRecord, ViolationCode, validate_session
 from .segmentation import LabeledLoadSample, aggregate, label_load_windows
 from .spectral import AnalysisConfig, WindowFn, cognitive_load_series
 
@@ -112,19 +113,13 @@ def _group_section(groups: dict[tuple, list[float]], key_names: Sequence[str],
 
 def analyze_session(rec: SessionRecord, config: ReportConfig,
                     ) -> tuple[dict, list[LabeledLoadSample]]:
-    """Per-session report entry plus the labeled windows it contributes."""
+    """Per-session report entry plus the labeled windows it contributes.
+
+    A ToolError raised by the analysis, e.g. a sampling rate too low for
+    the default bands, becomes a violation of this session: its ``load``
+    and ``metrics`` stay null and it contributes no windows.
+    """
     validation = rec.validation or validate_session(rec)
-    series = cognitive_load_series(rec.eeg, config.analysis_config())
-    samples = label_load_windows(series, rec.events, rec.meta,
-                                 config.label_threshold)
-    metrics_note = None
-    try:
-        typing = metrics_mod.session_metrics(rec, config.timing_anchor)
-    except (EmptyTranscription, NonPositiveDuration) as exc:
-        # e.g. a sentence whose keystrokes were all deleted again; the
-        # session stays analyzable for load, only its metrics are absent
-        typing = None
-        metrics_note = str(exc)
     entry = {
         "participant": rec.meta.participant_id,
         "keyboard": rec.meta.keyboard,
@@ -134,14 +129,33 @@ def analyze_session(rec: SessionRecord, config: ReportConfig,
             for v in validation.violations
         ],
         "warnings": list(validation.warnings),
-        "load": {
-            "n_windows": len(series),
-            "dropped_windows": series.dropped,
-            "mean": float(series.loads.mean()) if len(series) else None,
-            "min": float(series.loads.min()) if len(series) else None,
-            "max": float(series.loads.max()) if len(series) else None,
-        },
-        "metrics": None if typing is None else {
+        "load": None,
+        "metrics": None,
+    }
+    try:
+        series = cognitive_load_series(rec.eeg, config.analysis_config())
+        samples = label_load_windows(series, rec.events, rec.meta,
+                                     config.label_threshold)
+        try:
+            typing = metrics_mod.session_metrics(rec, config.timing_anchor)
+        except (EmptyTranscription, NonPositiveDuration) as exc:
+            # e.g. a sentence whose keystrokes were all deleted again; the
+            # session stays analyzable for load, only its metrics are absent
+            typing = None
+            entry["warnings"].append(f"metrics unavailable: {exc}")
+    except ToolError as exc:
+        entry["violations"].append(
+            {"code": ViolationCode.ANALYSIS_ERROR.value, "message": str(exc)})
+        return entry, []
+    entry["load"] = {
+        "n_windows": len(series),
+        "dropped_windows": series.dropped,
+        "mean": float(series.loads.mean()) if len(series) else None,
+        "min": float(series.loads.min()) if len(series) else None,
+        "max": float(series.loads.max()) if len(series) else None,
+    }
+    if typing is not None:
+        entry["metrics"] = {
             "mean_wpm": typing.mean_wpm,
             "mean_keystrokes_saved_pct": typing.mean_keystrokes_saved_pct,
             "mean_kspc": typing.mean_kspc,
@@ -160,10 +174,7 @@ def analyze_session(rec: SessionRecord, config: ReportConfig,
                 }
                 for m in typing.sentences
             ],
-        },
-    }
-    if metrics_note is not None:
-        entry["warnings"].append(f"metrics unavailable: {metrics_note}")
+        }
     return entry, samples
 
 
@@ -198,6 +209,8 @@ def build_report(records: Sequence[SessionRecord], config: ReportConfig,
     Per-session analysis is independent and may run on ``threads``
     workers; entries are merged in (participant, keyboard, session_index)
     order afterwards, so the same inputs always produce the same bytes.
+    Every copy of a (participant, keyboard, session_index) after the
+    first carries a DuplicateSession violation.
     """
     ordered = sorted(records, key=lambda r: (r.meta.participant_id,
                                              r.meta.keyboard,
@@ -212,7 +225,16 @@ def build_report(records: Sequence[SessionRecord], config: ReportConfig,
     warnings: list[str] = []
     session_entries: list[dict] = []
     samples: list[LabeledLoadSample] = []
+    seen: set[tuple[str, str, int]] = set()
     for rec, (entry, rec_samples) in zip(ordered, analyzed):
+        identity = (rec.meta.participant_id, rec.meta.keyboard,
+                    rec.meta.session_index)
+        if identity in seen:
+            entry["violations"].append({
+                "code": ViolationCode.DUPLICATE_SESSION.value,
+                "message": "session {}/{}/{} was passed more than once"
+                           .format(*identity)})
+        seen.add(identity)
         session_entries.append(entry)
         if config.include_training or rec.meta.session_index != 0:
             samples.extend(rec_samples)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .model import EventKind, EventLog, SessionMeta
 from .spectral import LoadSeries
 
@@ -87,39 +89,74 @@ def phase_intervals(events: EventLog) -> list[PhaseInterval]:
     return out
 
 
-def _label_one(w_start: float, w_end: float,
-               intervals: Sequence[tuple[float, float, object]],
-               threshold: float) -> Optional[object]:
-    overlap: dict[object, float] = {}
-    earliest: dict[object, float] = {}
-    for start, end, label in intervals:
-        ov = min(w_end, end) - max(w_start, start)
-        if ov <= 0:
-            continue
-        overlap[label] = overlap.get(label, 0.0) + ov
-        if label not in earliest or start < earliest[label]:
-            earliest[label] = start
-    if not overlap:
-        return None
-    best = max(overlap.values())
-    if best < threshold * (w_end - w_start):
-        return None
-    winners = [lab for lab, ov in overlap.items() if ov == best]
-    return min(winners, key=lambda lab: earliest[lab])
-
-
 def assign_windows(series: LoadSeries,
                    intervals: Sequence[tuple[float, float, object]],
                    threshold: float = 0.5) -> list[Optional[object]]:
     """Majority-overlap label per window, or None below the threshold.
 
-    ``intervals`` are (start, end, label) triples; overlap ties go to the
-    label whose earliest overlapping interval starts first.
+    ``intervals`` are (start, end, label) triples in any order; they may
+    overlap, and zero-length or reversed ones cover nothing. A window
+    takes the label with the largest summed overlap; ties go to the label
+    whose earliest overlapping interval starts first, then to the label
+    of the first overlapping interval in ``intervals`` order. The label
+    is kept only if its overlap reaches ``threshold`` times the window
+    length.
+
+    The work grows with windows + intervals + overlapping pairs: each
+    interval finds the windows it overlaps by binary search.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
-    return [_label_one(t, t + series.window_s, intervals, threshold)
-            for t in series.starts]
+    n_windows = len(series.starts)
+    out: list[Optional[object]] = [None] * n_windows
+    if not n_windows or not intervals:
+        return out
+    order = np.argsort(series.starts, kind="stable")
+    w_start = np.asarray(series.starts, dtype=np.float64)[order]
+    w_end = w_start + series.window_s
+    ids: dict[object, int] = {}
+    iv_label = np.array([ids.setdefault(lab, len(ids))
+                         for _, _, lab in intervals], dtype=np.int64)
+    labels = list(ids)
+    iv_start = np.array([iv[0] for iv in intervals], dtype=np.float64)
+    iv_end = np.array([iv[1] for iv in intervals], dtype=np.float64)
+
+    # windows [lo, hi) end after the interval starts and start before it
+    # ends; every window with a positive overlap lies in that range
+    lo = np.searchsorted(w_end, iv_start, side="right")
+    hi = np.searchsorted(w_start, iv_end, side="left")
+    counts = np.maximum(hi - lo, 0)
+    # (window, interval) pairs in interval order
+    iv = np.repeat(np.arange(len(intervals)), counts)
+    first_pair = np.cumsum(counts) - counts
+    win = np.arange(len(iv)) + np.repeat(lo - first_pair, counts)
+    overlap = (np.minimum(w_end[win], iv_end[iv])
+               - np.maximum(w_start[win], iv_start[iv]))
+    hit = overlap > 0
+    iv, win, overlap = iv[hit], win[hit], overlap[hit]
+    if not len(iv):
+        return out
+
+    # one accumulator per (window, label) that occurs; np.add.at adds in
+    # pair order, i.e. interval order from 0.0, as a per-window loop would
+    keys, first, key_of = np.unique(win * len(labels) + iv_label[iv],
+                                    return_index=True, return_inverse=True)
+    total = np.zeros(len(keys))
+    np.add.at(total, key_of, overlap)
+    earliest = np.full(len(keys), np.inf)
+    np.minimum.at(earliest, key_of, iv_start[iv])
+    key_win, key_label = np.divmod(keys, len(labels))
+
+    # per window: largest overlap, then earliest start, then first pair
+    ranked = np.lexsort((first, earliest, -total, key_win))
+    leader = np.ones(len(ranked), dtype=bool)
+    leader[1:] = key_win[ranked[1:]] != key_win[ranked[:-1]]
+    best = ranked[leader]
+    bw = key_win[best]
+    keep = total[best] >= threshold * (w_end[bw] - w_start[bw])
+    for w, lab in zip(order[bw[keep]].tolist(), key_label[best[keep]].tolist()):
+        out[w] = labels[lab]
+    return out
 
 
 def label_load_windows(series: LoadSeries, events: EventLog,

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gtl.model import (
     EegRecording,
@@ -16,6 +17,10 @@ from gtl.model import (
     SessionRecord,
     replay_keystrokes,
 )
+
+# derandomized: a property that fails once fails again on the next run
+settings.register_profile("gtl", deadline=None, derandomize=True)
+settings.load_profile("gtl")
 
 _WORD_CHARS = "abcdefghijklmnopqrstuvwxyz ,\"'\näé→"
 

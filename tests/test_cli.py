@@ -154,6 +154,36 @@ class TestExitCodes:
         assert f"{name} is not valid UTF-8" in err
         assert "(row 2)" in err
 
+    def test_duplicate_session_exits_2(self, tmp_path, spec_file):
+        bundle = str(tmp_path / "bundle")
+        main(["simulate", "--spec", str(spec_file), "--out", bundle])
+        out = tmp_path / "r.json"
+        rc = main(["analyze", "--session", bundle, bundle, "--out", str(out)])
+        assert rc == 2
+        sessions = json.loads(out.read_text())["sessions"]
+        assert [[v["code"] for v in e["violations"]] for e in sessions] == [
+            [], ["DuplicateSession"]]
+
+    def test_low_rate_session_is_isolated(self, tmp_path, spec_file):
+        good = tmp_path / "good"
+        main(["simulate", "--spec", str(spec_file), "--out", str(good)])
+        # 24 Hz leaves no room below Nyquist for the default Beta band
+        slow = make_record(make_event_log([[("INSERT", "a")]] * 3), fs=24.0,
+                           keyboard="B", participant="p02")
+        write_session(slow, tmp_path / "slow")
+        out = tmp_path / "r.json"
+        rc = main(["analyze", "--session", str(good), str(tmp_path / "slow"),
+                   "--out", str(out)])
+        assert rc == 2
+        report = json.loads(out.read_text())
+        ok, bad = report["sessions"]
+        assert ok["violations"] == [] and ok["load"]["n_windows"] > 0
+        assert [v["code"] for v in bad["violations"]] == ["AnalysisError"]
+        assert "fs=24.0" in bad["violations"][0]["message"]
+        assert bad["load"] is None and bad["metrics"] is None
+        assert [g["keyboard"] for g in report["load_groups"]["by_keyboard"]] \
+            == ["A"]
+
     def test_bad_spec_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"duration_s\": -3}")
@@ -243,8 +273,9 @@ class TestAnalysisFlags:
         bundle = str(tmp_path / "bundle")
         main(["simulate", "--spec", str(spec_file), "--out", bundle])
         out = tmp_path / "r.json"
+        # exit 2: the second copy is a DuplicateSession violation
         assert main(["analyze", "--session", bundle, bundle, "--out", str(out),
-                     "--level", "window"]) == 0
+                     "--level", "window"]) == 2
         report = json.loads(out.read_text())
         mean = report["load_groups"]["by_keyboard"][0]["boxplot"]["mean"]
         assert abs(mean - 0.5) <= 0.02

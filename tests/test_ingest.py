@@ -1,8 +1,12 @@
 import random
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtl.errors import (
+    IngestError,
     BadHeader,
     ChannelCountMismatch,
     MalformedMeta,
@@ -24,9 +28,9 @@ from gtl.ingest import (
     parse_meta_json,
     write_session,
 )
-from gtl.model import GazeSample, SessionMeta
+from gtl.model import EegRecording, GazeSample, SessionMeta, SessionRecord
 
-from conftest import make_record, random_event_log
+from conftest import make_event_log, make_record, random_event_log
 
 META14 = SessionMeta("p01", "A", 1)
 META2 = SessionMeta("p01", "A", 1,
@@ -153,6 +157,20 @@ class TestEventsCsv:
         with pytest.raises(MalformedRow):
             parse_events_csv("0,SESSION_START,\n")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_timestamp_rejected(self, raw):
+        text = f"0.0,SESSION_START,,\n{raw},SESSION_END,,\n"
+        with pytest.raises(MalformedNumber) as exc:
+            parse_events_csv(text)
+        assert exc.value.row == 2
+
+    def test_field_over_csv_limit_is_located(self):
+        text = ('0.0,SESSION_START,,\n1.0,SENTENCE_SHOWN,"'
+                + "a" * (128 * 1024 + 1) + '",\n')
+        with pytest.raises(MalformedRow) as exc:
+            parse_events_csv(text)
+        assert exc.value.row == 2
+
     def test_round_trip_preserves_quoted_text(self):
         rng = random.Random(99)
         for _ in range(40):
@@ -181,6 +199,23 @@ class TestMetaJson:
     def test_bad_json(self):
         with pytest.raises(MalformedMeta):
             parse_meta_json("{nope")
+
+    @pytest.mark.parametrize("field,value", [
+        ("session_index", "1e400"),
+        ("session_index", "9" * 5000),
+        ("fs_eeg", "Infinity"),
+    ], ids=["index-1e400", "index-5000-digits", "fs-Infinity"])
+    def test_out_of_range_number(self, field, value):
+        obj = {"participant_id": '"p"', "keyboard": '"A"',
+               "session_index": "1", "fs_eeg": "128.0", "channels": '["a"]'}
+        obj[field] = value
+        text = "{" + ",".join(f'"{k}": {v}' for k, v in obj.items()) + "}"
+        with pytest.raises(MalformedMeta):
+            parse_meta_json(text)
+
+    def test_deep_nesting(self):
+        with pytest.raises(MalformedMeta):
+            parse_meta_json("[" * 100_000 + "]" * 100_000)
 
 
 class TestGazeCsv:
@@ -243,3 +278,82 @@ class TestBundles:
         (bundle / "eeg.csv").write_bytes(b"")
         with pytest.raises(MissingFile):
             load_session(bundle)
+
+
+def _total(parse, data):
+    """A parser gives a record or an IngestError, never another exception."""
+    try:
+        parse(data)
+    except IngestError:
+        pass
+
+
+_EEG_LINE = st.lists(st.sampled_from(
+    ["0.0", "0.0078125", "1e400", "nan", "-3.5", "x", "", " "]),
+    max_size=4).map(",".join)
+_EVENT_LINES = ["0.0,SESSION_START,,", "1.0,SENTENCE_SHOWN,a,",
+                "2.0,KEY,INSERT,a", "2.5,KEY,CAPS,", "3.0,SENTENCE_SUBMIT,a,",
+                "4.0,SESSION_END,,", "nan,KEY,BKSP,", '5.0,KEY,"SUGG', "\r"]
+
+
+class TestParsersAreTotal:
+    @given(st.binary())
+    def test_arbitrary_bytes(self, data):
+        _total(parse_meta_json, data)
+        _total(lambda d: parse_eeg_csv(d, META2), data)
+        _total(parse_events_csv, data)
+        _total(parse_gaze_csv, data)
+
+    @given(st.text())
+    def test_arbitrary_text_after_headers(self, text):
+        _total(lambda d: parse_eeg_csv(d, META2), "t,ch1,ch2\n" + text)
+        _total(parse_gaze_csv, "t,x,y,valid\n" + text)
+        _total(parse_meta_json, '{"channels": ' + text)
+
+    @given(st.lists(_EEG_LINE, max_size=6))
+    def test_near_valid_eeg(self, lines):
+        _total(lambda d: parse_eeg_csv(d, META2),
+               "\n".join(["t,ch1,ch2", *lines]))
+
+    @given(st.lists(st.one_of(st.sampled_from(_EVENT_LINES), st.text()),
+                    max_size=8))
+    def test_near_valid_events(self, lines):
+        _total(parse_events_csv, "\n".join(lines))
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+_KEYS = st.lists(st.tuples(st.sampled_from(["INSERT", "SUGG", "BKSP"]),
+                           st.text(max_size=4)), min_size=1, max_size=5)
+
+
+@st.composite
+def _records(draw):
+    fs = draw(st.sampled_from([24.0, 128.0, 256.0, 100.0]))
+    channels = tuple(draw(st.lists(
+        st.text(alphabet="abcXYZ019_ ", min_size=1, max_size=4)
+        .filter(lambda c: c != "t"), min_size=1, max_size=3, unique=True)))
+    meta = SessionMeta(draw(st.text(max_size=8)),
+                       draw(st.sampled_from(["A", "B", "C"])),
+                       draw(st.integers(0, 10**6)), fs, channels)
+    n = draw(st.integers(1, 40))
+    t0 = draw(st.floats(-100.0, 100.0))
+    samples = np.array(draw(st.lists(_FINITE, min_size=n * len(channels),
+                                     max_size=n * len(channels))))
+    eeg = EegRecording(t0, fs, samples.reshape(len(channels), n))
+    log = make_event_log(draw(st.lists(_KEYS, min_size=1, max_size=3)),
+                         start=t0, key_dt=draw(st.sampled_from([0.25, 1.0])))
+    gaze = None
+    if draw(st.booleans()):
+        times = sorted(draw(st.lists(_FINITE, max_size=5)))
+        gaze = tuple(GazeSample(t, draw(_FINITE), draw(_FINITE),
+                                draw(st.booleans())) for t in times)
+    return SessionRecord(meta=meta, eeg=eeg, events=log, gaze=gaze)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=50)
+    @given(_records())
+    def test_write_then_load_is_equal(self, rec):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_session(rec, tmp)
+            assert load_session(tmp) == rec

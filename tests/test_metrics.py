@@ -101,6 +101,28 @@ class TestEventLogMetrics:
             (tm.sentences[0].wpm + tm.sentences[1].wpm) / 2)
         assert tm.total_backspace_count == 0
 
+    def test_session_metrics_scans_the_log_once(self):
+        class CountingEvents(tuple):
+            scans = 0
+
+            def __iter__(self):
+                self.scans += 1
+                return super().__iter__()
+
+        log = make_event_log([[("INSERT", "a"), ("SUGG", "bc ")]] * 200)
+        counted = EventLog(CountingEvents(log.events))
+        tm = session_metrics(make_record(counted))
+        assert len(tm.sentences) == 200
+        assert counted.events.scans == 1
+        assert tm.sentences[137] == sentence_metrics(log, 137)
+
+    def test_sentence_list_is_a_fresh_copy(self, simple_log):
+        expected = simple_log.sentences()
+        handed_out = simple_log.sentences()
+        handed_out.clear()
+        assert simple_log.sentences() == expected
+        assert session_metrics(make_record(simple_log)).sentences[1].index == 1
+
     def test_time_translation_invariance(self):
         rng = random.Random(31)
 

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gtl.model import Event, EventLog, KeyClass
 from gtl.segmentation import (
@@ -15,6 +16,50 @@ from gtl.segmentation import (
 from gtl.spectral import LoadSeries
 
 from conftest import make_event_log, random_event_log
+
+
+def _label_one(w_start, w_end, intervals, threshold):
+    """Reference rule: one pass over every interval for one window."""
+    overlap = {}
+    earliest = {}
+    for start, end, label in intervals:
+        ov = min(w_end, end) - max(w_start, start)
+        if ov <= 0:
+            continue
+        overlap[label] = overlap.get(label, 0.0) + ov
+        if label not in earliest or start < earliest[label]:
+            earliest[label] = start
+    if not overlap:
+        return None
+    best = max(overlap.values())
+    if best < threshold * (w_end - w_start):
+        return None
+    winners = [lab for lab, ov in overlap.items() if ov == best]
+    return min(winners, key=lambda lab: earliest[lab])
+
+
+def _oracle(series, intervals, threshold):
+    return [_label_one(t, t + series.window_s, intervals, threshold)
+            for t in series.starts]
+
+
+# small integers make equal overlaps and equal starts common
+_times = st.one_of(st.integers(-4, 24).map(float),
+                   st.floats(-50.0, 50.0),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _labeling_cases(draw):
+    starts = draw(st.lists(_times, max_size=12))
+    window_s = draw(st.one_of(st.sampled_from([1.0, 2.0, 4.0, 8.0]),
+                              st.floats(1e-3, 100.0)))
+    alphabet = draw(st.sampled_from(["AB", "ABC"]))
+    intervals = draw(st.lists(
+        st.tuples(_times, _times, st.sampled_from(alphabet)), max_size=16))
+    threshold = draw(st.one_of(st.sampled_from([0.5, 1.0]),
+                               st.floats(0.0, 1.0, exclude_min=True)))
+    return _series(starts, window_s=window_s), intervals, threshold
 
 
 def _log(events):
@@ -142,6 +187,22 @@ class TestAssignWindows:
         series = _series([0.0])
         labels = assign_windows(series, [(0.0, 4.0, "B"), (4.0, 8.0, "A")])
         assert labels == ["B"]
+
+    def test_full_tie_goes_to_first_overlapping_interval(self):
+        # window [0, 8): A and B both cover 4 s from t=0. A's first
+        # interval comes first in the list but misses the window, so B's
+        # interval is the first one overlapping it.
+        series = _series([0.0])
+        intervals = [(20.0, 30.0, "A"), (0.0, 4.0, "B"), (0.0, 4.0, "A")]
+        assert assign_windows(series, intervals) == ["B"]
+        assert assign_windows(series, intervals[::-1]) == ["A"]
+        assert _oracle(series, intervals, 0.5) == ["B"]
+
+    @given(_labeling_cases())
+    def test_matches_per_window_scan(self, case):
+        series, intervals, threshold = case
+        assert (assign_windows(series, intervals, threshold)
+                == _oracle(series, intervals, threshold))
 
     def test_labeled_overlap_meets_threshold(self):
         rng = np.random.default_rng(44)
