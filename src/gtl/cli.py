@@ -4,9 +4,12 @@ ones, run standalone hypothesis tests.
 Exit codes: 0 success, 2 session validation violations (report still
 written; these include a session passed twice and a session the analysis
 cannot process, e.g. one whose sampling rate (<= 28 Hz) is too low for
-the default bands), 3 degenerate statistics input, 64 usage error, 74 I/O
-error (including a malformed or non-UTF-8 bundle file), 1 any other
-error.
+the default bands), 3 degenerate statistics input, 64 usage error
+(including a bad analysis option or simulation spec), 74 I/O error (a
+malformed or non-UTF-8 bundle file, spec or group file, or a group value
+that is not a finite number), 1 any other error. The ``analyze``
+defaults are the fields of ``ReportConfig()``, whose windowing defaults
+are ``AnalysisConfig``'s.
 """
 
 from __future__ import annotations
@@ -14,14 +17,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import IngestError, SpecInvalid, StatsError, ToolError
-from .ingest import load_session, write_session
+from .errors import (ConfigError, IngestError, MalformedMeta, MalformedNumber,
+                     SpecInvalid, StatsError, ToolError)
+from .ingest import as_text, load_session, meta_from_dict, write_session
 from .metrics import TIMING_ANCHORS
-from .model import SessionMeta
+from .model import EPOC14_CHANNELS, SessionMeta
 from .report import ReportConfig, build_report, render_csv, render_json, report_has_violations
 from .segmentation import AGGREGATION_LEVELS
 from .simgen import SimSpec, simspec_from_dict, simulate_session
@@ -58,29 +63,33 @@ def _build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     analyze = sub.add_parser("analyze", help="analyze session bundles")
+    defaults = ReportConfig()
     analyze.add_argument("--session", metavar="DIR", nargs="+",
                          action="extend", required=True,
                          help="session bundle directory (repeatable)")
     analyze.add_argument("--out", metavar="FILE", required=True,
                          help="report output path")
     analyze.add_argument("--format", choices=("json", "csv"), default="json")
-    analyze.add_argument("--window", type=int, default=1024,
+    analyze.add_argument("--window", dest="window_len", metavar="WINDOW",
+                         type=int, default=defaults.window_len,
                          help="window length in samples (power of two)")
-    analyze.add_argument("--hop", type=int, default=512,
+    analyze.add_argument("--hop", type=int, default=defaults.hop,
                          help="window slide in samples")
-    analyze.add_argument("--win-fn", choices=[w.value for w in WindowFn],
-                         default=WindowFn.HALF_COSINE.value)
-    analyze.add_argument("--detrend", type=_onoff, default=True,
+    analyze.add_argument("--win-fn", dest="window_fn", type=WindowFn,
+                         choices=list(WindowFn), metavar="|".join(WindowFn),
+                         default=defaults.window_fn)
+    analyze.add_argument("--detrend", type=_onoff, default=defaults.detrend,
                          metavar="on|off")
-    analyze.add_argument("--label-threshold", type=float, default=0.5)
+    analyze.add_argument("--label-threshold", type=float,
+                         default=defaults.label_threshold)
     analyze.add_argument("--timing-anchor", choices=TIMING_ANCHORS,
-                         default="shown")
+                         default=defaults.timing_anchor)
     analyze.add_argument("--level", choices=AGGREGATION_LEVELS,
-                         default="sentence")
-    analyze.add_argument("--include-training", type=_onoff, default=True,
-                         metavar="on|off")
+                         default=defaults.level)
+    analyze.add_argument("--include-training", type=_onoff,
+                         default=defaults.include_training, metavar="on|off")
     analyze.add_argument("--ttest-variant", choices=("student", "welch"),
-                         default="student")
+                         default=defaults.ttest_variant)
 
     simulate = sub.add_parser("simulate", help="write a synthetic bundle")
     simulate.add_argument("--spec", metavar="FILE", required=True,
@@ -100,24 +109,14 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_analyze(parser: _Parser, args: argparse.Namespace) -> int:
-    if args.window < 2 or args.window & (args.window - 1):
-        parser.error(f"--window {args.window} is not a power of two")
-    if not 0 < args.hop <= args.window:
-        parser.error(f"--hop must lie in (0, {args.window}]")
-    if not 0.0 < args.label_threshold <= 1.0:
-        parser.error("--label-threshold must lie in (0, 1]")
-
-    config = ReportConfig(
-        window_len=args.window,
-        hop=args.hop,
-        window_fn=WindowFn(args.win_fn),
-        detrend=args.detrend,
-        label_threshold=args.label_threshold,
-        timing_anchor=args.timing_anchor,
-        level=args.level,
-        include_training=args.include_training,
-        ttest_variant=args.ttest_variant,
-    )
+    if args.window_len < 2 or args.window_len & (args.window_len - 1):
+        parser.error(f"--window {args.window_len} is not a power of two")
+    try:
+        # every config field is the dest of the flag that sets it
+        config = ReportConfig(**{f.name: getattr(args, f.name)
+                                 for f in dataclasses.fields(ReportConfig)})
+    except ConfigError as exc:
+        parser.error(f"bad analysis option: {exc}")
 
     try:
         records = [load_session(p) for p in args.session]
@@ -139,25 +138,20 @@ def _cmd_analyze(parser: _Parser, args: argparse.Namespace) -> int:
 
 
 def _meta_from_spec_file(obj: dict, spec: SimSpec) -> SessionMeta:
+    """The spec's ``meta`` object over the defaults; the rate is the spec's."""
     meta = obj.get("meta", {})
-    defaults = SessionMeta(participant_id="sim", keyboard="A", session_index=1)
-    channels = meta.get("channels")
-    if channels is None:
-        channels = (defaults.channel_names if spec.n_channels == 14
-                    else tuple(f"ch{i + 1}" for i in range(spec.n_channels)))
-    return SessionMeta(
-        participant_id=str(meta.get("participant_id", defaults.participant_id)),
-        keyboard=str(meta.get("keyboard", defaults.keyboard)),
-        session_index=int(meta.get("session_index", defaults.session_index)),
-        fs_eeg=spec.fs,
-        channel_names=tuple(channels),
-    )
+    if isinstance(meta, dict):
+        channels = (list(EPOC14_CHANNELS) if spec.n_channels == 14
+                    else [f"ch{i + 1}" for i in range(spec.n_channels)])
+        meta = {"participant_id": "sim", "keyboard": "A", "session_index": 1,
+                "channels": channels, **meta, "fs_eeg": spec.fs}
+    return meta_from_dict(meta)
 
 
 def _cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
     try:
-        raw = Path(args.spec).read_text(encoding="utf-8")
-    except OSError as exc:
+        raw = as_text(Path(args.spec).read_bytes(), args.spec)
+    except (OSError, IngestError) as exc:
         print(f"gtl: cannot read spec: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -167,7 +161,9 @@ def _cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
             spec = dataclasses.replace(spec, seed=args.seed)
         meta = _meta_from_spec_file(obj, spec)
         rec = simulate_session(spec, meta)
-    except (json.JSONDecodeError, SpecInvalid, ValueError) as exc:
+    except (ValueError, RecursionError, SpecInvalid, MalformedMeta) as exc:
+        # ValueError covers JSONDecodeError and integers past Python's
+        # digit limit; RecursionError deeply nested arrays or objects
         parser.error(f"bad simulation spec: {exc}")
     try:
         write_session(rec, args.out)
@@ -179,16 +175,19 @@ def _cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
 
 
 def _read_column(path: Path) -> list[float]:
+    text = as_text(path.read_bytes(), str(path))
     values = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                   start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         try:
             values.append(float(line))
         except ValueError:
-            raise IngestError(f"{path}: not a number", row=line_no) from None
+            raise MalformedNumber(f"{path}: not a number",
+                                  row=line_no) from None
+        if not math.isfinite(values[-1]):
+            raise MalformedNumber(f"{path}: not a finite number", row=line_no)
     return values
 
 
@@ -199,10 +198,7 @@ def _cmd_stats(parser: _Parser, args: argparse.Namespace) -> int:
         parser.error("--test anova needs at least 2 group files")
     try:
         groups = [_read_column(Path(p)) for p in args.groups]
-    except OSError as exc:
-        print(f"gtl: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except IngestError as exc:
+    except (OSError, IngestError) as exc:
         print(f"gtl: {exc}", file=sys.stderr)
         return EXIT_IO
     try:

@@ -13,7 +13,7 @@ import io
 import json
 import math
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .model import (
     KeyClass,
     SessionMeta,
     SessionRecord,
+    event_log_violations,
     validate_session,
 )
 
@@ -52,7 +53,8 @@ EVENTS_FILE = "events.csv"
 GAZE_FILE = "gaze.csv"
 
 
-def _as_text(data: Union[bytes, str], name: str) -> str:
+def as_text(data: Union[bytes, str], name: str) -> str:
+    """Decode UTF-8 bytes; invalid bytes are a BadEncoding at their row."""
     if isinstance(data, bytes):
         try:
             return data.decode("utf-8")
@@ -66,13 +68,18 @@ def _as_text(data: Union[bytes, str], name: str) -> str:
 
 def parse_meta_json(data: Union[bytes, str]) -> SessionMeta:
     try:
-        obj = json.loads(_as_text(data, META_FILE))
+        obj = json.loads(as_text(data, META_FILE))
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integers past Python's
         # digit limit; RecursionError deeply nested arrays or objects
         raise MalformedMeta(f"meta.json is not valid JSON: {exc}") from exc
+    return meta_from_dict(obj)
+
+
+def meta_from_dict(obj: object) -> SessionMeta:
+    """Session metadata from a decoded JSON value; MalformedMeta otherwise."""
     if not isinstance(obj, dict):
-        raise MalformedMeta("meta.json must hold a JSON object")
+        raise MalformedMeta("session meta must be a JSON object")
     try:
         channels = obj["channels"]
         if (not isinstance(channels, list)
@@ -86,9 +93,10 @@ def parse_meta_json(data: Union[bytes, str]) -> SessionMeta:
             channel_names=tuple(channels),
         )
     except KeyError as exc:
-        raise MalformedMeta(f"meta.json misses key {exc.args[0]!r}") from exc
+        raise MalformedMeta(
+            f"session meta misses key {exc.args[0]!r}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedMeta(f"meta.json field invalid: {exc}") from exc
+        raise MalformedMeta(f"session meta field invalid: {exc}") from exc
 
 
 def meta_to_json(meta: SessionMeta) -> str:
@@ -127,7 +135,7 @@ def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta) -> EegRecording:
     metadata rate; the rate inferred from the median spacing must agree
     with ``meta.fs_eeg`` to the same tolerance.
     """
-    text = _as_text(data, EEG_FILE)
+    text = as_text(data, EEG_FILE)
     newline = text.find("\n")
     if newline < 0:
         raise BadHeader("eeg.csv has no header row")
@@ -149,7 +157,8 @@ def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta) -> EegRecording:
         raise MalformedRow("eeg.csv has no data rows", row=2)
     n_cols = len(columns)
     try:
-        matrix = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        matrix = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
+                            comments=None)
     except ValueError:
         row, col = _locate_bad_number(text)
         if row:
@@ -211,6 +220,7 @@ def eeg_to_csv(eeg: EegRecording, channel_names: tuple[str, ...]) -> str:
 
 _EVENT_KINDS = {k.value for k in EventKind}
 _KEY_CLASSES = {k.value for k in KeyClass}
+_TEXT_KINDS = {EventKind.SENTENCE_SHOWN.value, EventKind.SENTENCE_SUBMIT.value}
 
 
 def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -229,14 +239,14 @@ def parse_events_csv(data: Union[bytes, str]) -> EventLog:
     """Parse and structurally validate the event log.
 
     Rows are ``t,kind,arg1,arg2`` with RFC-4180 quoting on the text
-    fields. The first offending row aborts the parse with a located
-    error; a returned log always satisfies the event-log invariants.
+    fields. A malformed row aborts the parse with a located error; then
+    the first :func:`event_log_violations` entry aborts it as a
+    MarkerOrder at its event's row. A returned log always satisfies the
+    event-log invariants.
     """
     events: list[Event] = []
-    open_sentence = False
-    seen_start = seen_end = False
-    prev_t: Optional[float] = None
-    for row_no, row in _csv_rows(_as_text(data, EVENTS_FILE)):
+    rows: list[int] = []
+    for row_no, row in _csv_rows(as_text(data, EVENTS_FILE)):
         if not row:
             continue
         if len(row) != 4:
@@ -254,48 +264,19 @@ def parse_events_csv(data: Union[bytes, str]) -> EventLog:
                                   row=row_no)
         if kind not in _EVENT_KINDS:
             raise UnknownKind(f"unknown event kind {kind!r}", row=row_no)
-        if prev_t is not None and t < prev_t:
-            raise MarkerOrder(f"timestamp {t} goes back before {prev_t}",
-                              row=row_no)
-        prev_t = t
-        if seen_end:
-            raise MarkerOrder("event after SESSION_END", row=row_no)
-
-        if kind == EventKind.SESSION_START.value:
-            if seen_start:
-                raise MarkerOrder("second SESSION_START", row=row_no)
-            seen_start = True
-            events.append(Event.session_start(t))
-        elif not seen_start:
-            raise MarkerOrder("event before SESSION_START", row=row_no)
-        elif kind == EventKind.SENTENCE_SHOWN.value:
-            if open_sentence:
-                raise MarkerOrder("SENTENCE_SHOWN inside an open sentence",
-                                  row=row_no)
-            open_sentence = True
-            events.append(Event.shown(t, arg1))
-        elif kind == EventKind.KEY.value:
-            if not open_sentence:
-                raise MarkerOrder("KEY outside a sentence", row=row_no)
+        if kind == EventKind.KEY.value:
             if arg1 not in _KEY_CLASSES:
                 raise UnknownKeyClass(f"unknown key class {arg1!r}", row=row_no)
             events.append(Event.key(t, KeyClass(arg1), arg2))
-        elif kind == EventKind.SENTENCE_SUBMIT.value:
-            if not open_sentence:
-                raise MarkerOrder("SENTENCE_SUBMIT without SENTENCE_SHOWN",
-                                  row=row_no)
-            open_sentence = False
-            events.append(Event.submit(t, arg1))
-        elif kind == EventKind.SESSION_END.value:
-            if open_sentence:
-                raise MarkerOrder("SESSION_END inside an open sentence",
-                                  row=row_no)
-            seen_end = True
-            events.append(Event.session_end(t))
-    if not seen_start:
-        raise MarkerOrder("no SESSION_START in events.csv")
-    if not seen_end:
-        raise MarkerOrder("no SESSION_END in events.csv")
+        elif kind in _TEXT_KINDS:
+            events.append(Event(t, EventKind(kind), text=arg1))
+        else:
+            events.append(Event(t, EventKind(kind)))
+        rows.append(row_no)
+    first = next(event_log_violations(events), None)
+    if first is not None:
+        raise MarkerOrder(f"events.csv: {first.message}", row=(
+            None if first.event_index is None else rows[first.event_index]))
     return EventLog(tuple(events))
 
 
@@ -316,7 +297,7 @@ def events_to_csv(log: EventLog) -> str:
 # --- gaze.csv ----------------------------------------------------------------
 
 def parse_gaze_csv(data: Union[bytes, str]) -> tuple[GazeSample, ...]:
-    text = _as_text(data, GAZE_FILE)
+    text = as_text(data, GAZE_FILE)
     lines = text.split("\n")
     if not lines or lines[0].rstrip("\r") != "t,x,y,valid":
         raise BadHeader("gaze.csv header must be 't,x,y,valid'")
@@ -333,6 +314,9 @@ def parse_gaze_csv(data: Union[bytes, str]) -> tuple[GazeSample, ...]:
         except ValueError:
             raise MalformedNumber("gaze.csv cell is not a number",
                                   row=row_no) from None
+        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+            raise MalformedNumber("gaze.csv cell is not a finite number",
+                                  row=row_no)
         if cells[3] not in ("0", "1"):
             raise MalformedRow(f"valid flag must be 0 or 1, got {cells[3]!r}",
                                row=row_no)

@@ -291,43 +291,54 @@ class ValidationReport:
         return not self.violations
 
 
-def _check_marker_structure(log: EventLog) -> list[Violation]:
-    out: list[Violation] = []
-    events = log.events
+def event_log_violations(events: Sequence[Event]) -> Iterator[Violation]:
+    """Order violations of an event log, in event order, in one pass.
 
-    def bad(i: Optional[int], msg: str) -> None:
-        out.append(Violation(ViolationCode.MARKER_ORDER, msg, i))
+    Timestamps must not decrease (NonMonotonicTime). Markers
+    (MarkerOrder): SESSION_START exactly first, SESSION_END exactly last,
+    SHOWN and SUBMIT strictly alternating from SHOWN, every KEY inside a
+    SHOWN..SUBMIT span. An empty log is one violation without an index.
+    """
+    def bad(i: int, msg: str) -> Violation:
+        return Violation(ViolationCode.MARKER_ORDER, msg, i)
 
     if not events:
-        bad(None, "event log is empty")
-        return out
-
-    for i, ev in enumerate(events):
-        if ev.kind is EventKind.SESSION_START and i != 0:
-            bad(i, "SESSION_START is not the first event")
-        if ev.kind is EventKind.SESSION_END and i != len(events) - 1:
-            bad(i, "SESSION_END is not the last event")
-    if events[0].kind is not EventKind.SESSION_START:
-        bad(0, f"first event is {events[0].kind.value}, expected SESSION_START")
-    if events[-1].kind is not EventKind.SESSION_END:
-        bad(len(events) - 1,
-            f"last event is {events[-1].kind.value}, expected SESSION_END")
-
+        yield Violation(ViolationCode.MARKER_ORDER, "event log is empty")
+        return
+    last = len(events) - 1
+    prev_t = -np.inf
     in_sentence = False
     for i, ev in enumerate(events):
-        if ev.kind is EventKind.SENTENCE_SHOWN:
+        kind = ev.kind
+        if ev.t < prev_t:
+            yield Violation(ViolationCode.NON_MONOTONIC_TIME,
+                            f"timestamp {ev.t} before previous {prev_t}", i)
+        prev_t = ev.t
+        if kind is EventKind.SESSION_START:
+            if i != 0:
+                yield bad(i, "SESSION_START is not the first event")
+        elif i == 0:
+            yield bad(i, f"first event is {kind.value}, "
+                         "expected SESSION_START")
+        if kind is EventKind.SESSION_END:
+            if i != last:
+                yield bad(i, "SESSION_END is not the last event")
+        elif i == last:
+            yield bad(i, f"last event is {kind.value}, expected SESSION_END")
+        if kind is EventKind.SENTENCE_SHOWN:
             if in_sentence:
-                bad(i, "SENTENCE_SHOWN while previous sentence is still open")
+                yield bad(i, "SENTENCE_SHOWN while previous sentence "
+                             "is still open")
             in_sentence = True
-        elif ev.kind is EventKind.SENTENCE_SUBMIT:
+        elif kind is EventKind.SENTENCE_SUBMIT:
             if not in_sentence:
-                bad(i, "SENTENCE_SUBMIT without a preceding SENTENCE_SHOWN")
+                yield bad(i, "SENTENCE_SUBMIT without a preceding "
+                             "SENTENCE_SHOWN")
             in_sentence = False
-        elif ev.kind is EventKind.KEY and not in_sentence:
-            bad(i, "KEY outside any SHOWN..SUBMIT span")
+        elif kind is EventKind.KEY and not in_sentence:
+            yield bad(i, "KEY outside any SHOWN..SUBMIT span")
     if in_sentence:
-        bad(len(events) - 1, "last SENTENCE_SHOWN was never submitted")
-    return out
+        yield bad(last, "last SENTENCE_SHOWN was never submitted")
 
 
 def validate_session(rec: SessionRecord, slack: float = 1.0) -> ValidationReport:
@@ -337,19 +348,9 @@ def validate_session(rec: SessionRecord, slack: float = 1.0) -> ValidationReport
     timeline invariant. ``slack`` widens the EEG span that events must fall
     into, in seconds.
     """
-    violations: list[Violation] = []
-    warnings: list[str] = []
     events = rec.events.events
-
-    prev_t = -np.inf
-    for i, ev in enumerate(events):
-        if ev.t < prev_t:
-            violations.append(Violation(
-                ViolationCode.NON_MONOTONIC_TIME,
-                f"timestamp {ev.t} before previous {prev_t}", i))
-        prev_t = ev.t
-
-    violations.extend(_check_marker_structure(rec.events))
+    violations = list(event_log_violations(events))
+    warnings: list[str] = []
 
     for s in rec.events.sentences():
         text, empty_bksp = replay_keystrokes(s.keys)

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 from . import metrics as metrics_mod
 from . import stats as stats_mod
 from .errors import (
+    ConfigError,
     DegenerateInput,
     EmptyInput,
     EmptyTranscription,
@@ -48,17 +49,27 @@ REFERENCE_CONTEXT = {
 
 @dataclass(frozen=True)
 class ReportConfig:
-    """Everything that influences the numbers in a report."""
+    """Everything that influences the numbers in a report.
 
-    window_len: int = 1024
-    hop: int = 512
-    window_fn: WindowFn = WindowFn.HALF_COSINE
-    detrend: bool = True
+    The windowing defaults are :class:`AnalysisConfig`'s. Construction
+    builds the analysis config and checks the threshold range; a bad
+    value raises ConfigError.
+    """
+
+    window_len: int = AnalysisConfig.window_len
+    hop: int = AnalysisConfig.hop
+    window_fn: WindowFn = AnalysisConfig.window_fn
+    detrend: bool = AnalysisConfig.detrend
     label_threshold: float = 0.5
     timing_anchor: str = "shown"
     level: str = "sentence"
     include_training: bool = True
     ttest_variant: str = "student"
+
+    def __post_init__(self) -> None:
+        self.analysis_config()
+        if not 0.0 < self.label_threshold <= 1.0:
+            raise ConfigError("label_threshold must lie in (0, 1]")
 
     def analysis_config(self) -> AnalysisConfig:
         return AnalysisConfig(window_len=self.window_len, hop=self.hop,

@@ -124,27 +124,30 @@ class SimSpec:
     gaze_rate: Optional[float] = None
 
     def validate(self) -> None:
-        if not self.duration_s > 0:
-            raise SpecInvalid("duration_s must be positive")
-        if not self.fs > 0:
-            raise SpecInvalid("fs must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise SpecInvalid("duration_s must be positive and finite")
+        if not 0 < self.fs < math.inf:
+            raise SpecInvalid("fs must be positive and finite")
         if self.n_channels < 1:
             raise SpecInvalid("n_channels must be >= 1")
-        if self.noise_sigma < 0:
-            raise SpecInvalid("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise SpecInvalid("noise_sigma must be finite and >= 0")
+        if self.gaze_rate is not None and not 0 < self.gaze_rate < math.inf:
+            raise SpecInvalid("gaze_rate must be positive and finite")
         for c in self.components:
             if not 0 < c.freq < self.fs / 2:
                 raise SpecInvalid(
                     f"component at {c.freq} Hz outside (0, {self.fs / 2})")
-            if c.amplitude < 0:
-                raise SpecInvalid("component amplitude must be >= 0")
+            if not 0 <= c.amplitude < math.inf:
+                raise SpecInvalid("component amplitude must be finite and >= 0")
         prev_end = 0.0
         for i, s in enumerate(self.script):
-            if s.shown_t < prev_end:
+            if not s.shown_t >= prev_end:
                 raise ScriptInvalid(
                     f"sentence {i} shown at {s.shown_t} overlaps the previous one")
-            if any(k.dt < 0 for k in s.keys):
-                raise ScriptInvalid(f"sentence {i} has a negative keystroke gap")
+            if not all(k.dt >= 0 for k in s.keys):
+                raise ScriptInvalid(
+                    f"sentence {i} has a negative or NaN keystroke gap")
             prev_end = s.submit_t()
             if prev_end > self.duration_s:
                 raise ScriptInvalid(
@@ -201,21 +204,17 @@ def synth_events(spec: SimSpec) -> EventLog:
     spec.validate()
     events: list[Event] = [Event.session_start(0.0)]
     for s in spec.script:
-        text, _ = replay_keystrokes_script(s.keys)
-        events.append(Event.shown(s.shown_t, text))
+        keys: list[Event] = []
         t = s.shown_t
         for k in s.keys:
             t += k.dt
-            events.append(Event.key(t, k.key_class, k.produced))
+            keys.append(Event.key(t, k.key_class, k.produced))
+        text, _ = replay_keystrokes(keys)
+        events.append(Event.shown(s.shown_t, text))
+        events.extend(keys)
         events.append(Event.submit(t, text))
     events.append(Event.session_end(spec.duration_s))
     return EventLog(tuple(events))
-
-
-def replay_keystrokes_script(keys: Sequence[ScriptKey]) -> tuple[str, int]:
-    """Script-level twin of the event-log replay."""
-    as_events = [Event.key(0.0, k.key_class, k.produced) for k in keys]
-    return replay_keystrokes(as_events)
 
 
 def synth_gaze(spec: SimSpec) -> Optional[tuple[GazeSample, ...]]:
@@ -298,7 +297,9 @@ def simspec_to_dict(spec: SimSpec) -> dict:
     return d
 
 
-def simspec_from_dict(d: dict) -> SimSpec:
+def simspec_from_dict(d: object) -> SimSpec:
+    if not isinstance(d, dict):
+        raise SpecInvalid("simulation spec must be a JSON object")
     try:
         script = tuple(
             ScriptSentence(
@@ -322,7 +323,7 @@ def simspec_from_dict(d: dict) -> SimSpec:
             seed=int(d.get("seed", 0)),
             gaze_rate=(float(d["gaze_rate"]) if "gaze_rate" in d else None),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise SpecInvalid(f"malformed simulation spec: {exc}") from exc
     spec.validate()
     return spec

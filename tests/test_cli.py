@@ -1,12 +1,15 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtl.cli import main
 from gtl.ingest import write_session
 from gtl.model import Event, EventLog
+from gtl.report import ReportConfig
 from gtl.simgen import study_sessions, simulate_session
 
 from conftest import make_event_log, make_record
@@ -57,7 +60,9 @@ class TestSimulateAnalyze:
         # a pure 20 Hz component must put essentially all power in Beta
         assert report["sessions"][0]["load"]["mean"] >= 0.99
         assert report["sessions"][0]["violations"] == []
-        assert report["config_hash"]
+        # a bare analyze command runs the default configuration
+        assert report["config"] == ReportConfig().to_dict()
+        assert report["config_hash"] == ReportConfig().hash()
         # published reference values ride along as context, never as output
         ref = report["not_reproduced"]
         assert ref["beta_ratio_means"] == {"A": 0.0865, "B": 0.0860, "C": 0.0824}
@@ -113,6 +118,15 @@ class TestExitCodes:
                    str(tmp_path / "r.json"), "--window", "1023"])
         assert rc == 64
         assert "power of two" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--hop", "0"], ["--hop", "2048"],
+        ["--label-threshold", "0"], ["--label-threshold", "nan"],
+    ], ids=["hop-0", "hop-over-window", "threshold-0", "threshold-nan"])
+    def test_bad_analysis_option_is_usage_error(self, tmp_path, flags):
+        rc = main(["analyze", "--session", "x", "--out",
+                   str(tmp_path / "r.json"), *flags])
+        assert rc == 64
 
     def test_missing_out_is_usage_error(self, capsys):
         assert main(["analyze", "--session", "x"]) == 64
@@ -190,6 +204,29 @@ class TestExitCodes:
         rc = main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "b")])
         assert rc == 64
 
+    @pytest.mark.parametrize("edit", [
+        lambda spec: [],
+        lambda spec: {**spec, "meta": []},
+        lambda spec: {**spec, "meta": {"session_index": float("inf")}},
+        lambda spec: {**spec, "meta": {"keyboard": "Z"}},
+        lambda spec: {**spec, "duration_s": float("inf")},
+    ], ids=["list", "meta-list", "index-1e400", "keyboard-Z", "duration-inf"])
+    def test_malformed_spec_is_usage_error(self, tmp_path, spec_file, edit):
+        spec = edit(json.loads(spec_file.read_text()))
+        # json writes inf as Infinity; 1e400 decodes to the same float
+        spec_file.write_text(json.dumps(spec).replace("Infinity", "1e400"))
+        rc = main(["simulate", "--spec", str(spec_file),
+                   "--out", str(tmp_path / "b")])
+        assert rc == 64
+
+    def test_non_utf8_spec_is_located_io_error(self, tmp_path, spec_file,
+                                               capsys):
+        spec_file.write_bytes(b'{"duration_s":\n\xff 3}')
+        rc = main(["simulate", "--spec", str(spec_file),
+                   "--out", str(tmp_path / "b")])
+        assert rc == 74
+        assert "not valid UTF-8" in capsys.readouterr().err
+
     def test_missing_spec_is_io_error(self, tmp_path):
         rc = main(["simulate", "--spec", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "b")])
@@ -230,6 +267,13 @@ class TestStatsCommand:
     def test_degenerate_input_exits_3(self, tmp_path):
         paths = self._write_groups(tmp_path, [2.0, 2.0], [2.0, 2.0])
         assert main(["stats", "--test", "ttest", "--groups", *paths]) == 3
+
+    @pytest.mark.parametrize("bad", [b"nan", b"inf", b"-inf", b"\xff"])
+    def test_bad_value_is_located_io_error(self, tmp_path, capsys, bad):
+        paths = self._write_groups(tmp_path, [1, 2], [3, 4])
+        Path(paths[1]).write_bytes(b"3\n" + bad + b"\n4\n")
+        assert main(["stats", "--test", "ttest", "--groups", *paths]) == 74
+        assert "(row 2)" in capsys.readouterr().err
 
     def test_ttest_needs_two_groups(self, tmp_path):
         paths = self._write_groups(tmp_path, [1, 2], [3, 4], [5, 6])
@@ -307,3 +351,68 @@ class TestReportStructure:
         tests = {t["metric"] for t in report["tests"]}
         assert "load_session" in tests
         assert "mean_wpm" in tests
+
+
+_DOCUMENTED_EXITS = {0, 2, 3, 64, 74}
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory) -> dict[str, bytes]:
+    """Input files of one short simulated session, built once."""
+    root = tmp_path_factory.mktemp("fuzz")
+    spec = {"duration_s": 20.0, "n_channels": 2, "seed": 3,
+            "components": [{"freq": 20.0, "amplitude": 8.0}],
+            "gaze_rate": 2.0,
+            "script": [{"shown_t": 5.0, "keystrokes": [
+                {"dt": 0.5, "class": "INSERT", "produced": "h"},
+                {"dt": 0.5, "class": "SUGG", "produced": "ello"},
+                {"dt": 0.5, "class": "BKSP", "produced": ""}]}]}
+    (root / "spec.json").write_text(json.dumps(spec))
+    assert main(["simulate", "--spec", str(root / "spec.json"),
+                 "--out", str(root / "bundle")]) == 0
+    base = {name: (root / "bundle" / name).read_bytes()
+            for name in ("meta.json", "eeg.csv", "events.csv", "gaze.csv")}
+    base["spec.json"] = (root / "spec.json").read_bytes()
+    base["group.txt"] = b"0.5\n0.25\n0.75\n"
+    return base
+
+
+@st.composite
+def _damage(draw, base: dict[str, bytes]) -> tuple[str, bytes]:
+    """One input file with a span replaced by arbitrary bytes, or whole
+    arbitrary bytes. The spec only gets the latter: a splice into
+    duration_s could ask for an arbitrarily long simulation."""
+    name = draw(st.sampled_from(sorted(base)))
+    data = base[name]
+    if name == "spec.json" or draw(st.booleans()):
+        return name, draw(st.binary(max_size=64))
+    i = draw(st.integers(0, len(data)))
+    j = draw(st.integers(i, min(len(data), i + 16)))
+    return name, data[:i] + draw(st.binary(max_size=16)) + data[j:]
+
+
+class TestArbitraryInputBytes:
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_every_input_ends_in_a_documented_exit(self, fuzz_base, data):
+        name, damaged = data.draw(_damage(fuzz_base))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            bundle = root / "bundle"
+            bundle.mkdir()
+            for f in ("meta.json", "eeg.csv", "events.csv", "gaze.csv"):
+                (bundle / f).write_bytes(fuzz_base[f])
+            if name == "spec.json":
+                (root / name).write_bytes(damaged)
+                argv = ["simulate", "--spec", str(root / name),
+                        "--out", str(root / "out")]
+            elif name == "group.txt":
+                (root / name).write_bytes(damaged)
+                (root / "other.txt").write_bytes(b"0.1\n0.3\n")
+                argv = ["stats", "--test", "ttest", "--groups",
+                        str(root / name), str(root / "other.txt")]
+            else:
+                (bundle / name).write_bytes(damaged)
+                argv = ["analyze", "--session", str(bundle),
+                        "--out", str(root / "r.json")]
+            assert main(argv) in _DOCUMENTED_EXITS

@@ -110,6 +110,15 @@ class TestEegCsv:
             parse_eeg_csv(text, META2)
         assert (err.value.row, err.value.col) == (3, 2)
 
+    @pytest.mark.parametrize("body,cell", [
+        ("0.0,1,2#junk\n0.0078125,3,4\n", (2, 3)),
+        ("0.0,1,2\n# c\n0.0078125,3,4\n", (3, 1)),
+    ], ids=["hash-in-cell", "comment-line"])
+    def test_hash_is_not_a_comment(self, body, cell):
+        with pytest.raises(MalformedNumber) as err:
+            parse_eeg_csv("t,ch1,ch2\n" + body, META2)
+        assert (err.value.row, err.value.col) == cell
+
 
 class TestEventsCsv:
     def test_valid_log(self):
@@ -152,6 +161,22 @@ class TestEventsCsv:
                 "1,SENTENCE_SHOWN,x,\n")
         with pytest.raises(MarkerOrder):
             parse_events_csv(text)
+
+    @pytest.mark.parametrize("text,row", [
+        ("0,SESSION_START,,\n1,SESSION_END,,\n2,SENTENCE_SHOWN,x,\n", 2),
+        ("0,SESSION_START,,\n1,SENTENCE_SHOWN,x,\n2,SENTENCE_SUBMIT,x,\n", 3),
+        ("", None),
+    ], ids=["event-after-end", "no-end", "empty"])
+    def test_marker_order_row_is_the_first_violation(self, text, row):
+        with pytest.raises(MarkerOrder) as err:
+            parse_events_csv(text)
+        assert err.value.row == row
+
+    def test_row_error_precedes_structure_error(self):
+        text = "1,SENTENCE_SHOWN,x,\n2,KEY,TAP,x\n"
+        with pytest.raises(UnknownKeyClass) as err:
+            parse_events_csv(text)
+        assert err.value.row == 2
 
     def test_malformed_row_width(self):
         with pytest.raises(MalformedRow):
@@ -229,6 +254,16 @@ class TestGazeCsv:
     def test_non_monotonic(self):
         with pytest.raises(NonMonotonicTime):
             parse_gaze_csv("t,x,y,valid\n1.0,0,0,1\n0.5,0,0,1\n")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("col", [0, 1, 2])
+    def test_non_finite_rejected(self, raw, col):
+        cells = ["0.5", "0", "0", "1"]
+        cells[col] = raw
+        text = "t,x,y,valid\n0.0,0,0,1\n" + ",".join(cells) + "\n"
+        with pytest.raises(MalformedNumber) as err:
+            parse_gaze_csv(text)
+        assert err.value.row == 3
 
 
 class TestBundles:

@@ -1,8 +1,13 @@
 import random
+from collections import Counter
+from typing import Optional
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gtl.errors import MissingSentence
+from gtl.errors import MarkerOrder, MissingSentence
+from gtl.ingest import events_to_csv, parse_events_csv
 from gtl.model import (
     EegRecording,
     Event,
@@ -10,7 +15,9 @@ from gtl.model import (
     EventLog,
     KeyClass,
     SessionRecord,
+    Violation,
     ViolationCode,
+    event_log_violations,
     reconstruct_transcription,
     replay_keystrokes,
     validate_session,
@@ -151,6 +158,116 @@ class TestValidation:
             shown = sum(1 for e in log if e.kind is EventKind.SENTENCE_SHOWN)
             submit = sum(1 for e in log if e.kind is EventKind.SENTENCE_SUBMIT)
             assert shown == submit
+
+
+def _oracle_violations(events) -> list[Violation]:
+    """The former time loop and marker check of validate_session: one
+    pass per rule, violations grouped by rule."""
+    out: list[Violation] = []
+    prev_t = -np.inf
+    for i, ev in enumerate(events):
+        if ev.t < prev_t:
+            out.append(Violation(
+                ViolationCode.NON_MONOTONIC_TIME,
+                f"timestamp {ev.t} before previous {prev_t}", i))
+        prev_t = ev.t
+
+    def bad(i: Optional[int], msg: str) -> None:
+        out.append(Violation(ViolationCode.MARKER_ORDER, msg, i))
+
+    if not events:
+        bad(None, "event log is empty")
+        return out
+
+    for i, ev in enumerate(events):
+        if ev.kind is EventKind.SESSION_START and i != 0:
+            bad(i, "SESSION_START is not the first event")
+        if ev.kind is EventKind.SESSION_END and i != len(events) - 1:
+            bad(i, "SESSION_END is not the last event")
+    if events[0].kind is not EventKind.SESSION_START:
+        bad(0, f"first event is {events[0].kind.value}, expected SESSION_START")
+    if events[-1].kind is not EventKind.SESSION_END:
+        bad(len(events) - 1,
+            f"last event is {events[-1].kind.value}, expected SESSION_END")
+
+    in_sentence = False
+    for i, ev in enumerate(events):
+        if ev.kind is EventKind.SENTENCE_SHOWN:
+            if in_sentence:
+                bad(i, "SENTENCE_SHOWN while previous sentence is still open")
+            in_sentence = True
+        elif ev.kind is EventKind.SENTENCE_SUBMIT:
+            if not in_sentence:
+                bad(i, "SENTENCE_SUBMIT without a preceding SENTENCE_SHOWN")
+            in_sentence = False
+        elif ev.kind is EventKind.KEY and not in_sentence:
+            bad(i, "KEY outside any SHOWN..SUBMIT span")
+    if in_sentence:
+        bad(len(events) - 1, "last SENTENCE_SHOWN was never submitted")
+    return out
+
+
+_TIMES = st.sampled_from([0.0, 1.0, 1.5, 2.0, 7.0])
+
+
+def _event(t: float, kind: EventKind) -> Event:
+    if kind is EventKind.KEY:
+        return Event.key(t, KeyClass.INSERT, "a")
+    if kind in (EventKind.SENTENCE_SHOWN, EventKind.SENTENCE_SUBMIT):
+        return Event(t, kind, text="a")
+    return Event(t, kind)
+
+
+@st.composite
+def _event_sequences(draw) -> list[Event]:
+    """Arbitrary kinds and times, or a well-formed log with up to three
+    edits (drop, insert or retime one event)."""
+    if draw(st.booleans()):
+        return [_event(t, k) for t, k in draw(st.lists(
+            st.tuples(_TIMES, st.sampled_from(list(EventKind))),
+            max_size=8))]
+    kinds = [EventKind.SESSION_START]
+    for _ in range(draw(st.integers(0, 3))):
+        kinds += ([EventKind.SENTENCE_SHOWN]
+                  + [EventKind.KEY] * draw(st.integers(0, 2))
+                  + [EventKind.SENTENCE_SUBMIT])
+    kinds.append(EventKind.SESSION_END)
+    events = [_event(float(i), k) for i, k in enumerate(kinds)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(events)))
+        edit = draw(st.sampled_from(["drop", "insert", "retime"]))
+        if edit == "insert":
+            events.insert(i, _event(draw(_TIMES),
+                                    draw(st.sampled_from(list(EventKind)))))
+        elif i < len(events) and edit == "drop":
+            del events[i]
+        elif i < len(events):
+            events[i] = _event(draw(_TIMES), events[i].kind)
+    return events
+
+
+class TestEventLogOrder:
+    @settings(max_examples=300)
+    @given(_event_sequences())
+    def test_checker_matches_oracle_and_ingest(self, events):
+        got = [(v.code, v.message, v.event_index)
+               for v in event_log_violations(events)]
+        want = [(v.code, v.message, v.event_index)
+                for v in _oracle_violations(events)]
+        assert Counter(got) == Counter(want)
+        located = [i for _, _, i in got if i is not None]
+        assert located == sorted(located)
+
+        log = EventLog(tuple(events))
+        text = events_to_csv(log)
+        if want:
+            with pytest.raises(MarkerOrder) as err:
+                parse_events_csv(text)
+            # one event per line, so event i sits on row i + 1
+            first = got[0][2]
+            assert err.value.row == (None if first is None else first + 1)
+        else:
+            assert parse_events_csv(text) == log
 
 
 class TestRecordingInvariants:
