@@ -4,12 +4,17 @@ ones, run standalone hypothesis tests.
 Exit codes: 0 success, 2 session validation violations (report still
 written; these include a session passed twice and a session the analysis
 cannot process, e.g. one whose sampling rate (<= 28 Hz) is too low for
-the default bands), 3 degenerate statistics input, 64 usage error
+the default bands), 3 degenerate statistics input (including values whose
+mean or sum of squares overflows the float range), 64 usage error
 (including a bad analysis option or simulation spec), 74 I/O error (a
-malformed or non-UTF-8 bundle file, spec or group file, or a group value
-that is not a finite number), 1 any other error. The ``analyze``
-defaults are the fields of ``ReportConfig()``, whose windowing defaults
-are ``AnalysisConfig``'s.
+malformed or non-UTF-8 bundle file, spec or group file, or a group line
+that is not one finite number), 1 any other error. Group files and
+bundle files share one number grammar and row splitter
+(:func:`gtl.ingest.read_number`, :func:`gtl.ingest.split_rows`): rows end
+in ``\n`` with an optional ``\r``, and ``1_0``, non-ASCII digits,
+``nan`` and ``inf`` are not numbers. The ``analyze`` defaults are the
+fields of ``ReportConfig()``, whose windowing defaults are
+``AnalysisConfig``'s.
 """
 
 from __future__ import annotations
@@ -17,21 +22,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import (ConfigError, IngestError, MalformedMeta, MalformedNumber,
-                     SpecInvalid, StatsError, ToolError)
-from .ingest import as_text, load_session, meta_from_dict, write_session
+from .errors import (ConfigError, IngestError, MalformedMeta, SpecInvalid,
+                     StatsError, ToolError)
+from .ingest import (as_text, load_session, meta_from_dict, read_number,
+                     split_rows, write_session)
 from .metrics import TIMING_ANCHORS
 from .model import EPOC14_CHANNELS, SessionMeta
 from .report import ReportConfig, build_report, render_csv, render_json, report_has_violations
 from .segmentation import AGGREGATION_LEVELS
 from .simgen import SimSpec, simspec_from_dict, simulate_session
 from .spectral import WindowFn
-from .stats import anova_oneway, ttest_two_sample
+from .stats import TTEST_VARIANTS, anova_oneway, ttest_two_sample
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -88,7 +93,7 @@ def _build_parser() -> _Parser:
                          default=defaults.level)
     analyze.add_argument("--include-training", type=_onoff,
                          default=defaults.include_training, metavar="on|off")
-    analyze.add_argument("--ttest-variant", choices=("student", "welch"),
+    analyze.add_argument("--ttest-variant", choices=TTEST_VARIANTS,
                          default=defaults.ttest_variant)
 
     simulate = sub.add_parser("simulate", help="write a synthetic bundle")
@@ -101,7 +106,7 @@ def _build_parser() -> _Parser:
 
     stats = sub.add_parser("stats", help="run a test on column files")
     stats.add_argument("--test", choices=("anova", "ttest"), required=True)
-    stats.add_argument("--variant", choices=("student", "welch"),
+    stats.add_argument("--variant", choices=TTEST_VARIANTS,
                        default="student")
     stats.add_argument("--groups", metavar="FILE", nargs="+", action="extend",
                        required=True, help="one column of numbers per file")
@@ -175,20 +180,9 @@ def _cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
 
 
 def _read_column(path: Path) -> list[float]:
-    text = as_text(path.read_bytes(), str(path))
-    values = []
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise MalformedNumber(f"{path}: not a number",
-                                  row=line_no) from None
-        if not math.isfinite(values[-1]):
-            raise MalformedNumber(f"{path}: not a finite number", row=line_no)
-    return values
+    name = str(path)
+    rows = split_rows(as_text(path.read_bytes(), name), name, 1)
+    return [read_number(cell, name, row) for row, (cell,) in rows]
 
 
 def _cmd_stats(parser: _Parser, args: argparse.Namespace) -> int:

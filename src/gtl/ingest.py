@@ -4,6 +4,8 @@ A bundle directory holds ``meta.json``, ``eeg.csv``, ``events.csv`` and
 optionally ``gaze.csv``. Numbers use ``.`` as decimal point, fields are
 comma-separated, newlines are ``\\n``, and floats serialize in shortest
 round-trip form, so writing a loaded bundle reproduces it byte for byte.
+Every number cell of every text input is read by :func:`read_number` and
+every plain (unquoted) csv row by :func:`split_rows`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import io
 import json
 import math
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -62,6 +64,49 @@ def as_text(data: Union[bytes, str], name: str) -> str:
             raise BadEncoding(f"{name} is not valid UTF-8 ({exc.reason})",
                               row=data.count(b"\n", 0, exc.start) + 1) from None
     return data
+
+
+def read_number(cell: str, name: str, row: int,
+                col: Optional[int] = None) -> float:
+    """The one number grammar of the text inputs: exactly what
+    ``np.loadtxt`` reads as a finite float.
+
+    Surrounding whitespace is stripped; the rest must be ASCII without
+    ``_`` or ``\\r`` and parse to a finite float. ``float()`` alone would
+    also take ``1_0`` and non-ASCII digits. Anything else is a
+    MalformedNumber at (``row``, ``col``) of file ``name``.
+    """
+    text = cell.strip()
+    if text.isascii() and "_" not in text and "\r" not in cell:
+        try:
+            value = float(text)
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(value):
+                return value
+    raise MalformedNumber(f"{name} cell is not a finite decimal number",
+                          row=row, col=col)
+
+
+def split_rows(text: str, name: str, width: int, first_row: int = 1,
+               ) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) for each non-empty line of ``text``.
+
+    ``text`` starts at line ``first_row`` of file ``name``. Lines end in
+    ``\\n``, one ``\\r`` before it is dropped, cells are split on ``,``
+    without quoting, and a row of other than ``width`` cells is a
+    MalformedRow.
+    """
+    for row, line in enumerate(text.split("\n"), start=first_row):
+        line = line.removesuffix("\r")
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise MalformedRow(
+                f"{name}: expected {width} fields, got {len(cells)}", row=row)
+        yield row, cells
 
 
 # --- meta.json ---------------------------------------------------------------
@@ -113,21 +158,6 @@ def meta_to_json(meta: SessionMeta) -> str:
 
 # --- eeg.csv -----------------------------------------------------------------
 
-def _locate_bad_number(text: str) -> tuple[int, int]:
-    """Row/column (1-based) of the first cell that does not parse as a float."""
-    for row_no, line in enumerate(text.split("\n"), start=1):
-        if row_no == 1 or not line:
-            continue
-        for col_no, cell in enumerate(line.split(","), start=1):
-            try:
-                float(cell)
-            except ValueError:
-                return row_no, col_no
-            if not np.isfinite(float(cell)):
-                return row_no, col_no
-    return 0, 0
-
-
 def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta) -> EegRecording:
     """Strictly parse the EEG matrix and cross-check it against the metadata.
 
@@ -136,10 +166,10 @@ def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta) -> EegRecording:
     with ``meta.fs_eeg`` to the same tolerance.
     """
     text = as_text(data, EEG_FILE)
-    newline = text.find("\n")
-    if newline < 0:
+    header, newline, body = text.partition("\n")
+    if not newline:
         raise BadHeader("eeg.csv has no header row")
-    header = text[:newline].rstrip("\r")
+    header = header.removesuffix("\r")
     columns = header.split(",")
     if not columns or columns[0] != "t":
         raise BadHeader(f"eeg.csv header must start with 't', got {header!r}")
@@ -152,7 +182,6 @@ def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta) -> EegRecording:
         raise ChannelCountMismatch(
             f"eeg.csv channel names {names} differ from metadata")
 
-    body = text[newline + 1:]
     if not body.strip():
         raise MalformedRow("eeg.csv has no data rows", row=2)
     n_cols = len(columns)
@@ -160,19 +189,15 @@ def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta) -> EegRecording:
         matrix = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
                             comments=None)
     except ValueError:
-        row, col = _locate_bad_number(text)
-        if row:
-            raise MalformedNumber("eeg.csv cell is not a decimal number",
-                                  row=row, col=col) from None
-        raise MalformedRow("eeg.csv row does not match the header",
-                           row=_first_bad_width(text, n_cols)) from None
-    if matrix.shape[1] != n_cols:
-        raise MalformedRow("eeg.csv row does not match the header",
-                           row=_first_bad_width(text, n_cols))
-    if not np.all(np.isfinite(matrix)):
-        row, col = _locate_bad_number(text)
-        raise MalformedNumber("eeg.csv cell is not a finite number",
-                              row=row, col=col)
+        matrix = None
+    if (matrix is None or matrix.shape[1] != n_cols
+            or not np.all(np.isfinite(matrix))):
+        # loadtxt reads the same grammar; where they differ, one scan with
+        # the shared readers names the first bad row or cell in row order
+        matrix = np.array([
+            [read_number(cell, EEG_FILE, row, col)
+             for col, cell in enumerate(cells, start=1)]
+            for row, cells in split_rows(body, EEG_FILE, n_cols, first_row=2)])
 
     t = matrix[:, 0]
     if t.shape[0] > 1:
@@ -196,15 +221,6 @@ def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta) -> EegRecording:
                 row=bad + 3)
     return EegRecording(t0=float(t[0]), fs=meta.fs_eeg,
                         samples=matrix[:, 1:].T)
-
-
-def _first_bad_width(text: str, n_cols: int) -> int:
-    for row_no, line in enumerate(text.split("\n"), start=1):
-        if row_no == 1 or not line:
-            continue
-        if len(line.split(",")) != n_cols:
-            return row_no
-    return 0
 
 
 def eeg_to_csv(eeg: EegRecording, channel_names: tuple[str, ...]) -> str:
@@ -254,14 +270,7 @@ def parse_events_csv(data: Union[bytes, str]) -> EventLog:
                 f"expected 4 fields t,kind,arg1,arg2, got {len(row)}",
                 row=row_no)
         raw_t, kind, arg1, arg2 = row
-        try:
-            t = float(raw_t)
-        except ValueError:
-            raise MalformedRow(f"timestamp {raw_t!r} is not a number",
-                               row=row_no) from None
-        if not math.isfinite(t):
-            raise MalformedNumber(f"timestamp {raw_t!r} is not a finite number",
-                                  row=row_no)
+        t = read_number(raw_t, EVENTS_FILE, row_no, col=1)
         if kind not in _EVENT_KINDS:
             raise UnknownKind(f"unknown event kind {kind!r}", row=row_no)
         if kind == EventKind.KEY.value:
@@ -283,47 +292,37 @@ def parse_events_csv(data: Union[bytes, str]) -> EventLog:
 def events_to_csv(log: EventLog) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    # csv quotes only the terminator's characters, but an unquoted \r in
+    # text would read back as a line end
+    quoting = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     for ev in log:
         t = repr(float(ev.t))
         if ev.kind is EventKind.SENTENCE_SHOWN or ev.kind is EventKind.SENTENCE_SUBMIT:
-            writer.writerow([t, ev.kind.value, ev.text, ""])
+            row = [t, ev.kind.value, ev.text, ""]
         elif ev.kind is EventKind.KEY:
-            writer.writerow([t, ev.kind.value, ev.key_class.value, ev.produced])
+            row = [t, ev.kind.value, ev.key_class.value, ev.produced]
         else:
-            writer.writerow([t, ev.kind.value, "", ""])
+            row = [t, ev.kind.value, "", ""]
+        (quoting if "\r" in row[2] + row[3] else writer).writerow(row)
     return buf.getvalue()
 
 
 # --- gaze.csv ----------------------------------------------------------------
 
 def parse_gaze_csv(data: Union[bytes, str]) -> tuple[GazeSample, ...]:
-    text = as_text(data, GAZE_FILE)
-    lines = text.split("\n")
-    if not lines or lines[0].rstrip("\r") != "t,x,y,valid":
+    header, _, body = as_text(data, GAZE_FILE).partition("\n")
+    if header.removesuffix("\r") != "t,x,y,valid":
         raise BadHeader("gaze.csv header must be 't,x,y,valid'")
     out: list[GazeSample] = []
-    prev_t = None
-    for row_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != 4:
-            raise MalformedRow(f"expected 4 fields, got {len(cells)}", row=row_no)
-        try:
-            t, x, y = (float(cells[0]), float(cells[1]), float(cells[2]))
-        except ValueError:
-            raise MalformedNumber("gaze.csv cell is not a number",
-                                  row=row_no) from None
-        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
-            raise MalformedNumber("gaze.csv cell is not a finite number",
-                                  row=row_no)
+    for row, cells in split_rows(body, GAZE_FILE, 4, first_row=2):
+        t, x, y = (read_number(cell, GAZE_FILE, row, col)
+                   for col, cell in enumerate(cells[:3], start=1))
         if cells[3] not in ("0", "1"):
             raise MalformedRow(f"valid flag must be 0 or 1, got {cells[3]!r}",
-                               row=row_no)
-        if prev_t is not None and t < prev_t:
-            raise NonMonotonicTime(f"gaze timestamp {t} before {prev_t}",
-                                   row=row_no)
-        prev_t = t
+                               row=row)
+        if out and t < out[-1].t:
+            raise NonMonotonicTime(f"gaze timestamp {t} before {out[-1].t}",
+                                   row=row)
         out.append(GazeSample(t, x, y, cells[3] == "1"))
     return tuple(out)
 

@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -31,7 +31,8 @@ from .errors import (
     ZeroVariance,
 )
 from .model import SessionRecord, ViolationCode, validate_session
-from .segmentation import LabeledLoadSample, aggregate, label_load_windows
+from .segmentation import (AGGREGATION_LEVELS, LabeledLoadSample, aggregate,
+                           label_load_windows)
 from .spectral import AnalysisConfig, WindowFn, cognitive_load_series
 
 #: Published grand means from the original five-participant study whose
@@ -52,8 +53,8 @@ class ReportConfig:
     """Everything that influences the numbers in a report.
 
     The windowing defaults are :class:`AnalysisConfig`'s. Construction
-    builds the analysis config and checks the threshold range; a bad
-    value raises ConfigError.
+    builds the analysis config and checks the threshold range and the
+    enumerated fields; a bad value raises ConfigError.
     """
 
     window_len: int = AnalysisConfig.window_len
@@ -70,42 +71,24 @@ class ReportConfig:
         self.analysis_config()
         if not 0.0 < self.label_threshold <= 1.0:
             raise ConfigError("label_threshold must lie in (0, 1]")
+        for name, allowed in (("timing_anchor", metrics_mod.TIMING_ANCHORS),
+                              ("level", AGGREGATION_LEVELS),
+                              ("ttest_variant", stats_mod.TTEST_VARIANTS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, "
+                                  f"got {getattr(self, name)!r}")
 
     def analysis_config(self) -> AnalysisConfig:
         return AnalysisConfig(window_len=self.window_len, hop=self.hop,
                               window_fn=self.window_fn, detrend=self.detrend)
 
     def to_dict(self) -> dict:
-        return {
-            "window_len": self.window_len,
-            "hop": self.hop,
-            "window_fn": self.window_fn.value,
-            "detrend": self.detrend,
-            "label_threshold": self.label_threshold,
-            "timing_anchor": self.timing_anchor,
-            "level": self.level,
-            "include_training": self.include_training,
-            "ttest_variant": self.ttest_variant,
-        }
+        return {**asdict(self), "window_fn": self.window_fn.value}
 
     def hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True,
                            separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def _boxplot_dict(values: Sequence[float]) -> dict:
-    b = stats_mod.boxplot_summary(values)
-    return {
-        "n": b.n,
-        "mean": b.mean,
-        "median": b.median,
-        "q1": b.q1,
-        "q3": b.q3,
-        "whisker_low": b.whisker_low,
-        "whisker_high": b.whisker_high,
-        "outliers": list(b.outliers),
-    }
 
 
 def _group_section(groups: dict[tuple, list[float]], key_names: Sequence[str],
@@ -114,7 +97,7 @@ def _group_section(groups: dict[tuple, list[float]], key_names: Sequence[str],
     for gkey, values in groups.items():
         entry: dict = {name: key for name, key in zip(key_names, gkey)}
         try:
-            entry["boxplot"] = _boxplot_dict(values)
+            entry["boxplot"] = asdict(stats_mod.boxplot_summary(values))
         except EmptyInput:
             warnings.append(f"empty group {dict(zip(key_names, gkey))}")
             continue
@@ -166,26 +149,7 @@ def analyze_session(rec: SessionRecord, config: ReportConfig,
         "max": float(series.loads.max()) if len(series) else None,
     }
     if typing is not None:
-        entry["metrics"] = {
-            "mean_wpm": typing.mean_wpm,
-            "mean_keystrokes_saved_pct": typing.mean_keystrokes_saved_pct,
-            "mean_kspc": typing.mean_kspc,
-            "mean_backspace_count": typing.mean_backspace_count,
-            "total_backspace_count": typing.total_backspace_count,
-            "sentences": [
-                {
-                    "index": m.index,
-                    "transcribed_len": m.transcribed_len,
-                    "duration_s": m.duration_s,
-                    "wpm": m.wpm,
-                    "keystrokes": m.keystrokes,
-                    "keystrokes_saved_pct": m.keystrokes_saved_pct,
-                    "kspc": m.kspc,
-                    "backspace_count": m.backspace_count,
-                }
-                for m in typing.sentences
-            ],
-        }
+        entry["metrics"] = asdict(typing)
     return entry, samples
 
 
@@ -306,7 +270,7 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], rows)
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             _flatten(f"{prefix}[{i}]", item, rows)
     elif isinstance(value, bool) or value is None:

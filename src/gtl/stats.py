@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, DomainError, EmptyInput, ZeroVariance
 
 _CF_EPS = 1e-16
 _CF_TINY = 1e-300
 _CF_MAX_ITER = 500
+
+TTEST_VARIANTS = ("student", "welch")
 
 
 @dataclass(frozen=True)
@@ -181,8 +183,23 @@ def boxplot_summary(values: Sequence[float]) -> BoxplotSummary:
 
 # --- inferential -------------------------------------------------------------
 
+def _finite_sum(terms: Iterable[float], what: str) -> float:
+    """``sum(terms)``; DegenerateInput naming ``what`` when it overflows.
+
+    Float ``**`` raises OverflowError where ``+`` and ``*`` give inf, so
+    both ways of leaving the float range end here.
+    """
+    try:
+        total = sum(terms)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise DegenerateInput(f"{what} overflows the float range")
+    return total
+
+
 def _mean(xs: Sequence[float]) -> float:
-    return sum(xs) / len(xs)
+    return _finite_sum(xs, "mean") / len(xs)
 
 
 def anova_oneway(groups: Sequence[Sequence[float]]) -> StatResult:
@@ -198,10 +215,13 @@ def anova_oneway(groups: Sequence[Sequence[float]]) -> StatResult:
     if any(n < 2 for n in ns):
         raise DegenerateInput("every ANOVA group needs at least 2 values")
     total_n = sum(ns)
-    grand = sum(sum(g) for g in groups) / total_n
+    grand = _finite_sum((sum(g) for g in groups), "grand mean") / total_n
     means = [_mean(g) for g in groups]
-    ssb = sum(n * (m - grand) ** 2 for n, m in zip(ns, means))
-    ssw = sum(sum((x - m) ** 2 for x in g) for g, m in zip(groups, means))
+    ssb = _finite_sum((n * (m - grand) ** 2 for n, m in zip(ns, means)),
+                      "between-group sum of squares")
+    ssw = _finite_sum((sum((x - m) ** 2 for x in g)
+                       for g, m in zip(groups, means)),
+                      "within-group sum of squares")
     df_b = len(groups) - 1
     df_w = total_n - len(groups)
     msb = ssb / df_b
@@ -223,24 +243,29 @@ def ttest_two_sample(a: Sequence[float], b: Sequence[float],
     ``student`` pools the variances (df = n_a + n_b - 2); ``welch`` uses
     the Welch-Satterthwaite degrees of freedom.
     """
-    if variant not in ("student", "welch"):
+    if variant not in TTEST_VARIANTS:
         raise ValueError(f"unknown t-test variant {variant!r}")
     n_a, n_b = len(a), len(b)
     if n_a < 2 or n_b < 2:
         raise DegenerateInput("each sample needs at least 2 values")
     m_a, m_b = _mean(a), _mean(b)
-    var_a = sum((x - m_a) ** 2 for x in a) / (n_a - 1)
-    var_b = sum((x - m_b) ** 2 for x in b) / (n_b - 1)
+    var_a = _finite_sum(((x - m_a) ** 2 for x in a), "sum of squares") / (n_a - 1)
+    var_b = _finite_sum(((x - m_b) ** 2 for x in b), "sum of squares") / (n_b - 1)
 
     if variant == "student":
         df = float(n_a + n_b - 2)
-        pooled = ((n_a - 1) * var_a + (n_b - 1) * var_b) / df
+        pooled = _finite_sum(((n_a - 1) * var_a, (n_b - 1) * var_b),
+                             "pooled sum of squares") / df
         se = math.sqrt(pooled * (1.0 / n_a + 1.0 / n_b))
     else:
         sa, sb = var_a / n_a, var_b / n_b
         se = math.sqrt(sa + sb)
         if se > 0.0:
-            df = (sa + sb) ** 2 / (sa ** 2 / (n_a - 1) + sb ** 2 / (n_b - 1))
+            try:
+                df = (sa + sb) ** 2 / (sa ** 2 / (n_a - 1) + sb ** 2 / (n_b - 1))
+            except (OverflowError, ZeroDivisionError):
+                raise DegenerateInput("Welch degrees of freedom leave the "
+                                      "float range") from None
         else:
             df = float(n_a + n_b - 2)
 

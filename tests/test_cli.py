@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gtl.cli import main
 from gtl.ingest import write_session
-from gtl.model import Event, EventLog
+from gtl.model import Event, EventLog, KeyClass
 from gtl.report import ReportConfig
 from gtl.simgen import study_sessions, simulate_session
 
@@ -198,6 +198,29 @@ class TestExitCodes:
         assert [g["keyboard"] for g in report["load_groups"]["by_keyboard"]] \
             == ["A"]
 
+    def test_overflowing_metric_fails_only_its_test(self, tmp_path):
+        # a 1e-160 s sentence types at ~1e161 wpm: the mean_wpm ANOVA
+        # overflows, and the report is still written
+        tiny = EventLog((
+            Event.session_start(0.0), Event.shown(0.0, "ab"),
+            Event.key(3e-161, KeyClass.INSERT, "a"),
+            Event.key(6e-161, KeyClass.INSERT, "b"),
+            Event.submit(1e-160, "ab"), Event.session_end(1.0)))
+        paths = []
+        for participant in ("p01", "p02"):
+            for keyboard in ("A", "B"):
+                log = (tiny if (participant, keyboard) == ("p01", "A") else
+                       make_event_log([[("INSERT", "h"), ("INSERT", "i")]]))
+                bundle = tmp_path / f"{participant}{keyboard}"
+                write_session(make_record(log, keyboard=keyboard,
+                                          participant=participant), bundle)
+                paths.append(str(bundle))
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--session", *paths, "--out", str(out)]) == 0
+        warnings = json.loads(out.read_text())["warnings"]
+        assert any(w.startswith("anova on mean_wpm failed:")
+                   and "overflows the float range" in w for w in warnings)
+
     def test_bad_spec_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"duration_s\": -3}")
@@ -268,7 +291,15 @@ class TestStatsCommand:
         paths = self._write_groups(tmp_path, [2.0, 2.0], [2.0, 2.0])
         assert main(["stats", "--test", "ttest", "--groups", *paths]) == 3
 
-    @pytest.mark.parametrize("bad", [b"nan", b"inf", b"-inf", b"\xff"])
+    def test_overflow_exits_3(self, tmp_path, capsys):
+        paths = self._write_groups(tmp_path, [1e308, -1e308], [3, 4])
+        for test in (["ttest"], ["ttest", "--variant", "welch"], ["anova"]):
+            assert main(["stats", "--test", *test, "--groups", *paths]) == 3
+            assert "overflows the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [
+        b"nan", b"inf", b"-inf", b"\xff", b"1_0", "\u0661".encode(), b"  ",
+        b"1,2"])
     def test_bad_value_is_located_io_error(self, tmp_path, capsys, bad):
         paths = self._write_groups(tmp_path, [1, 2], [3, 4])
         Path(paths[1]).write_bytes(b"3\n" + bad + b"\n4\n")

@@ -1,5 +1,8 @@
+import csv
+import io
 import random
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,8 @@ from gtl.ingest import (
     parse_events_csv,
     parse_gaze_csv,
     parse_meta_json,
+    read_number,
+    split_rows,
     write_session,
 )
 from gtl.model import EegRecording, GazeSample, SessionMeta, SessionRecord
@@ -110,14 +115,61 @@ class TestEegCsv:
             parse_eeg_csv(text, META2)
         assert (err.value.row, err.value.col) == (3, 2)
 
-    @pytest.mark.parametrize("body,cell", [
-        ("0.0,1,2#junk\n0.0078125,3,4\n", (2, 3)),
-        ("0.0,1,2\n# c\n0.0078125,3,4\n", (3, 1)),
+    @pytest.mark.parametrize("body,error,cell", [
+        ("0.0,1,2#junk\n0.0078125,3,4\n", MalformedNumber, (2, 3)),
+        # a one-field line has the wrong width before any cell is read
+        ("0.0,1,2\n# c\n0.0078125,3,4\n", MalformedRow, (3, None)),
     ], ids=["hash-in-cell", "comment-line"])
-    def test_hash_is_not_a_comment(self, body, cell):
-        with pytest.raises(MalformedNumber) as err:
+    def test_hash_is_not_a_comment(self, body, error, cell):
+        with pytest.raises(error) as err:
             parse_eeg_csv("t,ch1,ch2\n" + body, META2)
         assert (err.value.row, err.value.col) == cell
+
+
+# digits and signs, the characters numpy and float() treat differently, the
+# whitespace both strip (NBSP, ideographic space, tab) and \r, which numpy
+# takes as a line end only right before \n
+_CELL = st.lists(st.sampled_from(
+    list("0123456789.eE+-_# ") + ["inf", "nan", "\u0661", "\xa0", "\u3000",
+                                  "\t", "\r"]),
+    max_size=8).map("".join)
+
+
+class TestNumberGrammar:
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    @settings(max_examples=1000)
+    @given(st.lists(_CELL, min_size=1, max_size=3))
+    def test_rows_read_as_loadtxt_reads_them(self, cells):
+        """The shared readers accept a line iff np.loadtxt reads it as
+        finite values, and then read the same values."""
+        line = ",".join(cells) + "\n"
+        try:
+            want = np.loadtxt(io.StringIO(line), delimiter=",", ndmin=2,
+                              comments=None).tolist()
+        except ValueError:
+            want = None
+        if want is not None and not np.all(np.isfinite(want)):
+            want = None
+        try:
+            got = [[read_number(c, "f.csv", row, col)
+                    for col, c in enumerate(row_cells, start=1)]
+                   for row, row_cells in split_rows(line, "f.csv", len(cells))]
+        except (MalformedNumber, MalformedRow) as err:
+            assert err.row == 1
+            got = None
+        assert got == want
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "0x1p0", "1e999"])
+    def test_every_reader_rejects(self, cell):
+        with pytest.raises(MalformedNumber) as err:
+            parse_eeg_csv(f"t,ch1,ch2\n0.0,{cell},1\n", META2)
+        assert (err.value.row, err.value.col) == (2, 2)
+        with pytest.raises(MalformedNumber) as err:
+            parse_events_csv(f"{cell},SESSION_START,,\n2.0,SESSION_END,,\n")
+        assert (err.value.row, err.value.col) == (1, 1)
+        with pytest.raises(MalformedNumber) as err:
+            parse_gaze_csv(f"t,x,y,valid\n0.0,{cell},0,1\n")
+        assert (err.value.row, err.value.col) == (2, 2)
 
 
 class TestEventsCsv:
@@ -202,6 +254,10 @@ class TestEventsCsv:
             log = random_event_log(rng)
             text = events_to_csv(log)
             assert parse_events_csv(text) == log
+
+    def test_round_trip_keeps_carriage_returns_in_text(self):
+        log = make_event_log([[("INSERT", "a\r"), ("SUGG", "\rb")]])
+        assert parse_events_csv(events_to_csv(log)) == log
 
     def test_round_trip_is_byte_stable(self):
         rng = random.Random(5)
@@ -316,15 +372,20 @@ class TestBundles:
 
 
 def _total(parse, data):
-    """A parser gives a record or an IngestError, never another exception."""
+    """A parser gives a record or an IngestError, never another exception;
+    a bad row or cell names a line the file has."""
     try:
         parse(data)
+    except (MalformedRow, MalformedNumber) as err:
+        newline = b"\n" if isinstance(data, bytes) else "\n"
+        assert err.row is not None and 1 <= err.row <= data.count(newline) + 1
     except IngestError:
         pass
 
 
 _EEG_LINE = st.lists(st.sampled_from(
-    ["0.0", "0.0078125", "1e400", "nan", "-3.5", "x", "", " "]),
+    ["0.0", "0.0078125", "1e400", "nan", "-3.5", "x", "", " ", "1_0",
+     "\u0661", "1\r"]),
     max_size=4).map(",".join)
 _EVENT_LINES = ["0.0,SESSION_START,,", "1.0,SENTENCE_SHOWN,a,",
                 "2.0,KEY,INSERT,a", "2.5,KEY,CAPS,", "3.0,SENTENCE_SUBMIT,a,",
@@ -349,6 +410,10 @@ class TestParsersAreTotal:
     def test_near_valid_eeg(self, lines):
         _total(lambda d: parse_eeg_csv(d, META2),
                "\n".join(["t,ch1,ch2", *lines]))
+
+    @given(st.lists(_EEG_LINE.map(lambda line: line + ",1"), max_size=6))
+    def test_near_valid_gaze(self, lines):
+        _total(parse_gaze_csv, "\n".join(["t,x,y,valid", *lines]))
 
     @given(st.lists(st.one_of(st.sampled_from(_EVENT_LINES), st.text()),
                     max_size=8))
@@ -391,4 +456,22 @@ class TestRoundTripProperty:
     def test_write_then_load_is_equal(self, rec):
         with tempfile.TemporaryDirectory() as tmp:
             write_session(rec, tmp)
+            assert load_session(tmp) == rec
+
+    @settings(max_examples=50)
+    @given(_records())
+    def test_crlf_bundle_loads_equal(self, rec):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_session(rec, tmp)
+            for f in Path(tmp).iterdir():
+                text = f.read_bytes().decode("utf-8")
+                if f.name == "events.csv":
+                    # only record ends; quoted text keeps its own newlines
+                    buf = io.StringIO()
+                    csv.writer(buf, lineterminator="\r\n").writerows(
+                        csv.reader(io.StringIO(text)))
+                    text = buf.getvalue()
+                else:
+                    text = text.replace("\n", "\r\n")
+                f.write_bytes(text.encode("utf-8"))
             assert load_session(tmp) == rec

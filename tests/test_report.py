@@ -22,8 +22,12 @@ class TestReportConfig:
         {"label_threshold": 0.0},
         {"label_threshold": 1.5},
         {"label_threshold": math.nan},
+        {"level": "x"},
+        {"timing_anchor": "x"},
+        {"ttest_variant": "x"},
     ], ids=["window-0", "hop-0", "hop-over-window", "threshold-0",
-            "threshold-1.5", "threshold-nan"])
+            "threshold-1.5", "threshold-nan", "level-x", "anchor-x",
+            "variant-x"])
     def test_invalid_values_raise_config_error(self, kwargs):
         with pytest.raises(ConfigError):
             ReportConfig(**kwargs)

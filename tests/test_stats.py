@@ -254,6 +254,15 @@ class TestAnova:
         with pytest.raises(DegenerateInput):
             anova_oneway([[1.0], [2.0, 3.0]])
 
+    @pytest.mark.parametrize("groups", [
+        [[1e308, -1e308], [3.0, 4.0]],
+        [[1e308, 1e308], [-1e308, -1e308]],
+        [[1e160, 0.0], [0.0, 1.0]],
+    ], ids=["squares", "means", "between-groups"])
+    def test_overflow_is_degenerate(self, groups):
+        with pytest.raises(DegenerateInput, match="float range"):
+            anova_oneway(groups)
+
     def test_p_in_unit_interval_fuzz(self):
         rng = np.random.default_rng(18)
         for _ in range(200):
@@ -333,6 +342,22 @@ class TestTtest:
     def test_too_small_samples(self):
         with pytest.raises(DegenerateInput):
             ttest_two_sample([1.0], [2.0, 3.0])
+
+    @pytest.mark.parametrize("variant", ["student", "welch"])
+    @pytest.mark.parametrize("a,b", [
+        ([1e308, -1e308], [3.0, 4.0]),
+        ([1e308, 1e308], [-1e308, -1e308]),
+        ([0.0, 1.4e154], [0.0, 1.4e154]),
+    ], ids=["squares", "means", "pooled"])
+    def test_overflow_is_degenerate(self, a, b, variant):
+        with pytest.raises(DegenerateInput, match="float range"):
+            ttest_two_sample(a, b, variant)
+
+    @pytest.mark.parametrize("sample", [[0.0, 1e100], [0.0, 1e-160]],
+                             ids=["over", "under"])
+    def test_welch_df_out_of_float_range_is_degenerate(self, sample):
+        with pytest.raises(DegenerateInput, match="float range"):
+            ttest_two_sample(sample, sample, "welch")
 
     def test_p_in_unit_interval_fuzz(self):
         rng = np.random.default_rng(23)
