@@ -105,6 +105,10 @@ class EmptyTranscription(ToolError):
     """Per-character metrics are undefined for an empty transcription."""
 
 
+class NonFiniteMetric(ToolError):
+    """A rate overflows the float range, e.g. WPM over a subnormal duration."""
+
+
 # --- stats -----------------------------------------------------------------
 
 class StatsError(ToolError):

@@ -1,19 +1,40 @@
 """On-disk session bundles: parsing, validation and round-trip writing.
 
 A bundle directory holds ``meta.json``, ``eeg.csv``, ``events.csv`` and
-optionally ``gaze.csv``. Numbers use ``.`` as decimal point, fields are
-comma-separated, newlines are ``\\n``, and floats serialize in shortest
-round-trip form, so writing a loaded bundle reproduces it byte for byte.
-Every number cell of every text input is read by :func:`read_number` and
-every plain (unquoted) csv row by :func:`split_rows`.
+optionally ``gaze.csv`` and ``eeg.sidecar``. Numbers use ``.`` as decimal
+point, fields are comma-separated, newlines are ``\\n``, and floats
+serialize in shortest round-trip form, so writing a loaded bundle
+reproduces it byte for byte. Every number cell of every text input is read
+by :func:`read_number` and every plain (unquoted) csv row by
+:func:`split_rows`.
+
+``eeg.sidecar`` is a binary copy of the (t, channels) matrix of
+``eeg.csv``: the 32-byte sha256 digest of the exact ``eeg.csv`` bytes,
+then the matrix as NEP 1 ``.npy`` bytes (little-endian float64). Its bytes
+are deterministic. :func:`write_session` writes it; ``gtl analyze`` never
+does. ``eeg.csv`` stays canonical: :func:`load_session` takes the matrix
+from the sidecar only when the digest equals that of the ``eeg.csv`` bytes
+it read and the ``.npy`` holds a finite float64 array of shape
+(n >= 1, 1 + channels), read without unpickling anything. Otherwise it
+parses ``eeg.csv`` and the session gets a warning naming the reason: a
+file shorter than the digest, a digest mismatch, no ``.npy`` magic, a
+``.npy`` version other than 1.0 or 2.0, a garbled header, another dtype
+or shape, a length that disagrees with the header, a non-finite value,
+or a read error. A missing sidecar is silent. Either way the header,
+channel-name, time-order and rate checks of :func:`parse_eeg_csv` run on
+the matrix unchanged.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
+import tokenize
+import warnings
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -53,6 +74,12 @@ META_FILE = "meta.json"
 EEG_FILE = "eeg.csv"
 EVENTS_FILE = "events.csv"
 GAZE_FILE = "gaze.csv"
+EEG_SIDECAR = "eeg.sidecar"
+
+_DIGEST_SIZE = hashlib.sha256().digest_size
+#: What the sidecar stores: float64, little-endian on every platform, so
+#: its bytes do not depend on the machine that wrote them.
+_SIDECAR_DTYPE = np.dtype("<f8")
 
 
 def as_text(data: Union[bytes, str], name: str) -> str:
@@ -158,18 +185,26 @@ def meta_to_json(meta: SessionMeta) -> str:
 
 # --- eeg.csv -----------------------------------------------------------------
 
-def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta) -> EegRecording:
+def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta,
+                  matrix: Optional[np.ndarray] = None) -> EegRecording:
     """Strictly parse the EEG matrix and cross-check it against the metadata.
 
     Timestamps must be uniformly spaced to within RATE_TOLERANCE of the
     metadata rate; the rate inferred from the median spacing must agree
-    with ``meta.fs_eeg`` to the same tolerance.
+    with ``meta.fs_eeg`` to the same tolerance. ``matrix``, when given, is
+    the (t, channels) body of ``data`` read from a sidecar bound to it; the
+    header and every check after the body run on it unchanged.
     """
-    text = as_text(data, EEG_FILE)
-    header, newline, body = text.partition("\n")
-    if not newline:
+    if matrix is not None and isinstance(data, bytes) and data.isascii():
+        # the sidecar stands for the body; ASCII is valid UTF-8, so only
+        # the header needs decoding
+        text = data[:data.find(b"\n") + 1].decode("ascii")
+    else:
+        text = as_text(data, EEG_FILE)
+    body_start = text.find("\n") + 1
+    if not body_start:
         raise BadHeader("eeg.csv has no header row")
-    header = header.removesuffix("\r")
+    header = text[:body_start - 1].removesuffix("\r")
     columns = header.split(",")
     if not columns or columns[0] != "t":
         raise BadHeader(f"eeg.csv header must start with 't', got {header!r}")
@@ -181,10 +216,37 @@ def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta) -> EegRecording:
                 f"{len(meta.channel_names)}")
         raise ChannelCountMismatch(
             f"eeg.csv channel names {names} differ from metadata")
+    if matrix is None:
+        matrix = _parse_eeg_body(text[body_start:], len(columns))
 
+    t = matrix[:, 0]
+    if t.shape[0] > 1:
+        spacing = np.diff(t)
+        if np.any(spacing <= 0):
+            bad = int(np.argmax(spacing <= 0))
+            raise NonMonotonicTime(
+                f"eeg.csv timestamps must increase strictly "
+                f"(t[{bad + 1}]={t[bad + 1]} after t[{bad}]={t[bad]})",
+                row=_data_row(as_text(data, EEG_FILE), bad + 1))
+        expected = 1.0 / meta.fs_eeg
+        median = float(np.median(spacing))
+        if abs(median - expected) > RATE_TOLERANCE * expected:
+            raise NonUniformRate(
+                f"median spacing {median} s implies {1.0 / median:.6g} Hz, "
+                f"metadata says {meta.fs_eeg} Hz")
+        if np.any(np.abs(spacing - median) > RATE_TOLERANCE * median):
+            bad = int(np.argmax(np.abs(spacing - median) > RATE_TOLERANCE * median))
+            raise NonUniformRate(
+                f"sample spacing {spacing[bad]} s deviates from {median} s",
+                row=_data_row(as_text(data, EEG_FILE), bad + 1))
+    return EegRecording(t0=float(t[0]), fs=meta.fs_eeg,
+                        samples=matrix[:, 1:].T)
+
+
+def _parse_eeg_body(body: str, n_cols: int) -> np.ndarray:
+    """The (t, channels) matrix of the rows after the header."""
     if not body.strip():
         raise MalformedRow("eeg.csv has no data rows", row=2)
-    n_cols = len(columns)
     try:
         matrix = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
                             comments=None)
@@ -198,38 +260,90 @@ def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta) -> EegRecording:
             [read_number(cell, EEG_FILE, row, col)
              for col, cell in enumerate(cells, start=1)]
             for row, cells in split_rows(body, EEG_FILE, n_cols, first_row=2)])
-
-    t = matrix[:, 0]
-    if t.shape[0] > 1:
-        spacing = np.diff(t)
-        if np.any(spacing <= 0):
-            bad = int(np.argmax(spacing <= 0))
-            raise NonMonotonicTime(
-                f"eeg.csv timestamps must increase strictly "
-                f"(t[{bad + 1}]={t[bad + 1]} after t[{bad}]={t[bad]})",
-                row=bad + 3)
-        expected = 1.0 / meta.fs_eeg
-        median = float(np.median(spacing))
-        if abs(median - expected) > RATE_TOLERANCE * expected:
-            raise NonUniformRate(
-                f"median spacing {median} s implies {1.0 / median:.6g} Hz, "
-                f"metadata says {meta.fs_eeg} Hz")
-        if np.any(np.abs(spacing - median) > RATE_TOLERANCE * median):
-            bad = int(np.argmax(np.abs(spacing - median) > RATE_TOLERANCE * median))
-            raise NonUniformRate(
-                f"sample spacing {spacing[bad]} s deviates from {median} s",
-                row=bad + 3)
-    return EegRecording(t0=float(t[0]), fs=meta.fs_eeg,
-                        samples=matrix[:, 1:].T)
+    return matrix
 
 
-def eeg_to_csv(eeg: EegRecording, channel_names: tuple[str, ...]) -> str:
-    lines = ["t," + ",".join(channel_names)]
+def _data_row(text: str, index: int) -> int:
+    """File line of matrix row ``index`` of ``eeg.csv`` text: the header is
+    line 1 and blank lines hold no row. Only error paths ask, so only they
+    pay for the scan."""
+    rows = (row for row, line in enumerate(text.split("\n"), start=1)
+            if line.removesuffix("\r"))
+    return next(islice(rows, index + 1, None))
+
+
+def eeg_matrix(eeg: EegRecording) -> np.ndarray:
+    """The (t, channels) matrix that ``eeg.csv`` holds, one row per sample."""
     times = eeg.t0 + np.arange(eeg.n_samples) / eeg.fs
-    rows = np.column_stack((times, eeg.samples.T)).tolist()
-    lines.extend(",".join(map(repr, row)) for row in rows)
+    return np.column_stack((times, eeg.samples.T))
+
+
+def eeg_to_csv(matrix: np.ndarray, channel_names: tuple[str, ...]) -> str:
+    """``eeg.csv`` text of an :func:`eeg_matrix`."""
+    lines = ["t," + ",".join(channel_names)]
+    lines.extend(",".join(map(repr, row)) for row in matrix.tolist())
     lines.append("")
     return "\n".join(lines)
+
+
+# --- eeg.sidecar -------------------------------------------------------------
+
+def sidecar_bytes(eeg_csv: bytes, matrix: np.ndarray) -> bytes:
+    """Sidecar of ``matrix`` bound to the ``eeg.csv`` bytes it was written as."""
+    buf = io.BytesIO()
+    buf.write(hashlib.sha256(eeg_csv).digest())
+    np.save(buf, matrix.astype(_SIDECAR_DTYPE, copy=False), allow_pickle=False)
+    return buf.getvalue()
+
+
+def read_sidecar(data: bytes, eeg_csv: bytes, width: int) -> np.ndarray:
+    """The matrix of a sidecar bound to ``eeg_csv`` with ``width`` columns.
+
+    Raises ValueError naming the reason when the sidecar is unusable. The
+    ``.npy`` header is read first, and data follows only a float64 header
+    whose shape accounts for every remaining byte, so nothing is unpickled
+    and nothing larger than the file is allocated.
+    """
+    if len(data) < _DIGEST_SIZE:
+        raise ValueError("shorter than its digest")
+    if data[:_DIGEST_SIZE] != hashlib.sha256(eeg_csv).digest():
+        raise ValueError("digest does not match eeg.csv")
+    fp = io.BytesIO(data)
+    fp.seek(_DIGEST_SIZE)
+    try:
+        version = np.lib.format.read_magic(fp)
+    except ValueError:
+        raise ValueError("no .npy magic after the digest") from None
+    if version == (1, 0):
+        read_header = np.lib.format.read_array_header_1_0
+    elif version == (2, 0):
+        read_header = np.lib.format.read_array_header_2_0
+    else:
+        raise ValueError(f".npy version {version} is not 1.0 or 2.0")
+    try:
+        with warnings.catch_warnings():
+            # numpy warns when it repairs a Python 2 header; what it
+            # returns is checked below like any other header
+            warnings.simplefilter("ignore")
+            shape, fortran, dtype = read_header(fp)
+    except (ValueError, TypeError, SyntaxError, RecursionError,
+            tokenize.TokenError):
+        # numpy reads the header text with ast and tokenize; a garbled
+        # header can raise any of these
+        raise ValueError("garbled .npy header") from None
+    if dtype != _SIDECAR_DTYPE:
+        raise ValueError(f"dtype {dtype.str} is not little-endian float64")
+    if len(shape) != 2 or shape[0] < 1 or shape[1] != width:
+        raise ValueError(f"shape {shape} is not (n >= 1, {width})")
+    offset = fp.tell()
+    if len(data) - offset != shape[0] * width * dtype.itemsize:
+        raise ValueError(f"{len(data) - offset} data bytes do not fit "
+                         f"shape {shape}")
+    matrix = np.frombuffer(data, dtype=dtype, offset=offset).reshape(
+        shape, order="F" if fortran else "C")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("holds a non-finite value")
+    return matrix
 
 
 # --- events.csv --------------------------------------------------------------
@@ -341,6 +455,8 @@ def gaze_to_csv(gaze: tuple[GazeSample, ...]) -> str:
 def load_session(path: Union[str, Path]) -> SessionRecord:
     """Parse a bundle directory into a cross-validated record.
 
+    The EEG matrix comes from ``eeg.sidecar`` when :func:`read_sidecar`
+    accepts it, else from ``eeg.csv``; an unusable sidecar is a warning.
     Semantic violations (marker breaks, transcription mismatches, events
     outside the EEG span) do not raise; they land in ``rec.validation``.
     """
@@ -357,7 +473,15 @@ def load_session(path: Union[str, Path]) -> SessionRecord:
             raise MissingFile(f"bundle file {f} is empty")
 
     meta = parse_meta_json(contents[META_FILE])
-    eeg = parse_eeg_csv(contents[EEG_FILE], meta)
+    matrix, sidecar_problem = None, None
+    sidecar = root / EEG_SIDECAR
+    if sidecar.is_file():
+        try:
+            matrix = read_sidecar(sidecar.read_bytes(), contents[EEG_FILE],
+                                  1 + len(meta.channel_names))
+        except (OSError, ValueError) as exc:
+            sidecar_problem = exc
+    eeg = parse_eeg_csv(contents[EEG_FILE], meta, matrix)
     events = parse_events_csv(contents[EVENTS_FILE])
     gaze = None
     gaze_file = root / GAZE_FILE
@@ -366,16 +490,25 @@ def load_session(path: Union[str, Path]) -> SessionRecord:
 
     rec = SessionRecord(meta=meta, eeg=eeg, events=events, gaze=gaze)
     rec.validation = validate_session(rec)
+    if sidecar_problem is not None:
+        rec.validation.warnings.append(
+            f"{EEG_SIDECAR} ignored, {EEG_FILE} parsed: {sidecar_problem}")
     return rec
 
 
 def write_session(rec: SessionRecord, path: Union[str, Path]) -> None:
-    """Write a bundle such that loading it back yields an equal record."""
+    """Write a bundle such that loading it back yields an equal record.
+
+    The EEG matrix is built once and written as ``eeg.csv`` and as the
+    sidecar bound to those bytes.
+    """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     (root / META_FILE).write_text(meta_to_json(rec.meta), encoding="utf-8")
-    (root / EEG_FILE).write_text(
-        eeg_to_csv(rec.eeg, rec.meta.channel_names), encoding="utf-8")
+    matrix = eeg_matrix(rec.eeg)
+    eeg_csv = eeg_to_csv(matrix, rec.meta.channel_names).encode("utf-8")
+    (root / EEG_FILE).write_bytes(eeg_csv)
+    (root / EEG_SIDECAR).write_bytes(sidecar_bytes(eeg_csv, matrix))
     (root / EVENTS_FILE).write_text(events_to_csv(rec.events), encoding="utf-8")
     if rec.gaze is not None:
         (root / GAZE_FILE).write_text(gaze_to_csv(rec.gaze), encoding="utf-8")

@@ -7,10 +7,12 @@ much typing the suggestions absorbed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import EmptyTranscription, MissingSentence, NonPositiveDuration
+from .errors import (EmptyTranscription, MissingSentence, NonFiniteMetric,
+                     NonPositiveDuration)
 from .model import EventLog, KeyClass, Sentence, SessionRecord, replay_keystrokes
 
 TIMING_ANCHORS = ("shown", "first-key")
@@ -41,12 +43,20 @@ class TypingMetrics:
 
 
 def wpm(transcribed_len: int, duration_s: float) -> float:
-    """((|T|-1) * 60) / (5 * s); 0 when fewer than two characters."""
+    """((|T|-1) * 60) / (5 * s); 0 when fewer than two characters.
+
+    A rate past the float range (a subnormal duration) is NonFiniteMetric.
+    """
     if duration_s <= 0:
         raise NonPositiveDuration(f"duration {duration_s} s must be positive")
     if transcribed_len <= 1:
         return 0.0
-    return ((transcribed_len - 1) * 60.0) / (5.0 * duration_s)
+    rate = ((transcribed_len - 1) * 60.0) / (5.0 * duration_s)
+    if not math.isfinite(rate):
+        raise NonFiniteMetric(
+            f"wpm of {transcribed_len} characters in {duration_s} s "
+            "overflows the float range")
+    return rate
 
 
 def keystrokes_saved_pct(n_keystrokes: int, transcribed_len: int) -> float:
@@ -120,9 +130,12 @@ def session_metrics(rec: SessionRecord,
     if not per_sentence:
         return TypingMetrics((), 0.0, 0.0, 0.0, 0.0, 0)
     n = len(per_sentence)
+    mean_wpm = sum(m.wpm for m in per_sentence) / n
+    if not math.isfinite(mean_wpm):
+        raise NonFiniteMetric("mean wpm overflows the float range")
     return TypingMetrics(
         sentences=per_sentence,
-        mean_wpm=sum(m.wpm for m in per_sentence) / n,
+        mean_wpm=mean_wpm,
         mean_keystrokes_saved_pct=sum(
             m.keystrokes_saved_pct for m in per_sentence) / n,
         mean_kspc=sum(m.kspc for m in per_sentence) / n,

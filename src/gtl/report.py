@@ -25,6 +25,7 @@ from .errors import (
     DegenerateInput,
     EmptyInput,
     EmptyTranscription,
+    NonFiniteMetric,
     NonPositiveDuration,
     StatsError,
     ToolError,
@@ -132,9 +133,11 @@ def analyze_session(rec: SessionRecord, config: ReportConfig,
                                      config.label_threshold)
         try:
             typing = metrics_mod.session_metrics(rec, config.timing_anchor)
-        except (EmptyTranscription, NonPositiveDuration) as exc:
-            # e.g. a sentence whose keystrokes were all deleted again; the
-            # session stays analyzable for load, only its metrics are absent
+        except (EmptyTranscription, NonFiniteMetric,
+                NonPositiveDuration) as exc:
+            # e.g. a sentence whose keystrokes were all deleted again, or
+            # one too short for a finite wpm; the session stays analyzable
+            # for load, only its metrics are absent
             typing = None
             entry["warnings"].append(f"metrics unavailable: {exc}")
     except ToolError as exc:

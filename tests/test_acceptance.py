@@ -6,16 +6,19 @@ lines; plain ``pytest`` reports the same tests one line each with -v.
 
 import json
 import math
+import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gtl.cli import main
-from gtl.ingest import load_session, write_session
+from gtl.ingest import EEG_SIDECAR, load_session, write_session
 from gtl.metrics import sentence_metrics
 from gtl.model import SessionMeta
-from gtl.segmentation import aggregate, label_load_windows
+from gtl.report import ReportConfig, build_report, render_csv, render_json
+from gtl.segmentation import AGGREGATION_LEVELS, aggregate, label_load_windows
 from gtl.simgen import (
     BandComponent,
     ScriptKey,
@@ -254,11 +257,12 @@ def test_c7_determinism_of_simulate_and_analyze(tmp_path):
                      "--out", str(bundle)]) == 0
         assert main(["analyze", "--session", str(bundle),
                      "--out", str(report)]) == 0
-        blob = b"".join((bundle / n).read_bytes()
-                        for n in ("meta.json", "eeg.csv", "events.csv"))
+        blob = b"".join((bundle / n).read_bytes() for n in (
+            "meta.json", "eeg.csv", "events.csv", EEG_SIDECAR))
         digests.append((blob, report.read_bytes()))
     assert digests[0] == digests[1]
-    _ok("C7 determinism: bundles and reports byte-identical across runs")
+    _ok("C7 determinism: bundles (sidecar included) and reports "
+        "byte-identical across runs")
 
 
 def test_c8_performance(tmp_path):
@@ -279,6 +283,9 @@ def test_c8_performance(tmp_path):
         bundles.append(str(bundle))
     total_samples = 15 * 180 * 128
     assert total_samples == 345_600  # per channel; x14 channels on disk
+    # the gate times the eeg.csv parser, not the binary sidecar
+    for bundle in bundles:
+        (Path(bundle) / EEG_SIDECAR).unlink()
 
     out = tmp_path / "report.json"
     t0 = time.time()
@@ -286,5 +293,30 @@ def test_c8_performance(tmp_path):
     elapsed = time.time() - t0
     assert rc == 0
     assert elapsed < 5.0
-    _ok(f"C8 performance: 15 sessions analyzed in {elapsed:.2f} s "
-        "single-threaded")
+    _ok(f"C8 performance: 15 sessions analyzed from eeg.csv in "
+        f"{elapsed:.2f} s single-threaded")
+
+
+def test_sidecar_and_csv_give_identical_reports(tmp_path):
+    """Reports from bundles with sidecars equal those from eeg.csv alone,
+    byte for byte, in both formats at every aggregation level."""
+    sessions = [(meta, spec) for meta, spec in study_sessions()
+                if meta.participant_id in ("p01", "p02")
+                and meta.session_index in (0, 1)]
+    with_sidecar, bare = [], []
+    for i, (meta, spec) in enumerate(sessions):
+        bundle = tmp_path / f"s{i:02d}"
+        write_session(simulate_session(spec, meta), bundle)
+        shutil.copytree(bundle, tmp_path / f"bare{i:02d}",
+                        ignore=shutil.ignore_patterns(EEG_SIDECAR))
+        with_sidecar.append(load_session(bundle))
+        bare.append(load_session(tmp_path / f"bare{i:02d}"))
+    for level in AGGREGATION_LEVELS:
+        config = ReportConfig(level=level)
+        fast, slow = (build_report(records, config)
+                      for records in (with_sidecar, bare))
+        assert render_json(fast) == render_json(slow)
+        assert render_csv(fast) == render_csv(slow)
+    _ok(f"sidecar: {len(sessions)} sessions give byte-identical json and "
+        f"csv reports with and without sidecars at "
+        f"{len(AGGREGATION_LEVELS)} levels")

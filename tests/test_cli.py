@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtl.cli import main
-from gtl.ingest import write_session
+from gtl.ingest import EEG_SIDECAR, load_session, write_session
 from gtl.model import Event, EventLog, KeyClass
 from gtl.report import ReportConfig
 from gtl.simgen import study_sessions, simulate_session
@@ -69,6 +71,33 @@ class TestSimulateAnalyze:
         assert ref["wpm_grand_means"] == {"A": 9.20, "B": 8.60, "C": 9.05}
         assert ref["keystrokes_saved_pct_means"]["A"] == 39.0018
         assert ref["backspace_usage_means"]["B"] == 6.32
+
+    def test_simulate_writes_the_bound_sidecar(self, tmp_path, spec_file):
+        bundle = tmp_path / "bundle"
+        assert main(["simulate", "--spec", str(spec_file),
+                     "--out", str(bundle)]) == 0
+        sidecar = (bundle / EEG_SIDECAR).read_bytes()
+        assert sidecar[:32] == hashlib.sha256(
+            (bundle / "eeg.csv").read_bytes()).digest()
+        assert load_session(bundle).validation.warnings == []
+
+    def test_bundle_without_sidecar_gives_the_same_report(self, tmp_path,
+                                                          spec_file):
+        bundle = tmp_path / "bundle"
+        main(["simulate", "--spec", str(spec_file), "--out", str(bundle)])
+        bare = tmp_path / "bare"
+        shutil.copytree(bundle, bare, ignore=shutil.ignore_patterns(
+            EEG_SIDECAR))
+        assert not (bare / EEG_SIDECAR).exists()
+        reports = []
+        for source in (bundle, bare):
+            out = tmp_path / f"{source.name}.json"
+            assert main(["analyze", "--session", str(source),
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        # analyze reads bundles and writes only its report
+        assert not (bare / EEG_SIDECAR).exists()
 
     def test_seed_override_changes_bundle(self, tmp_path, spec_file):
         b1, b2, b3 = (tmp_path / n for n in ("b1", "b2", "b3"))
@@ -385,6 +414,8 @@ class TestReportStructure:
 
 
 _DOCUMENTED_EXITS = {0, 2, 3, 64, 74}
+_BUNDLE_FILES = ("meta.json", "eeg.csv", "events.csv", "gaze.csv",
+                 EEG_SIDECAR)
 
 
 @pytest.fixture(scope="module")
@@ -402,7 +433,7 @@ def fuzz_base(tmp_path_factory) -> dict[str, bytes]:
     assert main(["simulate", "--spec", str(root / "spec.json"),
                  "--out", str(root / "bundle")]) == 0
     base = {name: (root / "bundle" / name).read_bytes()
-            for name in ("meta.json", "eeg.csv", "events.csv", "gaze.csv")}
+            for name in _BUNDLE_FILES}
     base["spec.json"] = (root / "spec.json").read_bytes()
     base["group.txt"] = b"0.5\n0.25\n0.75\n"
     return base
@@ -431,7 +462,7 @@ class TestArbitraryInputBytes:
             root = Path(tmp)
             bundle = root / "bundle"
             bundle.mkdir()
-            for f in ("meta.json", "eeg.csv", "events.csv", "gaze.csv"):
+            for f in _BUNDLE_FILES:
                 (bundle / f).write_bytes(fuzz_base[f])
             if name == "spec.json":
                 (root / name).write_bytes(damaged)

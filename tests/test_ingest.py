@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import random
+import struct
 import tempfile
 from pathlib import Path
 
@@ -22,7 +24,10 @@ from gtl.errors import (
     UnknownKeyClass,
     UnknownKind,
 )
+from gtl import ingest
 from gtl.ingest import (
+    EEG_SIDECAR,
+    eeg_matrix,
     events_to_csv,
     load_session,
     parse_eeg_csv,
@@ -103,6 +108,25 @@ class TestEegCsv:
     def test_missing_header(self):
         with pytest.raises(BadHeader):
             parse_eeg_csv("0.0,1.0,2.0", META2)
+
+    @pytest.mark.parametrize("text,error,row", [
+        ("t,a\n\n0,1\n0,2\n", NonMonotonicTime, 4),
+        ("t,a\n0,1\n\n\n1,2\n1,3\n", NonMonotonicTime, 6),
+        ("t,a\n0,1\n1,1\n\r\n2,1\n\n3.5,1\n4.5,1\n", NonUniformRate, 7),
+    ], ids=["blank-before-first", "blanks-mid", "crlf-blank-and-blank"])
+    def test_time_error_row_skips_blank_lines(self, text, error, row):
+        meta = SessionMeta("p01", "A", 1, 1.0, ("a",))
+        with pytest.raises(error) as err:
+            parse_eeg_csv(text, meta)
+        assert err.value.row == row
+        # the same row when the matrix comes from a bound sidecar
+        data = text.encode()
+        matrix = np.loadtxt(io.StringIO(text.partition("\n")[2]),
+                            delimiter=",", ndmin=2)
+        bound = ingest.read_sidecar(ingest.sidecar_bytes(data, matrix), data, 2)
+        with pytest.raises(error) as err:
+            parse_eeg_csv(data, meta, bound)
+        assert err.value.row == row
 
     def test_header_only(self):
         with pytest.raises(MalformedRow) as err:
@@ -371,6 +395,163 @@ class TestBundles:
             load_session(bundle)
 
 
+class _Tripwire:
+    """Counts its own unpickling."""
+
+    unpickled = 0
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+def _trip():
+    _Tripwire.unpickled += 1
+
+
+def _npy(array: np.ndarray, allow_pickle: bool = False) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _with_nan(matrix: np.ndarray) -> np.ndarray:
+    bad = matrix.copy()
+    bad[1, 1] = np.nan
+    return bad
+
+
+def _tripwires(matrix: np.ndarray) -> np.ndarray:
+    out = np.empty(matrix.shape, dtype=object)
+    out[...] = _Tripwire()
+    return out
+
+
+# (digest, matrix, good sidecar) -> bad sidecar, and the reason it names
+_BAD_SIDECARS = {
+    "short": (lambda d, m, good: good[:20], "shorter than its digest"),
+    "magic-cut": (lambda d, m, good: good[:36], "no .npy magic"),
+    "header-cut": (lambda d, m, good: good[:60], "garbled .npy header"),
+    "version-3": (lambda d, m, good: good[:38] + b"\x03" + good[39:],
+                  ".npy version (3, 0)"),
+    "data-cut": (lambda d, m, good: good[:-8], "do not fit shape"),
+    "trailing": (lambda d, m, good: good + bytes(8), "do not fit shape"),
+    "garbage": (lambda d, m, good: d + bytes(range(256)), "no .npy magic"),
+    "no-digest": (lambda d, m, good: good[32:], "digest does not match"),
+    "npz": (lambda d, m, good: d + b"PK\x03\x04" + good[36:],
+            "no .npy magic"),
+    "float32": (lambda d, m, good: d + _npy(m.astype(np.float32)),
+                "is not little-endian float64"),
+    "big-endian": (lambda d, m, good: d + _npy(m.astype(">f8")),
+                   "is not little-endian float64"),
+    "width": (lambda d, m, good: d + _npy(m[:, :-1]), "is not (n >= 1, 3)"),
+    "one-dim": (lambda d, m, good: d + _npy(m.ravel()), "is not (n >= 1, 3)"),
+    "no-rows": (lambda d, m, good: d + _npy(m[:0]), "is not (n >= 1, 3)"),
+    "nan": (lambda d, m, good: d + _npy(_with_nan(m)), "non-finite"),
+    "inf": (lambda d, m, good: d + _npy(_with_nan(m) + np.inf), "non-finite"),
+    "pickled": (lambda d, m, good: d + _npy(_tripwires(m), allow_pickle=True),
+                "is not little-endian float64"),
+}
+
+
+class TestSidecar:
+    @pytest.fixture
+    def bundle(self, tmp_path, simple_log) -> tuple[Path, SessionRecord]:
+        rec = make_record(simple_log)
+        write_session(rec, tmp_path / "b")
+        return tmp_path / "b", rec
+
+    def test_written_bound_and_deterministic(self, tmp_path, bundle):
+        path, rec = bundle
+        data = (path / EEG_SIDECAR).read_bytes()
+        assert data[:32] == hashlib.sha256(
+            (path / "eeg.csv").read_bytes()).digest()
+        stored = np.load(io.BytesIO(data[32:]), allow_pickle=False)
+        assert stored.dtype == np.dtype("<f8")
+        assert stored.tobytes() == eeg_matrix(rec.eeg).tobytes()
+        write_session(rec, tmp_path / "again")
+        assert (tmp_path / "again" / EEG_SIDECAR).read_bytes() == data
+
+    def test_load_takes_the_matrix_from_the_sidecar(self, bundle,
+                                                    monkeypatch):
+        path, rec = bundle
+
+        def no_text_parse(*args):
+            raise AssertionError("eeg.csv body parsed")
+
+        monkeypatch.setattr(ingest, "_parse_eeg_body", no_text_parse)
+        loaded = load_session(path)
+        assert loaded == rec
+        assert loaded.validation.warnings == []
+
+    def test_missing_sidecar_is_silent(self, bundle):
+        path, rec = bundle
+        (path / EEG_SIDECAR).unlink()
+        loaded = load_session(path)
+        assert loaded == rec
+        assert loaded.validation.warnings == []
+
+    def test_edited_csv_unbinds_the_sidecar(self, bundle):
+        path, rec = bundle
+        eeg = path / "eeg.csv"
+        lines = eeg.read_bytes().split(b"\n")
+        # one byte: the first decimal of the row's last cell
+        i = lines[3].rindex(b".") + 1
+        digit = str((int(lines[3][i:i + 1]) + 1) % 10).encode()
+        lines[3] = lines[3][:i] + digit + lines[3][i + 1:]
+        eeg.write_bytes(b"\n".join(lines))
+        loaded = load_session(path)
+        assert loaded.eeg == parse_eeg_csv(eeg.read_bytes(), rec.meta)
+        assert loaded.eeg != rec.eeg
+        assert loaded.validation.warnings == [
+            "eeg.sidecar ignored, eeg.csv parsed: "
+            "digest does not match eeg.csv"]
+
+    @pytest.mark.parametrize("name", sorted(_BAD_SIDECARS))
+    def test_unusable_sidecar_falls_back_with_warning(self, bundle, name):
+        path, rec = bundle
+        make, reason = _BAD_SIDECARS[name]
+        sidecar = path / EEG_SIDECAR
+        good = sidecar.read_bytes()
+        sidecar.write_bytes(make(good[:32], eeg_matrix(rec.eeg), good))
+        _Tripwire.unpickled = 0
+        loaded = load_session(path)
+        assert _Tripwire.unpickled == 0
+        assert loaded == rec
+        (warning,) = loaded.validation.warnings
+        assert warning.startswith("eeg.sidecar ignored, eeg.csv parsed: ")
+        assert reason in warning
+
+    def test_fortran_order_is_read(self, bundle):
+        path, rec = bundle
+        sidecar = path / EEG_SIDECAR
+        digest = sidecar.read_bytes()[:32]
+        sidecar.write_bytes(
+            digest + _npy(np.asfortranarray(eeg_matrix(rec.eeg))))
+        loaded = load_session(path)
+        assert _eeg_bits(loaded) == _eeg_bits(rec)
+        assert loaded.validation.warnings == []
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_damaged_sidecar_is_a_value_error(self, data):
+        """Any bytes after a matching digest give the matrix or a
+        ValueError, never another exception."""
+        csv_bytes = b"t,a,b\n0.0,1.0,2.0\n"
+        good = ingest.sidecar_bytes(csv_bytes, np.array([[0.0, 1.0, 2.0]]))
+        if data.draw(st.booleans()):
+            tail = data.draw(st.binary(max_size=200))
+        else:
+            i = data.draw(st.integers(32, len(good)))
+            j = data.draw(st.integers(i, min(len(good), i + 16)))
+            tail = (good[:i] + data.draw(st.binary(max_size=16)) + good[j:])[32:]
+        try:
+            matrix = ingest.read_sidecar(good[:32] + tail, csv_bytes, 3)
+        except ValueError:
+            return
+        assert matrix.shape[1] == 3 and matrix.shape[0] >= 1
+        assert np.all(np.isfinite(matrix))
+
+
 def _total(parse, data):
     """A parser gives a record or an IngestError, never another exception;
     a bad row or cell names a line the file has."""
@@ -430,7 +611,7 @@ _KEYS = st.lists(st.tuples(st.sampled_from(["INSERT", "SUGG", "BKSP"]),
 def _records(draw):
     fs = draw(st.sampled_from([24.0, 128.0, 256.0, 100.0]))
     channels = tuple(draw(st.lists(
-        st.text(alphabet="abcXYZ019_ ", min_size=1, max_size=4)
+        st.text(alphabet="abcXYZ019_ é", min_size=1, max_size=4)
         .filter(lambda c: c != "t"), min_size=1, max_size=3, unique=True)))
     meta = SessionMeta(draw(st.text(max_size=8)),
                        draw(st.sampled_from(["A", "B", "C"])),
@@ -450,13 +631,25 @@ def _records(draw):
     return SessionRecord(meta=meta, eeg=eeg, events=log, gaze=gaze)
 
 
+def _eeg_bits(rec: SessionRecord) -> tuple[bytes, float, bytes]:
+    """The EEG recording bit for bit: == would equate 0.0 and -0.0."""
+    eeg = rec.eeg
+    return struct.pack("<d", eeg.t0), eeg.fs, eeg.samples.tobytes()
+
+
 class TestRoundTripProperty:
     @settings(max_examples=50)
     @given(_records())
     def test_write_then_load_is_equal(self, rec):
         with tempfile.TemporaryDirectory() as tmp:
             write_session(rec, tmp)
-            assert load_session(tmp) == rec
+            with_sidecar = load_session(tmp)
+            assert with_sidecar == rec
+            (Path(tmp) / EEG_SIDECAR).unlink()
+            from_csv = load_session(tmp)
+        assert _eeg_bits(with_sidecar) == _eeg_bits(from_csv)
+        assert with_sidecar == from_csv
+        assert with_sidecar.validation.warnings == from_csv.validation.warnings
 
     @settings(max_examples=50)
     @given(_records())
@@ -464,6 +657,8 @@ class TestRoundTripProperty:
         with tempfile.TemporaryDirectory() as tmp:
             write_session(rec, tmp)
             for f in Path(tmp).iterdir():
+                if f.name == EEG_SIDECAR:
+                    continue
                 text = f.read_bytes().decode("utf-8")
                 if f.name == "events.csv":
                     # only record ends; quoted text keeps its own newlines
@@ -474,4 +669,8 @@ class TestRoundTripProperty:
                 else:
                     text = text.replace("\n", "\r\n")
                 f.write_bytes(text.encode("utf-8"))
-            assert load_session(tmp) == rec
+            loaded = load_session(tmp)
+            assert loaded == rec
+            # the sidecar was bound to the \n bytes, so eeg.csv was parsed
+            assert any("digest does not match" in w
+                       for w in loaded.validation.warnings)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gtl.errors import EmptyTranscription, NonPositiveDuration
+from gtl.errors import EmptyTranscription, NonFiniteMetric, NonPositiveDuration
 from gtl.metrics import (
     backspace_count,
     keystrokes_saved_pct,
@@ -11,7 +11,7 @@ from gtl.metrics import (
     session_metrics,
     wpm,
 )
-from gtl.model import Event, EventLog
+from gtl.model import Event, EventLog, KeyClass
 
 from conftest import make_event_log, make_record, random_event_log
 
@@ -29,6 +29,25 @@ class TestWpm:
             wpm(10, 0.0)
         with pytest.raises(NonPositiveDuration):
             wpm(10, -1.0)
+
+    def test_overflow_is_non_finite_metric(self):
+        with pytest.raises(NonFiniteMetric):
+            wpm(5, 1e-310)
+        assert wpm(2, 1e-300) == pytest.approx(1.2e301)
+
+    def test_overflowing_session_mean_is_non_finite_metric(self):
+        # two sentences of 1.2e-307 s type at ~1e308 wpm each; their sum
+        # overflows
+        d = 1.2e-307
+        log = EventLog((
+            Event.session_start(0.0),
+            Event.shown(0.0, "ab"), Event.key(0.0, KeyClass.INSERT, "ab"),
+            Event.submit(d, "ab"),
+            Event.shown(d, "ab"), Event.key(d, KeyClass.INSERT, "ab"),
+            Event.submit(2 * d, "ab"),
+            Event.session_end(1.0)))
+        with pytest.raises(NonFiniteMetric):
+            session_metrics(make_record(log))
 
     def test_monotonicity(self):
         for t_len in range(2, 60):

@@ -1,10 +1,14 @@
+import json
 import math
 
 import pytest
 
 from gtl.errors import ConfigError
-from gtl.report import ReportConfig
+from gtl.model import Event, EventLog, KeyClass
+from gtl.report import ReportConfig, build_report, render_json
 from gtl.spectral import AnalysisConfig
+
+from conftest import make_record
 
 
 class TestReportConfig:
@@ -31,3 +35,25 @@ class TestReportConfig:
     def test_invalid_values_raise_config_error(self, kwargs):
         with pytest.raises(ConfigError):
             ReportConfig(**kwargs)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_subnormal_sentence_keeps_the_report_json():
+    # (2 - 1) * 60 / (5 * 1e-310) overflows: metrics drop out with a
+    # warning, the load stays
+    log = EventLog((
+        Event.session_start(0.0), Event.shown(0.0, "ab"),
+        Event.key(0.0, KeyClass.INSERT, "a"),
+        Event.key(0.0, KeyClass.INSERT, "b"),
+        Event.submit(1e-310, "ab"), Event.session_end(20.0)))
+    text = render_json(build_report([make_record(log)], ReportConfig()))
+    report = json.loads(text, parse_constant=_reject_constant)
+    (entry,) = report["sessions"]
+    assert entry["violations"] == []
+    assert entry["load"] is not None and entry["load"]["n_windows"] > 0
+    assert entry["metrics"] is None
+    assert any(w.startswith("metrics unavailable:") and "wpm" in w
+               for w in entry["warnings"])
