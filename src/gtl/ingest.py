@@ -10,19 +10,21 @@ by :func:`read_number` and every plain (unquoted) csv row by
 
 ``eeg.sidecar`` is a binary copy of the (t, channels) matrix of
 ``eeg.csv``: the 32-byte sha256 digest of the exact ``eeg.csv`` bytes,
-then the matrix as NEP 1 ``.npy`` bytes (little-endian float64). Its bytes
-are deterministic. :func:`write_session` writes it; ``gtl analyze`` never
-does. ``eeg.csv`` stays canonical: :func:`load_session` takes the matrix
-from the sidecar only when the digest equals that of the ``eeg.csv`` bytes
-it read and the ``.npy`` holds a finite float64 array of shape
-(n >= 1, 1 + channels), read without unpickling anything. Otherwise it
-parses ``eeg.csv`` and the session gets a warning naming the reason: a
-file shorter than the digest, a digest mismatch, no ``.npy`` magic, a
-``.npy`` version other than 1.0 or 2.0, a garbled header, another dtype
-or shape, a length that disagrees with the header, a non-finite value,
-or a read error. A missing sidecar is silent. Either way the header,
-channel-name, time-order and rate checks of :func:`parse_eeg_csv` run on
-the matrix unchanged.
+then the matrix as raw row-major little-endian float64, with no header:
+the width is ``1 + channels`` of ``meta.json`` and the row count that of
+``eeg.csv``. Its bytes are deterministic. :func:`write_session` writes
+it; ``gtl analyze`` never does. ``eeg.csv`` stays canonical:
+:func:`load_session` takes the matrix from the sidecar only when it is
+bound to the ``eeg.csv`` bytes it read, i.e. the digest matches, the
+data holds one finite row per non-blank ``eeg.csv`` data line, and the
+first and last of those lines read as exactly the first and last rows.
+Otherwise it parses ``eeg.csv`` and the session gets a warning naming
+the reason: a digest mismatch, a length that is not those rows, a
+non-finite value, end rows that differ, or a read error. A missing
+sidecar is silent. Either way the header, channel-name, time-order and
+rate checks of :func:`parse_eeg_csv` run on the matrix unchanged. The
+digest guards against a stale sidecar, not a forged one: the lines
+between the first and the last are not read when the sidecar is bound.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ import hashlib
 import io
 import json
 import math
-import tokenize
-import warnings
-from itertools import islice
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -227,7 +226,7 @@ def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta,
             raise NonMonotonicTime(
                 f"eeg.csv timestamps must increase strictly "
                 f"(t[{bad + 1}]={t[bad + 1]} after t[{bad}]={t[bad]})",
-                row=_data_row(as_text(data, EEG_FILE), bad + 1))
+                row=_data_row(data, bad + 1))
         expected = 1.0 / meta.fs_eeg
         median = float(np.median(spacing))
         if abs(median - expected) > RATE_TOLERANCE * expected:
@@ -238,7 +237,7 @@ def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta,
             bad = int(np.argmax(np.abs(spacing - median) > RATE_TOLERANCE * median))
             raise NonUniformRate(
                 f"sample spacing {spacing[bad]} s deviates from {median} s",
-                row=_data_row(as_text(data, EEG_FILE), bad + 1))
+                row=_data_row(data, bad + 1))
     return EegRecording(t0=float(t[0]), fs=meta.fs_eeg,
                         samples=matrix[:, 1:].T)
 
@@ -263,13 +262,27 @@ def _parse_eeg_body(body: str, n_cols: int) -> np.ndarray:
     return matrix
 
 
-def _data_row(text: str, index: int) -> int:
-    """File line of matrix row ``index`` of ``eeg.csv`` text: the header is
-    line 1 and blank lines hold no row. Only error paths ask, so only they
-    pay for the scan."""
-    rows = (row for row, line in enumerate(text.split("\n"), start=1)
-            if line.removesuffix("\r"))
-    return next(islice(rows, index + 1, None))
+def _data_row(data: Union[bytes, str], index: int) -> Optional[int]:
+    """File line of matrix row ``index`` of ``eeg.csv``, None past the last
+    row. Only error paths ask, so only they pay for the scan."""
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    starts, _ = _row_spans(raw)
+    if index >= starts.size:
+        return None
+    return raw.count(b"\n", 0, starts[index]) + 1
+
+
+def _row_spans(eeg_csv: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop offsets of the lines after the header of ``eeg_csv``
+    that hold a row: the lines :func:`split_rows` does not skip as blank.
+    One vectorised scan instead of a bytes object per line."""
+    data = np.frombuffer(eeg_csv, np.uint8)
+    starts = np.flatnonzero(data == ord("\n")) + 1
+    stops = np.append(starts[1:] - 1, data.size)[:starts.size]
+    length = stops - starts
+    # stops - 1 is the line's last byte, or the newline before an empty one
+    blank = (length == 0) | ((length == 1) & (data[stops - 1] == ord("\r")))
+    return starts[~blank], stops[~blank]
 
 
 def eeg_matrix(eeg: EegRecording) -> np.ndarray:
@@ -290,60 +303,41 @@ def eeg_to_csv(matrix: np.ndarray, channel_names: tuple[str, ...]) -> str:
 
 def sidecar_bytes(eeg_csv: bytes, matrix: np.ndarray) -> bytes:
     """Sidecar of ``matrix`` bound to the ``eeg.csv`` bytes it was written as."""
-    buf = io.BytesIO()
-    buf.write(hashlib.sha256(eeg_csv).digest())
-    np.save(buf, matrix.astype(_SIDECAR_DTYPE, copy=False), allow_pickle=False)
-    return buf.getvalue()
+    return (hashlib.sha256(eeg_csv).digest()
+            + matrix.astype(_SIDECAR_DTYPE, copy=False).tobytes())
 
 
 def read_sidecar(data: bytes, eeg_csv: bytes, width: int) -> np.ndarray:
     """The matrix of a sidecar bound to ``eeg_csv`` with ``width`` columns.
 
-    Raises ValueError naming the reason when the sidecar is unusable. The
-    ``.npy`` header is read first, and data follows only a float64 header
-    whose shape accounts for every remaining byte, so nothing is unpickled
-    and nothing larger than the file is allocated.
+    Raises ValueError naming the reason when the sidecar is unusable.
     """
-    if len(data) < _DIGEST_SIZE:
-        raise ValueError("shorter than its digest")
     if data[:_DIGEST_SIZE] != hashlib.sha256(eeg_csv).digest():
         raise ValueError("digest does not match eeg.csv")
-    fp = io.BytesIO(data)
-    fp.seek(_DIGEST_SIZE)
-    try:
-        version = np.lib.format.read_magic(fp)
-    except ValueError:
-        raise ValueError("no .npy magic after the digest") from None
-    if version == (1, 0):
-        read_header = np.lib.format.read_array_header_1_0
-    elif version == (2, 0):
-        read_header = np.lib.format.read_array_header_2_0
-    else:
-        raise ValueError(f".npy version {version} is not 1.0 or 2.0")
-    try:
-        with warnings.catch_warnings():
-            # numpy warns when it repairs a Python 2 header; what it
-            # returns is checked below like any other header
-            warnings.simplefilter("ignore")
-            shape, fortran, dtype = read_header(fp)
-    except (ValueError, TypeError, SyntaxError, RecursionError,
-            tokenize.TokenError):
-        # numpy reads the header text with ast and tokenize; a garbled
-        # header can raise any of these
-        raise ValueError("garbled .npy header") from None
-    if dtype != _SIDECAR_DTYPE:
-        raise ValueError(f"dtype {dtype.str} is not little-endian float64")
-    if len(shape) != 2 or shape[0] < 1 or shape[1] != width:
-        raise ValueError(f"shape {shape} is not (n >= 1, {width})")
-    offset = fp.tell()
-    if len(data) - offset != shape[0] * width * dtype.itemsize:
-        raise ValueError(f"{len(data) - offset} data bytes do not fit "
-                         f"shape {shape}")
-    matrix = np.frombuffer(data, dtype=dtype, offset=offset).reshape(
-        shape, order="F" if fortran else "C")
+    starts, stops = _row_spans(eeg_csv)
+    n_rows = starts.size
+    size = len(data) - _DIGEST_SIZE
+    if not n_rows or size != n_rows * width * _SIDECAR_DTYPE.itemsize:
+        raise ValueError(f"{size} data bytes are not the {n_rows} rows of "
+                         f"{width} float64 values in eeg.csv")
+    matrix = np.frombuffer(data, _SIDECAR_DTYPE, offset=_DIGEST_SIZE)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("holds a non-finite value")
+    matrix = matrix.reshape(n_rows, width)
+    if not (_reads_as(eeg_csv[starts[0]:stops[0]], matrix[0])
+            and _reads_as(eeg_csv[starts[-1]:stops[-1]], matrix[-1])):
+        raise ValueError("first or last row differs from eeg.csv")
     return matrix
+
+
+def _reads_as(line: bytes, values: np.ndarray) -> bool:
+    """Whether csv ``line`` reads as exactly ``values``, bit for bit."""
+    cells = line.removesuffix(b"\r").decode("ascii", "replace").split(",")
+    try:
+        read = np.array([read_number(cell, EEG_FILE, 0) for cell in cells])
+    except MalformedNumber:
+        return False
+    return read.tobytes() == values.tobytes()
 
 
 # --- events.csv --------------------------------------------------------------

@@ -426,30 +426,37 @@ def _tripwires(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _raw(matrix: np.ndarray) -> bytes:
+    return np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+
+
+def _edited_last(matrix: np.ndarray) -> np.ndarray:
+    bad = matrix.copy()
+    bad[-1, 1] += 1.0
+    return bad
+
+
 # (digest, matrix, good sidecar) -> bad sidecar, and the reason it names
 _BAD_SIDECARS = {
-    "short": (lambda d, m, good: good[:20], "shorter than its digest"),
-    "magic-cut": (lambda d, m, good: good[:36], "no .npy magic"),
-    "header-cut": (lambda d, m, good: good[:60], "garbled .npy header"),
-    "version-3": (lambda d, m, good: good[:38] + b"\x03" + good[39:],
-                  ".npy version (3, 0)"),
-    "data-cut": (lambda d, m, good: good[:-8], "do not fit shape"),
-    "trailing": (lambda d, m, good: good + bytes(8), "do not fit shape"),
-    "garbage": (lambda d, m, good: d + bytes(range(256)), "no .npy magic"),
+    "short": (lambda d, m, good: good[:20], "digest does not match"),
     "no-digest": (lambda d, m, good: good[32:], "digest does not match"),
-    "npz": (lambda d, m, good: d + b"PK\x03\x04" + good[36:],
-            "no .npy magic"),
-    "float32": (lambda d, m, good: d + _npy(m.astype(np.float32)),
-                "is not little-endian float64"),
-    "big-endian": (lambda d, m, good: d + _npy(m.astype(">f8")),
-                   "is not little-endian float64"),
-    "width": (lambda d, m, good: d + _npy(m[:, :-1]), "is not (n >= 1, 3)"),
-    "one-dim": (lambda d, m, good: d + _npy(m.ravel()), "is not (n >= 1, 3)"),
-    "no-rows": (lambda d, m, good: d + _npy(m[:0]), "is not (n >= 1, 3)"),
-    "nan": (lambda d, m, good: d + _npy(_with_nan(m)), "non-finite"),
-    "inf": (lambda d, m, good: d + _npy(_with_nan(m) + np.inf), "non-finite"),
+    "empty": (lambda d, m, good: d, "are not the"),
+    "data-cut": (lambda d, m, good: good[:-8], "are not the"),
+    "trailing": (lambda d, m, good: good + bytes(8), "are not the"),
+    "garbage": (lambda d, m, good: d + bytes(range(256)), "are not the"),
+    "npy": (lambda d, m, good: d + _npy(m), "are not the"),
     "pickled": (lambda d, m, good: d + _npy(_tripwires(m), allow_pickle=True),
-                "is not little-endian float64"),
+                "are not the"),
+    "float32": (lambda d, m, good: d + m.astype("<f4").tobytes(),
+                "are not the"),
+    "width": (lambda d, m, good: d + _raw(m[:, :-1]), "are not the"),
+    # one row more than eeg.csv, breaking time order past its last line
+    "extra-row": (lambda d, m, good: d + _raw(np.vstack([m, m[-1:]])),
+                  "are not the"),
+    "nan": (lambda d, m, good: d + _raw(_with_nan(m)), "non-finite"),
+    "inf": (lambda d, m, good: d + _raw(_with_nan(m) + np.inf), "non-finite"),
+    "reversed": (lambda d, m, good: d + _raw(m[::-1]), "differs"),
+    "last-edited": (lambda d, m, good: d + _raw(_edited_last(m)), "differs"),
 }
 
 
@@ -465,9 +472,7 @@ class TestSidecar:
         data = (path / EEG_SIDECAR).read_bytes()
         assert data[:32] == hashlib.sha256(
             (path / "eeg.csv").read_bytes()).digest()
-        stored = np.load(io.BytesIO(data[32:]), allow_pickle=False)
-        assert stored.dtype == np.dtype("<f8")
-        assert stored.tobytes() == eeg_matrix(rec.eeg).tobytes()
+        assert data[32:] == eeg_matrix(rec.eeg).astype("<f8").tobytes()
         write_session(rec, tmp_path / "again")
         assert (tmp_path / "again" / EEG_SIDECAR).read_bytes() == data
 
@@ -521,15 +526,28 @@ class TestSidecar:
         assert warning.startswith("eeg.sidecar ignored, eeg.csv parsed: ")
         assert reason in warning
 
-    def test_fortran_order_is_read(self, bundle):
+    def test_samples_are_frozen_on_both_paths(self, bundle):
         path, rec = bundle
-        sidecar = path / EEG_SIDECAR
-        digest = sidecar.read_bytes()[:32]
-        sidecar.write_bytes(
-            digest + _npy(np.asfortranarray(eeg_matrix(rec.eeg))))
-        loaded = load_session(path)
-        assert _eeg_bits(loaded) == _eeg_bits(rec)
-        assert loaded.validation.warnings == []
+        with_sidecar = load_session(path)
+        (path / EEG_SIDECAR).unlink()
+        from_csv = load_session(path)
+        assert with_sidecar.validation.warnings == []
+        for loaded in (with_sidecar, from_csv):
+            assert not loaded.eeg.samples.flags.writeable
+
+    def test_matrix_longer_than_the_csv_is_a_located_error(self):
+        """A time break past the last line of eeg.csv has no row to name."""
+        meta = SessionMeta("p01", "A", 1, 1.0, ("a",))
+        matrix = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(NonMonotonicTime) as err:
+            parse_eeg_csv(b"t,a\n0.0,1.0\n1.0,1.0\n", meta, matrix)
+        assert err.value.row is None
+
+    def test_csv_without_rows_binds_no_sidecar(self):
+        csv_bytes = b"t,a\n\r\n"
+        empty = ingest.sidecar_bytes(csv_bytes, np.empty((0, 2)))
+        with pytest.raises(ValueError, match="not the 0 rows"):
+            ingest.read_sidecar(empty, csv_bytes, 2)
 
     @settings(max_examples=300)
     @given(st.data())
@@ -548,8 +566,18 @@ class TestSidecar:
             matrix = ingest.read_sidecar(good[:32] + tail, csv_bytes, 3)
         except ValueError:
             return
-        assert matrix.shape[1] == 3 and matrix.shape[0] >= 1
-        assert np.all(np.isfinite(matrix))
+        # one row is both the first and the last, so it must be eeg.csv's
+        assert matrix.tobytes() == good[32:]
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(["", "\r", "\r\r", " ", "1", "1,2\r"]),
+                    max_size=8).map("\n".join))
+    def test_row_spans_are_the_lines_split_rows_reads(self, text):
+        data = text.encode()
+        starts, stops = ingest._row_spans(data)
+        expected = [line.encode() for line in text.split("\n")[1:]
+                    if line.removesuffix("\r")]
+        assert [data[a:b] for a, b in zip(starts, stops)] == expected
 
 
 def _total(parse, data):
