@@ -12,9 +12,12 @@ that is not one finite number), 1 any other error. Group files and
 bundle files share one number grammar and row splitter
 (:func:`gtl.ingest.read_number`, :func:`gtl.ingest.split_rows`): rows end
 in ``\n`` with an optional ``\r``, and ``1_0``, non-ASCII digits,
-``nan`` and ``inf`` are not numbers. The ``analyze`` defaults are the
-fields of ``ReportConfig()``, whose windowing defaults are
-``AnalysisConfig``'s.
+``nan`` and ``inf`` are not numbers. An ``analyze`` I/O error names the
+``--session`` directory it comes from. The ``analyze`` options are the
+fields of ``ReportConfig``, which extends ``AnalysisConfig``'s windowing
+fields with the report's own; their defaults are ``ReportConfig()``'s.
+The bands are always the Delta/Theta/Alpha/Beta split derived from the
+sampling rate.
 """
 
 from __future__ import annotations
@@ -123,11 +126,13 @@ def _cmd_analyze(parser: _Parser, args: argparse.Namespace) -> int:
     except ConfigError as exc:
         parser.error(f"bad analysis option: {exc}")
 
-    try:
-        records = [load_session(p) for p in args.session]
-    except IngestError as exc:
-        print(f"gtl: {exc}", file=sys.stderr)
-        return EXIT_IO
+    records = []
+    for path in args.session:
+        try:
+            records.append(load_session(path))
+        except IngestError as exc:
+            print(f"gtl: {path}: {exc}", file=sys.stderr)
+            return EXIT_IO
 
     report = build_report(records, config)
     text = render_json(report) if args.format == "json" else render_csv(report)

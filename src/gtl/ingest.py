@@ -506,3 +506,6 @@ def write_session(rec: SessionRecord, path: Union[str, Path]) -> None:
     (root / EVENTS_FILE).write_text(events_to_csv(rec.events), encoding="utf-8")
     if rec.gaze is not None:
         (root / GAZE_FILE).write_text(gaze_to_csv(rec.gaze), encoding="utf-8")
+    else:
+        # a gaze.csv left from an earlier write would reload as this gaze
+        (root / GAZE_FILE).unlink(missing_ok=True)

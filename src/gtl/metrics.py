@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (EmptyTranscription, MissingSentence, NonFiniteMetric,
-                     NonPositiveDuration)
+from .errors import EmptyTranscription, NonFiniteMetric, NonPositiveDuration
 from .model import EventLog, KeyClass, Sentence, SessionRecord, replay_keystrokes
 
 TIMING_ANCHORS = ("shown", "first-key")
@@ -78,10 +77,7 @@ def backspace_count(events: EventLog, sentence_index: Optional[int] = None) -> i
     if sentence_index is None:
         return sum(1 for ev in events
                    if ev.key_class is KeyClass.BKSP)
-    sentences = events.sentences()
-    if not 0 <= sentence_index < len(sentences):
-        raise MissingSentence(f"sentence index {sentence_index} out of range")
-    return sum(1 for ev in sentences[sentence_index].keys
+    return sum(1 for ev in events.sentence(sentence_index).keys
                if ev.key_class is KeyClass.BKSP)
 
 
@@ -98,10 +94,7 @@ def _sentence_duration(s: Sentence, timing_anchor: str) -> float:
 
 def sentence_metrics(events: EventLog, sentence_index: int,
                      timing_anchor: str = "shown") -> SentenceMetrics:
-    sentences = events.sentences()
-    if not 0 <= sentence_index < len(sentences):
-        raise MissingSentence(f"sentence index {sentence_index} out of range")
-    return _metrics_of(sentences[sentence_index], timing_anchor)
+    return _metrics_of(events.sentence(sentence_index), timing_anchor)
 
 
 def _metrics_of(s: Sentence, timing_anchor: str) -> SentenceMetrics:

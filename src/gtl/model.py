@@ -106,6 +106,14 @@ class EventLog:
         """SHOWN..SUBMIT spans in order; unterminated spans are skipped."""
         return list(self._sentences)
 
+    def sentence(self, index: int) -> Sentence:
+        """The sentence at ``index``; MissingSentence when there is none."""
+        if not 0 <= index < len(self._sentences):
+            raise MissingSentence(
+                f"sentence index {index} out of range (log has "
+                f"{len(self._sentences)} sentences)")
+        return self._sentences[index]
+
     @cached_property
     def _sentences(self) -> tuple[Sentence, ...]:
         # built on first use and kept; sentences() hands out copies
@@ -251,12 +259,7 @@ def replay_keystrokes(keys: Sequence[Event]) -> tuple[str, int]:
 
 def reconstruct_transcription(events: EventLog, sentence_index: int) -> str:
     """Final text buffer of one sentence, rebuilt from its keystrokes."""
-    sentences = events.sentences()
-    if not 0 <= sentence_index < len(sentences):
-        raise MissingSentence(
-            f"sentence index {sentence_index} out of range (log has "
-            f"{len(sentences)} sentences)")
-    text, _ = replay_keystrokes(sentences[sentence_index].keys)
+    text, _ = replay_keystrokes(events.sentence(sentence_index).keys)
     return text
 
 

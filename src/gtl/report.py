@@ -34,7 +34,7 @@ from .errors import (
 from .model import SessionRecord, ViolationCode, validate_session
 from .segmentation import (AGGREGATION_LEVELS, LabeledLoadSample, aggregate,
                            label_load_windows)
-from .spectral import AnalysisConfig, WindowFn, cognitive_load_series
+from .spectral import AnalysisConfig, cognitive_load_series
 
 #: Published grand means from the original five-participant study whose
 #: methodology this toolkit reimplements. Context only: these numbers are
@@ -50,18 +50,15 @@ REFERENCE_CONTEXT = {
 
 
 @dataclass(frozen=True)
-class ReportConfig:
-    """Everything that influences the numbers in a report.
+class ReportConfig(AnalysisConfig):
+    """Everything that influences the numbers in a report: the inherited
+    windowing fields, then the labeling, timing, grouping and test choices.
 
-    The windowing defaults are :class:`AnalysisConfig`'s. Construction
-    builds the analysis config and checks the threshold range and the
-    enumerated fields; a bad value raises ConfigError.
+    Construction checks the windowing fields, the threshold range and the
+    enumerated fields; a bad value raises ConfigError. A report's
+    ``config`` object replays as ``ReportConfig(**config)``.
     """
 
-    window_len: int = AnalysisConfig.window_len
-    hop: int = AnalysisConfig.hop
-    window_fn: WindowFn = AnalysisConfig.window_fn
-    detrend: bool = AnalysisConfig.detrend
     label_threshold: float = 0.5
     timing_anchor: str = "shown"
     level: str = "sentence"
@@ -69,7 +66,7 @@ class ReportConfig:
     ttest_variant: str = "student"
 
     def __post_init__(self) -> None:
-        self.analysis_config()
+        super().__post_init__()
         if not 0.0 < self.label_threshold <= 1.0:
             raise ConfigError("label_threshold must lie in (0, 1]")
         for name, allowed in (("timing_anchor", metrics_mod.TIMING_ANCHORS),
@@ -78,10 +75,6 @@ class ReportConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, "
                                   f"got {getattr(self, name)!r}")
-
-    def analysis_config(self) -> AnalysisConfig:
-        return AnalysisConfig(window_len=self.window_len, hop=self.hop,
-                              window_fn=self.window_fn, detrend=self.detrend)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "window_fn": self.window_fn.value}
@@ -128,7 +121,7 @@ def analyze_session(rec: SessionRecord, config: ReportConfig,
         "metrics": None,
     }
     try:
-        series = cognitive_load_series(rec.eeg, config.analysis_config())
+        series = cognitive_load_series(rec.eeg, config)
         samples = label_load_windows(series, rec.events, rec.meta,
                                      config.label_threshold)
         try:
@@ -214,7 +207,7 @@ def build_report(records: Sequence[SessionRecord], config: ReportConfig,
                            .format(*identity)})
         seen.add(identity)
         session_entries.append(entry)
-        if config.include_training or rec.meta.session_index != 0:
+        if config.include_training or not rec.meta.is_training:
             samples.extend(rec_samples)
         elif rec_samples:
             warnings.append(

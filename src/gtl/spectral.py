@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,43 +63,32 @@ def default_bands(fs: float) -> tuple[Band, ...]:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Windowing and band parameters of the load pipeline.
+    """Windowing parameters of the load pipeline.
 
     Defaults: 1024-sample windows (8 s at 128 Hz) sliding by 512 samples
-    (50% overlap), half-cosine window function, per-window mean removal,
-    Delta/Theta/Alpha/Beta bands derived from the recording rate.
+    (50% overlap), half-cosine window function, per-window mean removal.
+    The bands are always the Delta/Theta/Alpha/Beta split that
+    :func:`default_bands` derives from the recording rate. ``window_fn``
+    takes a :class:`WindowFn` or its value (``"hann"``) and is stored as
+    the enum; any other value raises ConfigError.
     """
 
     window_len: int = 1024
     hop: int = 512
     window_fn: WindowFn = WindowFn.HALF_COSINE
     detrend: bool = True
-    bands: Optional[tuple[Band, ...]] = None
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "window_fn", WindowFn(self.window_fn))
+        except ValueError:
+            raise ConfigError(
+                f"window_fn must be one of {[w.value for w in WindowFn]}, "
+                f"got {self.window_fn!r}") from None
         if self.window_len < 1:
             raise ConfigError("window_len must be >= 1")
         if not 0 < self.hop <= self.window_len:
             raise ConfigError("need 0 < hop <= window_len")
-
-    def bands_for(self, fs: float) -> tuple[Band, ...]:
-        bands = self.bands if self.bands is not None else default_bands(fs)
-        validate_bands(bands, fs)
-        return bands
-
-
-def validate_bands(bands: Sequence[Band], fs: float) -> None:
-    """Bands must be ordered, disjoint and cover [0, fs/2] without gaps."""
-    if not bands:
-        raise ConfigError("band list is empty")
-    if bands[0].f1 != 0.0:
-        raise ConfigError("bands must start at 0 Hz")
-    for a, b in zip(bands, bands[1:]):
-        if a.f2 != b.f1:
-            raise ConfigError(f"gap or overlap between {a.name} and {b.name}")
-    if bands[-1].f2 != fs / 2:
-        raise ConfigError(f"bands must end at Nyquist ({fs / 2} Hz), "
-                          f"got {bands[-1].f2}")
 
 
 @dataclass(frozen=True)
@@ -195,7 +184,9 @@ def _window_curve(kind: WindowFn, n: int) -> np.ndarray:
 
 def _taper(x: np.ndarray, kind: WindowFn, detrend: bool) -> np.ndarray:
     """Per-row mean removal (optional), then the window function along the
-    last axis; returns ``x`` itself when neither applies."""
+    last axis; returns ``x`` itself when neither applies. ``kind`` may be
+    the enum's value; the curve cache is only ever filled for the enum."""
+    kind = WindowFn(kind)
     if detrend:
         x = x - x.mean(axis=-1, keepdims=True)
     if kind is not WindowFn.RECT:
@@ -281,13 +272,14 @@ def band_ratios(s: Spectrum, bands: Sequence[Band]) -> dict[str, float]:
 
 def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
                           load_band: str = "Beta") -> LoadSeries:
-    """Per-window load: the named band's power ratio averaged over channels.
+    """Per-window load: the named band's power ratio averaged over channels,
+    over the :func:`default_bands` split of the recording rate.
 
     Channels are processed with identical windowing; a window position is
     dropped (and counted) when any channel's total power there is zero,
     e.g. a detrended constant stretch.
     """
-    bands = cfg.bands_for(eeg.fs)
+    bands = default_bands(eeg.fs)
     band_names = [b.name for b in bands]
     if load_band not in band_names:
         raise ConfigError(f"load band {load_band!r} not among {band_names}")

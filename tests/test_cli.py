@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtl.cli import main
+from gtl.cli import _build_parser, main
 from gtl.ingest import EEG_SIDECAR, load_session, write_session
 from gtl.model import Event, EventLog, KeyClass
 from gtl.report import ReportConfig
@@ -164,6 +166,22 @@ class TestExitCodes:
         rc = main(["analyze", "--session", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "r.json")])
         assert rc == 74
+
+    def test_ingest_error_names_the_bundle(self, tmp_path, spec_file,
+                                           capsys):
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        for bundle in (good, bad):
+            main(["simulate", "--spec", str(spec_file), "--out", str(bundle)])
+        events = (bad / "events.csv").read_text()
+        (bad / "events.csv").write_text("x" + events[events.index(","):])
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        rc = main(["analyze", "--session", str(good), str(bad),
+                   "--out", str(out)])
+        assert rc == 74
+        assert capsys.readouterr().err.startswith(
+            f"gtl: {bad}: events.csv cell is not a finite decimal number")
+        assert not out.exists()
 
     def test_validation_violations_exit_2(self, tmp_path):
         # a submitted payload that the keystrokes cannot reproduce
@@ -341,6 +359,21 @@ class TestStatsCommand:
 
 
 class TestAnalysisFlags:
+    def test_flags_are_the_report_config_fields(self):
+        (sub,) = [a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        dests = {a.dest for a in sub.choices["analyze"]._actions}
+        assert dests - {"help", "session", "out", "format"} == {
+            f.name for f in dataclasses.fields(ReportConfig)}
+
+    def test_bare_parse_builds_the_default_config(self):
+        args = _build_parser().parse_args(
+            ["analyze", "--session", "x", "--out", "y"])
+        config = ReportConfig(**{f.name: getattr(args, f.name)
+                                 for f in dataclasses.fields(ReportConfig)})
+        assert config == ReportConfig()
+        assert config.hash() == ReportConfig().hash()
+
     def test_alternate_window_functions_and_detrend(self, tmp_path, spec_file):
         bundle = tmp_path / "bundle"
         main(["simulate", "--spec", str(spec_file), "--out", str(bundle)])

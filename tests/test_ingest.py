@@ -363,6 +363,16 @@ class TestBundles:
         for name in ("meta.json", "eeg.csv", "events.csv", "gaze.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_rewrite_without_gaze_drops_the_old_gaze(self, tmp_path,
+                                                      simple_log):
+        rec = make_record(simple_log)
+        rec.gaze = (GazeSample(0.0, 1.0, 2.0, True),)
+        write_session(rec, tmp_path)
+        rec.gaze = None
+        write_session(rec, tmp_path)
+        assert not (tmp_path / "gaze.csv").exists()
+        assert load_session(tmp_path).gaze is None
+
     def test_load_write_identity_random_logs(self, tmp_path):
         rng = random.Random(17)
         for i in range(5):

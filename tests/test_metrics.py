@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from gtl.errors import EmptyTranscription, NonFiniteMetric, NonPositiveDuration
+from gtl.errors import (EmptyTranscription, MissingSentence, NonFiniteMetric,
+                        NonPositiveDuration)
 from gtl.metrics import (
     backspace_count,
     keystrokes_saved_pct,
@@ -87,6 +88,13 @@ class TestEventLogMetrics:
         assert backspace_count(simple_log) == 1
         assert backspace_count(simple_log, 0) == 0
         assert backspace_count(simple_log, 1) == 1
+
+    def test_missing_sentence(self, simple_log):
+        for index in (-1, 2):
+            with pytest.raises(MissingSentence):
+                backspace_count(simple_log, index)
+            with pytest.raises(MissingSentence):
+                sentence_metrics(simple_log, index)
 
     def test_sentence_metrics_hand_computed(self):
         # SHOWN at 5.0; keys at 6,7,8 (INSERT a, SUGG "bc ", BKSP);

@@ -56,6 +56,13 @@ class TestReconstruction:
         with pytest.raises(MissingSentence):
             reconstruct_transcription(log, 1)
 
+    def test_sentence_lookup(self):
+        log = make_event_log([[("INSERT", "a")], [("INSERT", "b")]])
+        assert [log.sentence(i) for i in range(2)] == log.sentences()
+        for index in (-1, 2):
+            with pytest.raises(MissingSentence, match="log has 2 sentences"):
+                log.sentence(index)
+
     def test_deterministic_and_matches_submit_payload(self):
         rng = random.Random(7)
         for _ in range(50):

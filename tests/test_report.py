@@ -1,14 +1,16 @@
 import json
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from gtl.errors import ConfigError
 from gtl.model import Event, EventLog, KeyClass
 from gtl.report import ReportConfig, build_report, render_json
-from gtl.spectral import AnalysisConfig
+from gtl.spectral import AnalysisConfig, WindowFn, cognitive_load_series
 
-from conftest import make_record
+from conftest import make_event_log, make_record
 
 
 class TestReportConfig:
@@ -17,7 +19,40 @@ class TestReportConfig:
             "82eb5c198a36a56bab4e963b20e575afaabfa1f94e3c367fbe007a68776d6e16")
 
     def test_windowing_defaults_are_the_analysis_defaults(self):
-        assert ReportConfig().analysis_config() == AnalysisConfig()
+        assert issubclass(ReportConfig, AnalysisConfig)
+        report, analysis = ReportConfig(), AnalysisConfig()
+        for f in fields(AnalysisConfig):
+            assert getattr(report, f.name) == getattr(analysis, f.name)
+
+    def test_fields_are_the_inherited_four_then_the_report_five(self):
+        assert [f.name for f in fields(AnalysisConfig)] == [
+            "window_len", "hop", "window_fn", "detrend"]
+        assert [f.name for f in fields(ReportConfig)] == [
+            "window_len", "hop", "window_fn", "detrend", "label_threshold",
+            "timing_anchor", "level", "include_training", "ttest_variant"]
+        assert list(ReportConfig().to_dict()) == [
+            f.name for f in fields(ReportConfig)]
+
+    def test_report_config_drives_the_same_loads(self):
+        eeg = make_record(make_event_log([[("INSERT", "a")]] * 4)).eeg
+        args = dict(window_len=256, hop=128, window_fn=WindowFn.HANN,
+                    detrend=True)
+        a = cognitive_load_series(eeg, ReportConfig(**args))
+        b = cognitive_load_series(eeg, AnalysisConfig(**args))
+        assert len(a) > 0
+        assert np.array_equal(a.starts, b.starts)
+        assert np.array_equal(a.loads, b.loads)
+        assert a.dropped == b.dropped
+
+    def test_report_config_echo_replays_to_the_same_hash(self):
+        config = ReportConfig(window_len=256, hop=128, window_fn="hann",
+                              level="window")
+        rep = build_report([make_record(make_event_log([[("INSERT", "a")]]))],
+                           config)
+        echoed = json.loads(render_json(rep))["config"]
+        assert echoed["window_fn"] == "hann"
+        assert ReportConfig(**echoed) == config
+        assert ReportConfig(**echoed).hash() == rep["config_hash"]
 
     @pytest.mark.parametrize("kwargs", [
         {"window_len": 0},
@@ -29,9 +64,10 @@ class TestReportConfig:
         {"level": "x"},
         {"timing_anchor": "x"},
         {"ttest_variant": "x"},
+        {"window_fn": "bogus"},
     ], ids=["window-0", "hop-0", "hop-over-window", "threshold-0",
             "threshold-1.5", "threshold-nan", "level-x", "anchor-x",
-            "variant-x"])
+            "variant-x", "window-fn-bogus"])
     def test_invalid_values_raise_config_error(self, kwargs):
         with pytest.raises(ConfigError):
             ReportConfig(**kwargs)
