@@ -15,9 +15,9 @@ in ``\n`` with an optional ``\r``, and ``1_0``, non-ASCII digits,
 ``nan`` and ``inf`` are not numbers. An ``analyze`` I/O error names the
 ``--session`` directory it comes from. The ``analyze`` options are the
 fields of ``ReportConfig``, which extends ``AnalysisConfig``'s windowing
-fields with the report's own; their defaults are ``ReportConfig()``'s.
-The bands are always the Delta/Theta/Alpha/Beta split derived from the
-sampling rate.
+fields with the report's own; their defaults and rules (e.g. a window
+length that is a power of two) are ``ReportConfig()``'s. The bands are
+always the Delta/Theta/Alpha/Beta split derived from the sampling rate.
 """
 
 from __future__ import annotations
@@ -117,8 +117,6 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_analyze(parser: _Parser, args: argparse.Namespace) -> int:
-    if args.window_len < 2 or args.window_len & (args.window_len - 1):
-        parser.error(f"--window {args.window_len} is not a power of two")
     try:
         # every config field is the dest of the flag that sets it
         config = ReportConfig(**{f.name: getattr(args, f.name)

@@ -34,6 +34,7 @@ import hashlib
 import io
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -152,34 +153,20 @@ def meta_from_dict(obj: object) -> SessionMeta:
     if not isinstance(obj, dict):
         raise MalformedMeta("session meta must be a JSON object")
     try:
-        channels = obj["channels"]
-        if (not isinstance(channels, list)
-                or not all(isinstance(c, str) for c in channels)):
-            raise MalformedMeta("channels must be an array of strings")
-        return SessionMeta(
-            participant_id=str(obj["participant_id"]),
-            keyboard=str(obj["keyboard"]),
-            session_index=int(obj["session_index"]),
-            fs_eeg=float(obj["fs_eeg"]),
-            channel_names=tuple(channels),
-        )
+        return SessionMeta(obj["participant_id"], obj["keyboard"],
+                           obj["session_index"], obj["fs_eeg"],
+                           obj["channels"])
     except KeyError as exc:
         raise MalformedMeta(
             f"session meta misses key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise MalformedMeta(f"session meta field invalid: {exc}") from exc
 
 
 def meta_to_json(meta: SessionMeta) -> str:
-    return json.dumps(
-        {
-            "participant_id": meta.participant_id,
-            "keyboard": meta.keyboard,
-            "session_index": meta.session_index,
-            "fs_eeg": meta.fs_eeg,
-            "channels": list(meta.channel_names),
-        },
-        sort_keys=True, indent=2) + "\n"
+    obj = asdict(meta)
+    obj["channels"] = obj.pop("channel_names")
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # --- eeg.csv -----------------------------------------------------------------

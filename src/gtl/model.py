@@ -8,10 +8,13 @@ streams of a session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from functools import cached_property
-from typing import Iterator, Optional, Sequence
+import math
+import numbers
+from dataclasses import dataclass, field, fields
+from enum import Enum, EnumMeta
+from functools import cache, cached_property
+from typing import (Iterator, Literal, Optional, Sequence, Union, get_args,
+                    get_origin, get_type_hints)
 
 import numpy as np
 
@@ -24,6 +27,48 @@ EPOC14_CHANNELS: tuple[str, ...] = (
 )
 
 KEYBOARDS = ("A", "B", "C")
+
+
+# --- field rules -------------------------------------------------------------
+
+#: What a field of each annotated type takes; a bool is no number.
+_KINDS = {int: numbers.Integral, float: numbers.Real, bool: (bool, np.bool_),
+          str: str, tuple: (tuple, list), Literal: object}
+_hints = cache(lambda cls: [(f.name, get_type_hints(cls)[f.name])
+                            for f in fields(cls)])
+
+
+def _fit(hint: object, value: object) -> object:
+    """``value`` as a field annotated ``hint`` stores it."""
+    if type(value) is hint and (hint is not float or math.isfinite(value)):
+        return value  # the common case, without the look-ups below
+    kind, args = get_origin(hint) or hint, get_args(hint)
+    if kind is Union:  # Optional[T]
+        return None if value is None else _fit(args[0], value)
+    if isinstance(kind, EnumMeta):
+        return kind(value)
+    if (not isinstance(value, _KINDS[kind])
+            or isinstance(value, (bool, np.bool_)) != (kind is bool)
+            or kind is tuple and not all(isinstance(v, args[0]) for v in value)
+            or kind is Literal and value not in args
+            or kind is float and not math.isfinite(value)):
+        name = hint.__name__ if isinstance(hint, type) else hint
+        raise TypeError(f"expected {name}, got {value!r:.60}")
+    return kind(value) if kind in (int, float, bool, tuple) else value
+
+
+def check_fields(obj: object, error: type[Exception]) -> None:
+    """Check each field of the dataclass ``obj`` by its annotation and store
+    it as that type, or raise ``error``. ``int`` takes an integer (numpy's
+    too), ``float`` a finite integer or float, ``bool`` a bool, ``str`` a
+    str, an Enum a member or its value, ``Literal[...]`` one of its values,
+    ``tuple[T, ...]`` a tuple or list of T and ``Optional[T]`` also None.
+    Ranges are the type's own to check."""
+    for name, hint in _hints(type(obj)):
+        try:
+            object.__setattr__(obj, name, _fit(hint, getattr(obj, name)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{name}: {exc}") from None
 
 
 class EventKind(str, Enum):
@@ -146,22 +191,19 @@ class SessionMeta:
     """Identity and recording parameters of one participant-session."""
 
     participant_id: str
-    keyboard: str
+    keyboard: Literal[KEYBOARDS]
     session_index: int
     fs_eeg: float = 128.0
     channel_names: tuple[str, ...] = EPOC14_CHANNELS
 
     def __post_init__(self) -> None:
-        if self.keyboard not in KEYBOARDS:
-            raise ValueError(f"keyboard must be one of {KEYBOARDS}, got {self.keyboard!r}")
+        check_fields(self, ValueError)
         if self.session_index < 0:
             raise ValueError("session_index must be >= 0")
-        if not 0 < self.fs_eeg < np.inf:
-            raise ValueError("fs_eeg must be positive and finite")
-        if not self.channel_names:
-            raise ValueError("channel_names must be non-empty")
-        if len(set(self.channel_names)) != len(self.channel_names):
-            raise ValueError("channel_names must be distinct")
+        if not self.fs_eeg > 0:
+            raise ValueError("fs_eeg must be positive")
+        if not 0 < len(set(self.channel_names)) == len(self.channel_names):
+            raise ValueError("channel_names must be non-empty and distinct")
 
     @property
     def is_training(self) -> bool:

@@ -16,7 +16,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 from . import metrics as metrics_mod
 from . import stats as stats_mod
@@ -54,27 +54,21 @@ class ReportConfig(AnalysisConfig):
     """Everything that influences the numbers in a report: the inherited
     windowing fields, then the labeling, timing, grouping and test choices.
 
-    Construction checks the windowing fields, the threshold range and the
-    enumerated fields; a bad value raises ConfigError. A report's
-    ``config`` object replays as ``ReportConfig(**config)``.
+    Each field is checked (:func:`gtl.model.check_fields`) and ranged on
+    construction; a bad value raises ConfigError. A report's ``config``
+    object replays as ``ReportConfig(**config)``.
     """
 
     label_threshold: float = 0.5
-    timing_anchor: str = "shown"
-    level: str = "sentence"
+    timing_anchor: Literal[metrics_mod.TIMING_ANCHORS] = "shown"
+    level: Literal[AGGREGATION_LEVELS] = "sentence"
     include_training: bool = True
-    ttest_variant: str = "student"
+    ttest_variant: Literal[stats_mod.TTEST_VARIANTS] = "student"
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if not 0.0 < self.label_threshold <= 1.0:
             raise ConfigError("label_threshold must lie in (0, 1]")
-        for name, allowed in (("timing_anchor", metrics_mod.TIMING_ANCHORS),
-                              ("level", AGGREGATION_LEVELS),
-                              ("ttest_variant", stats_mod.TTEST_VARIANTS)):
-            if getattr(self, name) not in allowed:
-                raise ConfigError(f"{name} must be one of {allowed}, "
-                                  f"got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "window_fn": self.window_fn.value}

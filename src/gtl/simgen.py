@@ -19,7 +19,8 @@ zero): g0 = sqrt(-2 ln u1) cos(2 pi u2), g1 = sqrt(-2 ln u1) sin(2 pi u2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ from .model import (
     KeyClass,
     SessionMeta,
     SessionRecord,
+    check_fields,
     replay_keystrokes,
 )
 from .spectral import Band
@@ -93,6 +95,11 @@ class BandComponent:
     freq: float
     amplitude: float
 
+    def __post_init__(self) -> None:
+        check_fields(self, SpecInvalid)
+        if self.amplitude < 0:
+            raise SpecInvalid("component amplitude must be >= 0")
+
 
 @dataclass(frozen=True)
 class ScriptKey:
@@ -100,19 +107,24 @@ class ScriptKey:
     key_class: KeyClass
     produced: str = ""
 
+    def __post_init__(self) -> None:
+        check_fields(self, SpecInvalid)
+        if self.dt < 0:
+            raise ScriptInvalid(f"negative keystroke gap {self.dt}")
+
 
 @dataclass(frozen=True)
 class ScriptSentence:
     shown_t: float
-    keys: tuple[ScriptKey, ...]
+    keys: tuple[ScriptKey, ...] = ()
 
-    def submit_t(self) -> float:
-        return self.shown_t + sum(k.dt for k in self.keys)
+    def __post_init__(self) -> None:
+        check_fields(self, SpecInvalid)
 
 
 @dataclass(frozen=True)
 class SimSpec:
-    """Recipe for one synthetic session."""
+    """Recipe for one synthetic session; a bad field raises SpecInvalid."""
 
     duration_s: float
     fs: float = 128.0
@@ -123,32 +135,25 @@ class SimSpec:
     seed: int = 0
     gaze_rate: Optional[float] = None
 
-    def validate(self) -> None:
-        if not 0 < self.duration_s < math.inf:
-            raise SpecInvalid("duration_s must be positive and finite")
-        if not 0 < self.fs < math.inf:
-            raise SpecInvalid("fs must be positive and finite")
-        if self.n_channels < 1:
-            raise SpecInvalid("n_channels must be >= 1")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise SpecInvalid("noise_sigma must be finite and >= 0")
-        if self.gaze_rate is not None and not 0 < self.gaze_rate < math.inf:
-            raise SpecInvalid("gaze_rate must be positive and finite")
+    def __post_init__(self) -> None:
+        check_fields(self, SpecInvalid)
+        for name in ("duration_s", "fs", "n_channels", "gaze_rate"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise SpecInvalid(f"{name} must be positive")
+        if not 0 <= self.seed <= _MASK:
+            raise SpecInvalid("seed must lie in [0, 2^64)")
+        if self.noise_sigma < 0:
+            raise SpecInvalid("noise_sigma must be >= 0")
         for c in self.components:
             if not 0 < c.freq < self.fs / 2:
                 raise SpecInvalid(
                     f"component at {c.freq} Hz outside (0, {self.fs / 2})")
-            if not 0 <= c.amplitude < math.inf:
-                raise SpecInvalid("component amplitude must be finite and >= 0")
         prev_end = 0.0
         for i, s in enumerate(self.script):
             if not s.shown_t >= prev_end:
                 raise ScriptInvalid(
                     f"sentence {i} shown at {s.shown_t} overlaps the previous one")
-            if not all(k.dt >= 0 for k in s.keys):
-                raise ScriptInvalid(
-                    f"sentence {i} has a negative or NaN keystroke gap")
-            prev_end = s.submit_t()
+            prev_end = s.shown_t + sum(k.dt for k in s.keys)
             if prev_end > self.duration_s:
                 raise ScriptInvalid(
                     f"sentence {i} runs past the session end ({prev_end} s "
@@ -179,7 +184,6 @@ def synth_eeg(spec: SimSpec) -> EegRecording:
     Each channel gets its own phase per component and its own noise
     stream, all derived from the spec seed.
     """
-    spec.validate()
     n = int(round(spec.duration_s * spec.fs))
     t = np.arange(n, dtype=np.float64) / spec.fs
     samples = np.zeros((spec.n_channels, n), dtype=np.float64)
@@ -201,7 +205,6 @@ def synth_events(spec: SimSpec) -> EventLog:
     The SHOWN prompt and the SUBMIT payload both equal the keystroke
     replay, so the log passes transcription validation by construction.
     """
-    spec.validate()
     events: list[Event] = [Event.session_start(0.0)]
     for s in spec.script:
         keys: list[Event] = []
@@ -245,7 +248,6 @@ def expected_composition(spec: SimSpec,
     band boundary, where the half-open binning would make the assignment
     ambiguous.
     """
-    spec.validate()
     if spec.noise_sigma != 0.0:
         raise SpecInvalid("expected composition is defined for noiseless specs")
     edges = {b.f1 for b in bands} | {b.f2 for b in bands}
@@ -271,62 +273,51 @@ def expected_composition(spec: SimSpec,
 
 # --- serialization of SimSpec ------------------------------------------------
 
-def simspec_to_dict(spec: SimSpec) -> dict:
-    d: dict = {
-        "duration_s": spec.duration_s,
-        "fs": spec.fs,
-        "n_channels": spec.n_channels,
-        "components": [{"freq": c.freq, "amplitude": c.amplitude}
-                       for c in spec.components],
-        "noise_sigma": spec.noise_sigma,
-        "script": [
-            {
-                "shown_t": s.shown_t,
-                "keystrokes": [
-                    {"dt": k.dt, "class": k.key_class.value,
-                     "produced": k.produced}
-                    for k in s.keys
-                ],
-            }
-            for s in spec.script
-        ],
-        "seed": spec.seed,
-    }
-    if spec.gaze_rate is not None:
-        d["gaze_rate"] = spec.gaze_rate
-    return d
+#: Per type, the keys of its spec object and the field each sets, if any.
+_SPEC_KEYS = {
+    SimSpec: {**{f.name: f.name for f in fields(SimSpec)}, "meta": None},
+    BandComponent: {f.name: f.name for f in fields(BandComponent)},
+    ScriptSentence: {"shown_t": "shown_t", "keystrokes": "keys"},
+    ScriptKey: {"dt": "dt", "class": "key_class", "produced": "produced"},
+}
+#: Fields whose spec value is an array of objects of a type.
+_ITEMS = {"components": BandComponent, "script": ScriptSentence,
+          "keys": ScriptKey}
+
+
+def simspec_to_dict(value: object) -> object:
+    """The JSON form of a spec or of a part of one, without None fields."""
+    if isinstance(value, tuple):
+        return [simspec_to_dict(v) for v in value]
+    if type(value) not in _SPEC_KEYS:
+        return value.value if isinstance(value, Enum) else value
+    return {k: simspec_to_dict(getattr(value, f))
+            for k, f in _SPEC_KEYS[type(value)].items()
+            if f and getattr(value, f) is not None}
+
+
+def _from_json(cls: type, obj: object) -> object:
+    if not isinstance(obj, dict):
+        raise SpecInvalid(f"{cls.__name__} spec must be a JSON object")
+    keys = _SPEC_KEYS[cls]
+    try:
+        args = {keys[k]: v for k, v in obj.items() if keys[k]}
+        for name in args.keys() & _ITEMS.keys():
+            if isinstance(args[name], list):
+                args[name] = [_from_json(_ITEMS[name], v) for v in args[name]]
+        return cls(**args)
+    except KeyError as exc:
+        raise SpecInvalid(
+            f"unknown {cls.__name__} key {exc.args[0]!r}") from None
+    except TypeError as exc:  # a required key is missing
+        raise SpecInvalid(f"malformed simulation spec: {exc}") from None
 
 
 def simspec_from_dict(d: object) -> SimSpec:
-    if not isinstance(d, dict):
-        raise SpecInvalid("simulation spec must be a JSON object")
-    try:
-        script = tuple(
-            ScriptSentence(
-                shown_t=float(s["shown_t"]),
-                keys=tuple(
-                    ScriptKey(dt=float(k["dt"]),
-                              key_class=KeyClass(k["class"]),
-                              produced=str(k.get("produced", "")))
-                    for k in s.get("keystrokes", ())),
-            )
-            for s in d.get("script", ()))
-        spec = SimSpec(
-            duration_s=float(d["duration_s"]),
-            fs=float(d.get("fs", 128.0)),
-            n_channels=int(d.get("n_channels", 14)),
-            components=tuple(
-                BandComponent(float(c["freq"]), float(c["amplitude"]))
-                for c in d.get("components", ())),
-            noise_sigma=float(d.get("noise_sigma", 0.0)),
-            script=script,
-            seed=int(d.get("seed", 0)),
-            gaze_rate=(float(d["gaze_rate"]) if "gaze_rate" in d else None),
-        )
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise SpecInvalid(f"malformed simulation spec: {exc}") from exc
-    spec.validate()
-    return spec
+    """The spec of a decoded JSON object, by :data:`_SPEC_KEYS`, with the
+    types' own defaults and rules; a top-level ``meta`` is the caller's.
+    A missing, unknown or wrong-typed key is SpecInvalid."""
+    return _from_json(SimSpec, d)
 
 
 # --- study-shaped corpus ------------------------------------------------------

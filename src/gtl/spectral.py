@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BandOutOfRange, ConfigError, ZeroPower
-from .model import EegRecording
+from .model import EegRecording, check_fields
 
 
 class WindowFn(str, Enum):
@@ -68,9 +68,9 @@ class AnalysisConfig:
     Defaults: 1024-sample windows (8 s at 128 Hz) sliding by 512 samples
     (50% overlap), half-cosine window function, per-window mean removal.
     The bands are always the Delta/Theta/Alpha/Beta split that
-    :func:`default_bands` derives from the recording rate. ``window_fn``
-    takes a :class:`WindowFn` or its value (``"hann"``) and is stored as
-    the enum; any other value raises ConfigError.
+    :func:`default_bands` derives from the recording rate. ``window_len``
+    is a power of two. ``window_fn`` takes a :class:`WindowFn` or its
+    value (``"hann"``), stored as the enum. A bad field raises ConfigError.
     """
 
     window_len: int = 1024
@@ -79,14 +79,9 @@ class AnalysisConfig:
     detrend: bool = True
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "window_fn", WindowFn(self.window_fn))
-        except ValueError:
-            raise ConfigError(
-                f"window_fn must be one of {[w.value for w in WindowFn]}, "
-                f"got {self.window_fn!r}") from None
-        if self.window_len < 1:
-            raise ConfigError("window_len must be >= 1")
+        check_fields(self, ConfigError)
+        if self.window_len < 2 or self.window_len & (self.window_len - 1):
+            raise ConfigError("window_len must be a power of two >= 2")
         if not 0 < self.hop <= self.window_len:
             raise ConfigError("need 0 < hop <= window_len")
 

@@ -86,3 +86,16 @@ def simple_log() -> EventLog:
         [("INSERT", "h"), ("INSERT", "i")],
         [("INSERT", "y"), ("SUGG", "es "), ("INSERT", "x"), ("BKSP", "")],
     ])
+
+
+#: JSON texts of values that a typed field may not take, or only just: a
+#: bool, a fraction, a numeric string, null, an array, an integer past the
+#: float range and NaN.
+ODD_JSON_VALUES = ("true", "0.5", '"128"', "null", "[]", "1" + "0" * 400,
+                   "NaN")
+
+
+def loads_as_itself(got: object, value: object) -> bool:
+    """A field read from ``value`` holds ``value`` with its type, so that
+    neither ``True`` for ``1`` nor ``0`` for ``0.5`` passes."""
+    return got == value and type(got) is type(value)

@@ -16,7 +16,7 @@ from gtl.model import Event, EventLog, KeyClass
 from gtl.report import ReportConfig
 from gtl.simgen import study_sessions, simulate_session
 
-from conftest import make_event_log, make_record
+from conftest import ODD_JSON_VALUES, make_event_log, make_record
 
 
 @pytest.fixture
@@ -183,6 +183,27 @@ class TestExitCodes:
             f"gtl: {bad}: events.csv cell is not a finite decimal number")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("session_index", 0.5), ("session_index", True),
+        ("participant_id", None), ("fs_eeg", True), ("fs_eeg", "128"),
+    ], ids=["index-0.5", "index-true", "participant-null", "fs-true",
+            "fs-string"])
+    def test_meta_field_of_the_wrong_kind_is_io_error(self, tmp_path,
+                                                      spec_file, capsys,
+                                                      key, value):
+        # session_index 0.5 used to load as 0: a training session that
+        # --include-training off drops without a word
+        bundle = tmp_path / "bundle"
+        main(["simulate", "--spec", str(spec_file), "--out", str(bundle)])
+        meta = json.loads((bundle / "meta.json").read_text())
+        (bundle / "meta.json").write_text(json.dumps({**meta, key: value}))
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--session", str(bundle), "--out", str(out),
+                     "--include-training", "off"]) == 74
+        assert capsys.readouterr().err.startswith(f"gtl: {bundle}: ")
+        assert not out.exists()
+
     def test_validation_violations_exit_2(self, tmp_path):
         # a submitted payload that the keystrokes cannot reproduce
         log = make_event_log([[("INSERT", "a")]])
@@ -280,7 +301,12 @@ class TestExitCodes:
         lambda spec: {**spec, "meta": {"session_index": float("inf")}},
         lambda spec: {**spec, "meta": {"keyboard": "Z"}},
         lambda spec: {**spec, "duration_s": float("inf")},
-    ], ids=["list", "meta-list", "index-1e400", "keyboard-Z", "duration-inf"])
+        lambda spec: {**spec, "n_channels": 2.9},
+        lambda spec: {**spec, "seed": 1.5},
+        lambda spec: {**spec, "noise_sgima": 0.5},
+        lambda spec: {**spec, "meta": {"session_index": 0.5}},
+    ], ids=["list", "meta-list", "index-1e400", "keyboard-Z", "duration-inf",
+            "channels-2.9", "seed-1.5", "misspelled-key", "index-0.5"])
     def test_malformed_spec_is_usage_error(self, tmp_path, spec_file, edit):
         spec = edit(json.loads(spec_file.read_text()))
         # json writes inf as Infinity; 1e400 decodes to the same float
@@ -288,6 +314,15 @@ class TestExitCodes:
         rc = main(["simulate", "--spec", str(spec_file),
                    "--out", str(tmp_path / "b")])
         assert rc == 64
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_u64_is_usage_error(self, tmp_path, spec_file,
+                                             seed):
+        # --seed -1 used to be masked to 2^64 - 1 without a word
+        rc = main(["simulate", "--spec", str(spec_file), "--seed", seed,
+                   "--out", str(tmp_path / "b")])
+        assert rc == 64
+        assert not (tmp_path / "b").exists()
 
     def test_non_utf8_spec_is_located_io_error(self, tmp_path, spec_file,
                                                capsys):
@@ -472,25 +507,40 @@ def fuzz_base(tmp_path_factory) -> dict[str, bytes]:
     return base
 
 
+#: Exits of a json file with one field of another kind: it loads (and the
+#: run ends as usual) or it is the reader's own error.
+_FIELD_EXITS = {"meta.json": {0, 2, 74}, "spec.json": {0, 64}}
+
+
 @st.composite
-def _damage(draw, base: dict[str, bytes]) -> tuple[str, bytes]:
+def _damage(draw, base: dict[str, bytes]) -> tuple[str, bytes, set[int]]:
     """One input file with a span replaced by arbitrary bytes, or whole
-    arbitrary bytes. The spec only gets the latter: a splice into
-    duration_s could ask for an arbitrarily long simulation."""
+    arbitrary bytes, or a json file with one field set to an odd value;
+    with the exits it may end in. The spec gets no splice: one into
+    duration_s could ask for an arbitrarily long simulation, as
+    n_channels 10**400 would, a valid channel count."""
     name = draw(st.sampled_from(sorted(base)))
     data = base[name]
+    if name in _FIELD_EXITS and draw(st.booleans()):
+        obj = json.loads(data)
+        key = draw(st.sampled_from(sorted(obj)))
+        text = draw(st.sampled_from([t for t in ODD_JSON_VALUES if not (
+            key == "n_channels" and len(t) > 100)]))
+        return (name, json.dumps({**obj, key: json.loads(text)}).encode(),
+                _FIELD_EXITS[name])
     if name == "spec.json" or draw(st.booleans()):
-        return name, draw(st.binary(max_size=64))
+        return name, draw(st.binary(max_size=64)), _DOCUMENTED_EXITS
     i = draw(st.integers(0, len(data)))
     j = draw(st.integers(i, min(len(data), i + 16)))
-    return name, data[:i] + draw(st.binary(max_size=16)) + data[j:]
+    return (name, data[:i] + draw(st.binary(max_size=16)) + data[j:],
+            _DOCUMENTED_EXITS)
 
 
 class TestArbitraryInputBytes:
     @settings(max_examples=200)
     @given(data=st.data())
     def test_every_input_ends_in_a_documented_exit(self, fuzz_base, data):
-        name, damaged = data.draw(_damage(fuzz_base))
+        name, damaged, exits = data.draw(_damage(fuzz_base))
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             bundle = root / "bundle"
@@ -510,4 +560,4 @@ class TestArbitraryInputBytes:
                 (bundle / name).write_bytes(damaged)
                 argv = ["analyze", "--session", str(bundle),
                         "--out", str(root / "r.json")]
-            assert main(argv) in _DOCUMENTED_EXITS
+            assert main(argv) in exits

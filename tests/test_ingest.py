@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import json
 import random
 import struct
 import tempfile
@@ -40,7 +41,8 @@ from gtl.ingest import (
 )
 from gtl.model import EegRecording, GazeSample, SessionMeta, SessionRecord
 
-from conftest import make_event_log, make_record, random_event_log
+from conftest import (ODD_JSON_VALUES, loads_as_itself, make_event_log,
+                      make_record, random_event_log)
 
 META14 = SessionMeta("p01", "A", 1)
 META2 = SessionMeta("p01", "A", 1,
@@ -321,6 +323,26 @@ class TestMetaJson:
     def test_deep_nesting(self):
         with pytest.raises(MalformedMeta):
             parse_meta_json("[" * 100_000 + "]" * 100_000)
+
+    @pytest.mark.parametrize("key", ["participant_id", "keyboard",
+                                     "session_index", "fs_eeg", "channels"])
+    def test_each_field_loads_as_itself_or_is_malformed(self, key):
+        # session_index 0.5 used to load as 0, a training session, and
+        # true as 1; participant_id null as "None"; fs_eeg "128" as 128.0
+        for text in ODD_JSON_VALUES:
+            obj = {"participant_id": '"p"', "keyboard": '"A"',
+                   "session_index": "1", "fs_eeg": "128.0",
+                   "channels": '["a"]', key: text}
+            data = "{" + ",".join(f'"{k}": {v}' for k, v in obj.items()) + "}"
+            try:
+                meta = parse_meta_json(data)
+            except MalformedMeta:
+                continue
+            value = json.loads(text)
+            if key == "channels":
+                assert loads_as_itself(meta.channel_names, tuple(value))
+            else:
+                assert loads_as_itself(getattr(meta, key), value), text
 
 
 class TestGazeCsv:

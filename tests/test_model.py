@@ -1,12 +1,15 @@
+import json
+import math
 import random
 from collections import Counter
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtl.errors import MarkerOrder, MissingSentence
+from gtl.errors import ConfigError, MarkerOrder, MissingSentence, SpecInvalid
 from gtl.ingest import events_to_csv, parse_events_csv
 from gtl.model import (
     EegRecording,
@@ -14,6 +17,7 @@ from gtl.model import (
     EventKind,
     EventLog,
     KeyClass,
+    SessionMeta,
     SessionRecord,
     Violation,
     ViolationCode,
@@ -22,8 +26,12 @@ from gtl.model import (
     replay_keystrokes,
     validate_session,
 )
+from gtl.report import ReportConfig
+from gtl.simgen import BandComponent, ScriptKey, ScriptSentence, SimSpec
+from gtl.spectral import AnalysisConfig
 
-from conftest import make_event_log, make_record, random_event_log
+from conftest import (ODD_JSON_VALUES, loads_as_itself, make_event_log,
+                      make_record, random_event_log)
 
 
 def _key(t, cls, produced=""):
@@ -299,3 +307,49 @@ class TestRecordingInvariants:
             SessionMeta("p", "A", 0, fs_eeg=0.0)
         with pytest.raises(ValueError):
             SessionMeta("p", "A", 0, channel_names=("x", "x"))
+        for kwargs in ({"session_index": 1.0}, {"fs_eeg": math.inf},
+                       {"participant_id": 1}, {"channel_names": ("a", 1)}):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                SessionMeta(**{"participant_id": "p", "keyboard": "A",
+                               "session_index": 0, **kwargs})
+
+
+_CHECKED_TYPES = [
+    (SessionMeta, ValueError, {"participant_id": "p", "keyboard": "A",
+                               "session_index": 0}),
+    (SimSpec, SpecInvalid, {"duration_s": 10.0}),
+    (BandComponent, SpecInvalid, {"freq": 1.0, "amplitude": 1.0}),
+    (ScriptSentence, SpecInvalid, {"shown_t": 0.0}),
+    (ScriptKey, SpecInvalid, {"dt": 0.5, "key_class": KeyClass.INSERT}),
+    (AnalysisConfig, ConfigError, {}),
+    (ReportConfig, ConfigError, {}),
+]
+
+
+class TestFieldRules:
+    @pytest.mark.parametrize("cls,error,base", _CHECKED_TYPES,
+                             ids=[c.__name__ for c, _, _ in _CHECKED_TYPES])
+    def test_each_field_holds_its_value_or_raises_the_types_error(
+            self, cls, error, base):
+        # 10**5000 is past the digits Python will print
+        odd = [json.loads(text) for text in ODD_JSON_VALUES] + [10 ** 5000]
+        for f in fields(cls):
+            for value in odd:
+                try:
+                    obj = cls(**{**base, f.name: value})
+                except error:
+                    continue
+                # a JSON array is stored as a tuple
+                expected = tuple(value) if isinstance(value, list) else value
+                assert loads_as_itself(getattr(obj, f.name), expected), (
+                    f.name, value)
+
+    def test_numpy_scalars_are_stored_as_python_scalars(self):
+        config = ReportConfig(window_len=np.int64(256), hop=np.int32(128),
+                              label_threshold=np.float32(0.25),
+                              detrend=np.bool_(False))
+        assert [type(getattr(config, name)) for name in (
+            "window_len", "hop", "label_threshold", "detrend")] == [
+            int, int, float, bool]
+        assert config == ReportConfig(window_len=256, hop=128,
+                                      label_threshold=0.25, detrend=False)

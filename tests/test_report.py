@@ -65,12 +65,27 @@ class TestReportConfig:
         {"timing_anchor": "x"},
         {"ttest_variant": "x"},
         {"window_fn": "bogus"},
+        {"window_len": 1000},
+        {"window_len": 256.0, "hop": 128},
+        {"detrend": "off"},
+        {"include_training": "no"},
+        {"hop": 10 ** 400},
     ], ids=["window-0", "hop-0", "hop-over-window", "threshold-0",
             "threshold-1.5", "threshold-nan", "level-x", "anchor-x",
-            "variant-x", "window-fn-bogus"])
+            "variant-x", "window-fn-bogus", "window-not-power-of-two",
+            "window-float", "detrend-str", "training-str", "hop-1e400"])
     def test_invalid_values_raise_config_error(self, kwargs):
         with pytest.raises(ConfigError):
             ReportConfig(**kwargs)
+
+    def test_equal_configs_hash_equal(self):
+        # an int threshold hashed apart from its float, and a numpy
+        # integer could not be serialized at all
+        assert (ReportConfig(label_threshold=1).hash()
+                == ReportConfig(label_threshold=1.0).hash())
+        assert ReportConfig(hop=np.int64(512)).hash() == ReportConfig().hash()
+        assert ReportConfig(window_len=np.int64(1024)).to_dict() == (
+            ReportConfig().to_dict())
 
 
 def _reject_constant(name: str):

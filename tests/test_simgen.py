@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from gtl.simgen import (
 )
 from gtl.spectral import AnalysisConfig, cognitive_load_series, default_bands
 from gtl.model import KeyClass
+
+from conftest import ODD_JSON_VALUES, loads_as_itself
 
 
 def _meta(n_channels=14):
@@ -97,14 +101,14 @@ class TestSynthEeg:
 
     def test_spec_validation(self):
         with pytest.raises(SpecInvalid):
-            SimSpec(duration_s=0.0).validate()
+            SimSpec(duration_s=0.0)
         with pytest.raises(SpecInvalid):
             SimSpec(duration_s=1.0,
-                    components=(BandComponent(70.0, 1.0),)).validate()
+                    components=(BandComponent(70.0, 1.0),))
         with pytest.raises(ScriptInvalid):
             SimSpec(duration_s=5.0, script=(
                 ScriptSentence(4.0, (ScriptKey(2.0, KeyClass.INSERT, "a"),)),
-            )).validate()
+            ))
 
 
 class TestSynthEvents:
@@ -209,6 +213,59 @@ class TestSimSpecSerialization:
     def test_malformed_dict(self):
         with pytest.raises(SpecInvalid):
             simspec_from_dict({"fs": 128.0})
+
+    def test_defaults_are_the_types_own(self):
+        spec = simspec_from_dict({"duration_s": 10, "script": [
+            {"shown_t": 1, "keystrokes": [{"dt": 1, "class": "INSERT"}]},
+            {"shown_t": 3}]})
+        assert spec == SimSpec(10.0, script=(
+            ScriptSentence(1.0, (ScriptKey(1.0, KeyClass.INSERT),)),
+            ScriptSentence(3.0)))
+        assert isinstance(spec.duration_s, float)
+
+    @pytest.mark.parametrize("path", [
+        (), ("components", 0), ("script", 0), ("script", 0, "keystrokes", 0),
+    ], ids=["spec", "component", "sentence", "keystroke"])
+    def test_unknown_key_is_spec_invalid(self, path):
+        # a misspelled key used to be ignored: noise_sgima gave no noise
+        d = simspec_to_dict(SimSpec(
+            30.0, components=(BandComponent(20.0, 1.0),), script=_script()))
+        obj = d
+        for step in path:
+            obj = obj[step]
+        obj["noise_sgima"] = 0.5
+        with pytest.raises(SpecInvalid, match="noise_sgima"):
+            simspec_from_dict(d)
+
+    @pytest.mark.parametrize("path", [
+        ("duration_s",), ("fs",), ("n_channels",), ("components",),
+        ("noise_sigma",), ("script",), ("seed",), ("gaze_rate",),
+        ("components", 0, "freq"), ("components", 0, "amplitude"),
+        ("script", 0, "shown_t"), ("script", 0, "keystrokes"),
+        ("script", 0, "keystrokes", 0, "dt"),
+        ("script", 0, "keystrokes", 0, "class"),
+        ("script", 0, "keystrokes", 0, "produced"),
+    ], ids=lambda p: ".".join(map(str, p)))
+    def test_each_field_loads_as_itself_or_is_spec_invalid(self, path):
+        # n_channels 2.9 and seed 1.5 used to load as 2 and 1, and a
+        # keystroke "produced": 0.5 as "0.5"
+        for text in ODD_JSON_VALUES:
+            d = simspec_to_dict(SimSpec(
+                30.0, components=(BandComponent(20.0, 1.0),), script=_script(),
+                gaze_rate=60.0))
+            *parent, key = path
+            obj = d
+            for step in parent:
+                obj = obj[step]
+            obj[key] = value = json.loads(text)
+            try:
+                spec = simspec_from_dict(d)
+            except SpecInvalid:
+                continue
+            got = simspec_to_dict(spec)
+            for step in path:
+                got = got.get(step) if isinstance(got, dict) else got[step]
+            assert loads_as_itself(got, value), text
 
 
 class TestStudySessions:
