@@ -6,10 +6,11 @@ written; these include a session passed twice and a session the analysis
 cannot process, e.g. one whose sampling rate (<= 28 Hz) is too low for
 the default bands), 3 degenerate statistics input (including values whose
 mean or sum of squares overflows the float range), 64 usage error
-(including a bad analysis option or simulation spec), 74 I/O error (a
-malformed or non-UTF-8 bundle file, spec or group file, or a group line
-that is not one finite number), 1 any other error. Group files and
-bundle files share one number grammar and row splitter
+(including a bad analysis option or simulation spec, and a spec past the
+:mod:`gtl.simgen` memory budget), 74 I/O error (a malformed or non-UTF-8
+bundle file, spec or group file, or a group line that is not one finite
+number), 1 any other error. Group files and bundle files share one
+number grammar and row splitter
 (:func:`gtl.ingest.read_number`, :func:`gtl.ingest.split_rows`): rows end
 in ``\n`` with an optional ``\r``, and ``1_0``, non-ASCII digits,
 ``nan`` and ``inf`` are not numbers. An ``analyze`` I/O error names the

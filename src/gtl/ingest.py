@@ -82,15 +82,13 @@ _DIGEST_SIZE = hashlib.sha256().digest_size
 _SIDECAR_DTYPE = np.dtype("<f8")
 
 
-def as_text(data: Union[bytes, str], name: str) -> str:
+def as_text(data: bytes, name: str) -> str:
     """Decode UTF-8 bytes; invalid bytes are a BadEncoding at their row."""
-    if isinstance(data, bytes):
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise BadEncoding(f"{name} is not valid UTF-8 ({exc.reason})",
-                              row=data.count(b"\n", 0, exc.start) + 1) from None
-    return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadEncoding(f"{name} is not valid UTF-8 ({exc.reason})",
+                          row=data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def read_number(cell: str, name: str, row: int,
@@ -138,7 +136,7 @@ def split_rows(text: str, name: str, width: int, first_row: int = 1,
 
 # --- meta.json ---------------------------------------------------------------
 
-def parse_meta_json(data: Union[bytes, str]) -> SessionMeta:
+def parse_meta_json(data: bytes) -> SessionMeta:
     try:
         obj = json.loads(as_text(data, META_FILE))
     except (ValueError, RecursionError) as exc:
@@ -171,7 +169,7 @@ def meta_to_json(meta: SessionMeta) -> str:
 
 # --- eeg.csv -----------------------------------------------------------------
 
-def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta,
+def parse_eeg_csv(data: bytes, meta: SessionMeta,
                   matrix: Optional[np.ndarray] = None) -> EegRecording:
     """Strictly parse the EEG matrix and cross-check it against the metadata.
 
@@ -181,7 +179,7 @@ def parse_eeg_csv(data: Union[bytes, str], meta: SessionMeta,
     the (t, channels) body of ``data`` read from a sidecar bound to it; the
     header and every check after the body run on it unchanged.
     """
-    if matrix is not None and isinstance(data, bytes) and data.isascii():
+    if matrix is not None and data.isascii():
         # the sidecar stands for the body; ASCII is valid UTF-8, so only
         # the header needs decoding
         text = data[:data.find(b"\n") + 1].decode("ascii")
@@ -249,14 +247,13 @@ def _parse_eeg_body(body: str, n_cols: int) -> np.ndarray:
     return matrix
 
 
-def _data_row(data: Union[bytes, str], index: int) -> Optional[int]:
+def _data_row(data: bytes, index: int) -> Optional[int]:
     """File line of matrix row ``index`` of ``eeg.csv``, None past the last
     row. Only error paths ask, so only they pay for the scan."""
-    raw = data.encode("utf-8") if isinstance(data, str) else data
-    starts, _ = _row_spans(raw)
+    starts, _ = _row_spans(data)
     if index >= starts.size:
         return None
-    return raw.count(b"\n", 0, starts[index]) + 1
+    return data.count(b"\n", 0, starts[index]) + 1
 
 
 def _row_spans(eeg_csv: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -346,7 +343,7 @@ def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
                            row=reader.line_num) from None
 
 
-def parse_events_csv(data: Union[bytes, str]) -> EventLog:
+def parse_events_csv(data: bytes) -> EventLog:
     """Parse and structurally validate the event log.
 
     Rows are ``t,kind,arg1,arg2`` with RFC-4180 quoting on the text
@@ -404,7 +401,7 @@ def events_to_csv(log: EventLog) -> str:
 
 # --- gaze.csv ----------------------------------------------------------------
 
-def parse_gaze_csv(data: Union[bytes, str]) -> tuple[GazeSample, ...]:
+def parse_gaze_csv(data: bytes) -> tuple[GazeSample, ...]:
     header, _, body = as_text(data, GAZE_FILE).partition("\n")
     if header.removesuffix("\r") != "t,x,y,valid":
         raise BadHeader("gaze.csv header must be 't,x,y,valid'")

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import EmptyTranscription, NonFiniteMetric, NonPositiveDuration
-from .model import EventLog, KeyClass, Sentence, SessionRecord, replay_keystrokes
+from .model import (Event, EventLog, KeyClass, Sentence, SessionRecord,
+                    replay_keystrokes)
 
 TIMING_ANCHORS = ("shown", "first-key")
 
@@ -72,13 +73,15 @@ def kspc(n_keystrokes: int, transcribed_len: int) -> float:
     return n_keystrokes / transcribed_len
 
 
+def _bksp(events: Iterable[Event]) -> int:
+    return sum(1 for ev in events if ev.key_class is KeyClass.BKSP)
+
+
 def backspace_count(events: EventLog, sentence_index: Optional[int] = None) -> int:
     """BKSP keystrokes in one sentence, or in the whole log when no index given."""
     if sentence_index is None:
-        return sum(1 for ev in events
-                   if ev.key_class is KeyClass.BKSP)
-    return sum(1 for ev in events.sentence(sentence_index).keys
-               if ev.key_class is KeyClass.BKSP)
+        return _bksp(events)
+    return _bksp(events.sentence(sentence_index).keys)
 
 
 def _sentence_duration(s: Sentence, timing_anchor: str) -> float:
@@ -102,7 +105,7 @@ def _metrics_of(s: Sentence, timing_anchor: str) -> SentenceMetrics:
     t_len = len(text)
     n_keys = len(s.keys)
     duration = _sentence_duration(s, timing_anchor)
-    n_bksp = sum(1 for ev in s.keys if ev.key_class is KeyClass.BKSP)
+    n_bksp = _bksp(s.keys)
     return SentenceMetrics(
         index=s.index,
         transcribed_len=t_len,

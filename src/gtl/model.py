@@ -28,6 +28,9 @@ EPOC14_CHANNELS: tuple[str, ...] = (
 
 KEYBOARDS = ("A", "B", "C")
 
+#: Seconds an event may lie before or after the EEG span.
+EVENT_SLACK_S = 1.0
+
 
 # --- field rules -------------------------------------------------------------
 
@@ -177,14 +180,6 @@ class EventLog:
                 keys = []
         return tuple(out)
 
-    @property
-    def start_time(self) -> float:
-        return self.events[0].t if self.events else 0.0
-
-    @property
-    def end_time(self) -> float:
-        return self.events[-1].t if self.events else 0.0
-
 
 @dataclass(frozen=True)
 class SessionMeta:
@@ -271,7 +266,8 @@ class SessionRecord:
     eeg: EegRecording
     events: EventLog
     gaze: Optional[tuple[GazeSample, ...]] = None
-    validation: Optional["ValidationReport"] = field(default=None, compare=False)
+    validation: Optional["ValidationReport"] = field(default=None,
+                                                     compare=False, init=False)
 
 
 # --- transcription reconstruction -------------------------------------------
@@ -386,12 +382,12 @@ def event_log_violations(events: Sequence[Event]) -> Iterator[Violation]:
         yield bad(last, "last SENTENCE_SHOWN was never submitted")
 
 
-def validate_session(rec: SessionRecord, slack: float = 1.0) -> ValidationReport:
+def validate_session(rec: SessionRecord) -> ValidationReport:
     """Check a record for analyzability; violations are data, not failures.
 
     An empty violation list means the record satisfies every event-log and
-    timeline invariant. ``slack`` widens the EEG span that events must fall
-    into, in seconds.
+    timeline invariant. Events must fall into the EEG span widened by
+    :data:`EVENT_SLACK_S` on both sides.
     """
     events = rec.events.events
     violations = list(event_log_violations(events))
@@ -408,8 +404,8 @@ def validate_session(rec: SessionRecord, slack: float = 1.0) -> ValidationReport
                 f"sentence {s.index}: reconstruction {text!r} != submitted "
                 f"{s.submit.text!r}"))
 
-    lo = rec.eeg.t0 - slack
-    hi = rec.eeg.end_t + slack
+    lo = rec.eeg.t0 - EVENT_SLACK_S
+    hi = rec.eeg.end_t + EVENT_SLACK_S
     for i, ev in enumerate(events):
         if not lo <= ev.t <= hi:
             violations.append(Violation(

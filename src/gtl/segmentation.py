@@ -1,7 +1,9 @@
 """Labeling of load windows by typing mode and session phase.
 
-Mode intervals carry the class of the keystroke that ends them: the time
-leading up to a keystroke is the search/decide time for that keystroke.
+Intervals are (start, end, label) triples. Mode intervals carry the class
+of the keystroke that ends them: the time leading up to a keystroke is the
+search/decide time for that keystroke. Phase intervals carry the 1-based
+sentence number, 0 for the Pre phase before the first sentence.
 A window takes the label whose intervals cover most of it, provided the
 covered fraction reaches the threshold; windows straddling too much
 unlabeled time stay unlabeled.
@@ -23,24 +25,6 @@ PRE_PHASE = "Pre"
 
 
 @dataclass(frozen=True)
-class ModeInterval:
-    start: float
-    end: float
-    mode: str  # KeyClass value
-
-
-@dataclass(frozen=True)
-class PhaseInterval:
-    start: float
-    end: float
-    sentence: Optional[int]  # None = Pre, else 1-based sentence number
-
-    @property
-    def label(self) -> str:
-        return PRE_PHASE if self.sentence is None else f"S{self.sentence}"
-
-
-@dataclass(frozen=True)
 class LabeledLoadSample:
     """One load window with whatever labels cleared the overlap threshold."""
 
@@ -55,37 +39,37 @@ class LabeledLoadSample:
     session_index: int
 
 
-def mode_intervals(events: EventLog) -> list[ModeInterval]:
+def mode_intervals(events: EventLog) -> list[tuple[float, float, str]]:
     """Per sentence: contiguous intervals, each ending at a keystroke.
 
     The first interval starts at the sentence's SHOWN time; time between
     SUBMIT and the next SHOWN stays unlabeled. Zero-length intervals
     (coincident timestamps) are dropped.
     """
-    out: list[ModeInterval] = []
+    out = []
     for s in events.sentences():
         t_prev = s.shown.t
         for key in s.keys:
             if key.t > t_prev and key.key_class is not None:
-                out.append(ModeInterval(t_prev, key.t, key.key_class.value))
+                out.append((t_prev, key.t, key.key_class.value))
             t_prev = key.t
     return out
 
 
-def phase_intervals(events: EventLog) -> list[PhaseInterval]:
+def phase_intervals(events: EventLog) -> list[tuple[float, float, int]]:
     """Pre = [session start, first SHOWN); sentence i = [SHOWN_i, SUBMIT_i].
 
     Inter-sentence gaps are unlabeled; a zero-length Pre is omitted.
     """
-    out: list[PhaseInterval] = []
+    out = []
     sentences = events.sentences()
     start = next((ev.t for ev in events if ev.kind is EventKind.SESSION_START),
                  None)
     if start is not None and sentences and sentences[0].shown.t > start:
-        out.append(PhaseInterval(start, sentences[0].shown.t, None))
+        out.append((start, sentences[0].shown.t, 0))
     for i, s in enumerate(sentences, start=1):
         if s.submit.t > s.shown.t:
-            out.append(PhaseInterval(s.shown.t, s.submit.t, i))
+            out.append((s.shown.t, s.submit.t, i))
     return out
 
 
@@ -163,20 +147,19 @@ def label_load_windows(series: LoadSeries, events: EventLog,
                        meta: SessionMeta,
                        threshold: float = 0.5) -> list[LabeledLoadSample]:
     """Attach mode and phase labels to every window of one session."""
-    modes = [(iv.start, iv.end, iv.mode) for iv in mode_intervals(events)]
-    phases = [(iv.start, iv.end, iv) for iv in phase_intervals(events)]
-    mode_labels = assign_windows(series, modes, threshold)
-    phase_labels = assign_windows(series, phases, threshold)
+    mode_labels = assign_windows(series, mode_intervals(events), threshold)
+    phase_labels = assign_windows(series, phase_intervals(events), threshold)
     out: list[LabeledLoadSample] = []
     for i, (t, load) in enumerate(zip(series.starts, series.loads)):
-        phase = phase_labels[i]
+        sentence = phase_labels[i]
         out.append(LabeledLoadSample(
             window_start=float(t),
             window_end=float(t) + series.window_s,
             load=float(load),
             mode=mode_labels[i],
-            phase=phase.label if phase is not None else None,
-            sentence=phase.sentence if phase is not None else None,
+            phase=(None if sentence is None
+                   else f"S{sentence}" if sentence else PRE_PHASE),
+            sentence=sentence or None,
             participant=meta.participant_id,
             keyboard=meta.keyboard,
             session_index=meta.session_index,

@@ -19,7 +19,7 @@ zero): g0 = sqrt(-2 ln u1) cos(2 pi u2), g1 = sqrt(-2 ln u1) sin(2 pi u2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BoundaryFrequency, ScriptInvalid, SpecInvalid
 from .model import (
-    EPOC14_CHANNELS,
+    KEYBOARDS,
     EegRecording,
     Event,
     EventLog,
@@ -122,9 +122,18 @@ class ScriptSentence:
         check_fields(self, SpecInvalid)
 
 
+#: Most memory a spec may ask ``gtl simulate`` for (a 14-channel 850 s
+#: session at 128 Hz asks for 116 MiB), at the peak RSS measured per cell
+#: of (channels + 3) x (samples + 3) and per gaze sample, rounded up
+#: (CPython 3.11, numpy 2.4, Linux x86-64); the interpreter adds 35 MB.
+MAX_SIMULATE_BYTES = 800 * 2**20
+EEG_CELL_BYTES = 66
+GAZE_SAMPLE_BYTES = 288
+
+
 @dataclass(frozen=True)
 class SimSpec:
-    """Recipe for one synthetic session; a bad field raises SpecInvalid."""
+    """Recipe for one synthetic session; a bad field or size raises SpecInvalid."""
 
     duration_s: float
     fs: float = 128.0
@@ -144,6 +153,15 @@ class SimSpec:
             raise SpecInvalid("seed must lie in [0, 2^64)")
         if self.noise_sigma < 0:
             raise SpecInvalid("noise_sigma must be >= 0")
+        # in integers, as n_channels may pass the float range; max() first,
+        # as round() overflows past it
+        samples = self.duration_s * self.fs
+        gaze = self.duration_s * (self.gaze_rate or 0)
+        if max(samples, gaze) > MAX_SIMULATE_BYTES or (
+                EEG_CELL_BYTES * (self.n_channels + 3) * (round(samples) + 3)
+                + GAZE_SAMPLE_BYTES * round(gaze) > MAX_SIMULATE_BYTES):
+            raise SpecInvalid(f"spec asks for more than "
+                              f"{MAX_SIMULATE_BYTES >> 20} MiB to simulate")
         for c in self.components:
             if not 0 < c.freq < self.fs / 2:
                 raise SpecInvalid(
@@ -324,6 +342,11 @@ def simspec_from_dict(d: object) -> SimSpec:
 
 #: Imposed per-keyboard mean beta fractions for the study-shaped corpus.
 STUDY_TARGET_BETA = {"A": 0.0865, "B": 0.0860, "C": 0.0824}
+#: Spread of session beta fractions around their keyboard's target.
+STUDY_BETA_JITTER = 0.004
+#: Seconds before the first sentence, and per sentence, of a study session.
+STUDY_PRE_S = 10.0
+STUDY_SENTENCE_SLOT_S = 14.0
 
 _PHRASES = (
     "my watch fell in the water",
@@ -341,11 +364,6 @@ class StudyDesign:
     participants: int = 5
     sessions_per_keyboard: int = 6  # index 0 is the training session
     sentences_per_session: int = 5
-    keyboards: tuple[str, ...] = ("A", "B", "C")
-    target_beta: dict = field(default_factory=lambda: dict(STUDY_TARGET_BETA))
-    beta_jitter: float = 0.004
-    pre_s: float = 10.0
-    sentence_slot_s: float = 14.0
     seed: int = 2024
 
 
@@ -411,21 +429,22 @@ def study_sessions(design: StudyDesign = StudyDesign(),
     jitter_rng = SplitMix64(master.next_u64())
     spec_seed_rng = SplitMix64(master.next_u64())
     script_rng = SplitMix64(master.next_u64())
-    duration = design.pre_s + design.sentences_per_session * design.sentence_slot_s
+    duration = (STUDY_PRE_S
+                + design.sentences_per_session * STUDY_SENTENCE_SLOT_S)
 
     out: list[tuple[SessionMeta, SimSpec]] = []
-    for keyboard in design.keyboards:
+    for keyboard in KEYBOARDS:
         cells = [(p, s) for p in range(design.participants)
                  for s in range(design.sessions_per_keyboard)]
         jitter = [2.0 * jitter_rng.next_float() - 1.0 for _ in cells]
         center = sum(jitter) / len(jitter)
-        target = design.target_beta[keyboard]
+        target = STUDY_TARGET_BETA[keyboard]
         for (p, s), j in zip(cells, jitter):
-            beta = target + design.beta_jitter * (j - center)
+            beta = target + STUDY_BETA_JITTER * (j - center)
             script = tuple(
                 _sentence_script(
                     _PHRASES[i % len(_PHRASES)],
-                    design.pre_s + i * design.sentence_slot_s,
+                    STUDY_PRE_S + i * STUDY_SENTENCE_SLOT_S,
                     script_rng)
                 for i in range(design.sentences_per_session))
             spec = SimSpec(

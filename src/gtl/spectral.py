@@ -200,13 +200,11 @@ def apply_window_fn(w: Window, kind: WindowFn, detrend: bool = False) -> Window:
 # --- transform ---------------------------------------------------------------
 
 def dft(samples: np.ndarray, fs: float) -> Spectrum:
-    """Transform one window of real or complex samples."""
+    """Transform one window of real samples."""
     x = np.asarray(samples)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ValueError("dft expects a non-empty 1-D sample vector")
-    if np.iscomplexobj(x):
-        return Spectrum(np.fft.ifft(x, norm="forward"), float(fs))
-    # real input: bins 0..N/2 from rfft, the rest by C_{N-k} = conj(C_k)
+    if x.ndim != 1 or x.shape[0] < 1 or np.iscomplexobj(x):
+        raise ValueError("dft expects a non-empty real 1-D sample vector")
+    # bins 0..N/2 from rfft, the rest by C_{N-k} = conj(C_k)
     half = np.conj(np.fft.rfft(x))
     upper = np.conj(half[1:(x.shape[0] + 1) // 2][::-1])
     return Spectrum(np.concatenate((half, upper)), float(fs))

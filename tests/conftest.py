@@ -69,14 +69,16 @@ def make_record(log: EventLog, fs: float = 128.0, n_channels: int = 2,
                 keyboard: str = "A", participant: str = "p01",
                 session_index: int = 1, pad_s: float = 0.5) -> SessionRecord:
     """Record whose EEG span covers the whole event log."""
-    duration = log.end_time - log.start_time + pad_s
+    start, end = ((log.events[0].t, log.events[-1].t) if log.events
+                  else (0.0, 0.0))
+    duration = end - start + pad_s
     n = max(1, int(np.ceil(duration * fs)))
     rng = np.random.default_rng(0)
     samples = rng.standard_normal((n_channels, n))
     meta = SessionMeta(participant_id=participant, keyboard=keyboard,
                        session_index=session_index, fs_eeg=fs,
                        channel_names=tuple(f"ch{i + 1}" for i in range(n_channels)))
-    eeg = EegRecording(t0=log.start_time, fs=fs, samples=samples)
+    eeg = EegRecording(t0=start, fs=fs, samples=samples)
     return SessionRecord(meta=meta, eeg=eeg, events=log)
 
 

@@ -305,8 +305,21 @@ class TestExitCodes:
         lambda spec: {**spec, "seed": 1.5},
         lambda spec: {**spec, "noise_sgima": 0.5},
         lambda spec: {**spec, "meta": {"session_index": 0.5}},
+        # over the memory budget: these used to end in a MemoryError or
+        # an OverflowError traceback
+        lambda spec: {**spec, "n_channels": 10 ** 9},
+        lambda spec: {**spec, "n_channels": 10 ** 400},
+        lambda spec: {**spec, "gaze_rate": 1e9},
+        lambda spec: {**spec, "duration_s": 1e308, "gaze_rate": 1e308},
+        # no sample per channel, yet ~10 GB of channel names and seeds
+        lambda spec: {**spec, "duration_s": 0.001, "n_channels": 160_000_000,
+                      "script": []},
+        # 16,000,000 gaze samples, ~4.5 GB
+        lambda spec: {**spec, "gaze_rate": 16e6 / 60},
     ], ids=["list", "meta-list", "index-1e400", "keyboard-Z", "duration-inf",
-            "channels-2.9", "seed-1.5", "misspelled-key", "index-0.5"])
+            "channels-2.9", "seed-1.5", "misspelled-key", "index-0.5",
+            "channels-1e9", "channels-1e400", "gaze-1e9", "duration-1e308",
+            "channels-1.6e8-no-samples", "gaze-1.6e7"])
     def test_malformed_spec_is_usage_error(self, tmp_path, spec_file, edit):
         spec = edit(json.loads(spec_file.read_text()))
         # json writes inf as Infinity; 1e400 decodes to the same float
@@ -517,15 +530,14 @@ def _damage(draw, base: dict[str, bytes]) -> tuple[str, bytes, set[int]]:
     """One input file with a span replaced by arbitrary bytes, or whole
     arbitrary bytes, or a json file with one field set to an odd value;
     with the exits it may end in. The spec gets no splice: one into
-    duration_s could ask for an arbitrarily long simulation, as
-    n_channels 10**400 would, a valid channel count."""
+    duration_s could ask for a simulation that is long, yet under the
+    size caps."""
     name = draw(st.sampled_from(sorted(base)))
     data = base[name]
     if name in _FIELD_EXITS and draw(st.booleans()):
         obj = json.loads(data)
         key = draw(st.sampled_from(sorted(obj)))
-        text = draw(st.sampled_from([t for t in ODD_JSON_VALUES if not (
-            key == "n_channels" and len(t) > 100)]))
+        text = draw(st.sampled_from(ODD_JSON_VALUES))
         return (name, json.dumps({**obj, key: json.loads(text)}).encode(),
                 _FIELD_EXITS[name])
     if name == "spec.json" or draw(st.booleans()):

@@ -49,20 +49,20 @@ META2 = SessionMeta("p01", "A", 1,
                     channel_names=("ch1", "ch2"))
 
 
-def eeg_text(times, n_channels=14, names=None):
+def eeg_bytes(times, n_channels=14, names=None):
     names = names or [f"c{i}" for i in range(n_channels)]
     lines = ["t," + ",".join(names)]
     for i, t in enumerate(times):
         lines.append(",".join([repr(float(t))]
                               + [repr(float(i + ch)) for ch in range(n_channels)]))
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
 class TestEegCsv:
     def test_three_rows_at_128hz(self):
         meta = SessionMeta("p01", "A", 1,
                            channel_names=tuple(f"c{i}" for i in range(14)))
-        text = eeg_text([0.0, 1 / 128, 2 / 128])
+        text = eeg_bytes([0.0, 1 / 128, 2 / 128])
         rec = parse_eeg_csv(text, meta)
         assert rec.fs == 128.0
         assert rec.n_samples == 3
@@ -73,16 +73,16 @@ class TestEegCsv:
         meta = SessionMeta("p01", "A", 1,
                            channel_names=tuple(f"c{i}" for i in range(14)))
         with pytest.raises(NonUniformRate):
-            parse_eeg_csv(eeg_text([0.0, 0.01, 0.02]), meta)
+            parse_eeg_csv(eeg_bytes([0.0, 0.01, 0.02]), meta)
 
     def test_jittered_spacing(self):
         meta = SessionMeta("p01", "A", 1,
                            channel_names=tuple(f"c{i}" for i in range(14)))
         with pytest.raises(NonUniformRate):
-            parse_eeg_csv(eeg_text([0.0, 1 / 128, 2 / 128 + 1e-3]), meta)
+            parse_eeg_csv(eeg_bytes([0.0, 1 / 128, 2 / 128 + 1e-3]), meta)
 
     def test_channel_count_mismatch(self):
-        text = eeg_text([0.0, 1 / 128], n_channels=13)
+        text = eeg_bytes([0.0, 1 / 128], n_channels=13)
         meta = SessionMeta("p01", "A", 1,
                            channel_names=tuple(f"c{i}" for i in range(14)))
         with pytest.raises(ChannelCountMismatch):
@@ -90,26 +90,26 @@ class TestEegCsv:
 
     def test_malformed_number_locates_cell(self):
         meta = META2
-        text = "t,ch1,ch2\n0.0,1.0,2.0\n0.0078125,oops,2.0\n"
+        text = b"t,ch1,ch2\n0.0,1.0,2.0\n0.0078125,oops,2.0\n"
         with pytest.raises(MalformedNumber) as err:
             parse_eeg_csv(text, meta)
         assert err.value.row == 3
         assert err.value.col == 2
 
     def test_truncated_row_names_failing_row(self):
-        text = "t,ch1,ch2\n0.0,1.0,2.0\n0.0078125,1.0\n"
+        text = b"t,ch1,ch2\n0.0,1.0,2.0\n0.0078125,1.0\n"
         with pytest.raises((MalformedRow, MalformedNumber)) as err:
             parse_eeg_csv(text, META2)
         assert err.value.row == 3
 
     def test_non_monotonic_time(self):
-        text = "t,ch1,ch2\n0.0,1.0,2.0\n0.0078125,1.0,2.0\n0.0,1.0,2.0\n"
+        text = b"t,ch1,ch2\n0.0,1.0,2.0\n0.0078125,1.0,2.0\n0.0,1.0,2.0\n"
         with pytest.raises(NonMonotonicTime):
             parse_eeg_csv(text, META2)
 
     def test_missing_header(self):
         with pytest.raises(BadHeader):
-            parse_eeg_csv("0.0,1.0,2.0", META2)
+            parse_eeg_csv(b"0.0,1.0,2.0", META2)
 
     @pytest.mark.parametrize("text,error,row", [
         ("t,a\n\n0,1\n0,2\n", NonMonotonicTime, 4),
@@ -118,11 +118,11 @@ class TestEegCsv:
     ], ids=["blank-before-first", "blanks-mid", "crlf-blank-and-blank"])
     def test_time_error_row_skips_blank_lines(self, text, error, row):
         meta = SessionMeta("p01", "A", 1, 1.0, ("a",))
+        data = text.encode()
         with pytest.raises(error) as err:
-            parse_eeg_csv(text, meta)
+            parse_eeg_csv(data, meta)
         assert err.value.row == row
         # the same row when the matrix comes from a bound sidecar
-        data = text.encode()
         matrix = np.loadtxt(io.StringIO(text.partition("\n")[2]),
                             delimiter=",", ndmin=2)
         bound = ingest.read_sidecar(ingest.sidecar_bytes(data, matrix), data, 2)
@@ -132,11 +132,11 @@ class TestEegCsv:
 
     def test_header_only(self):
         with pytest.raises(MalformedRow) as err:
-            parse_eeg_csv("t,ch1,ch2\n", META2)
+            parse_eeg_csv(b"t,ch1,ch2\n", META2)
         assert err.value.row == 2
 
     def test_non_finite_rejected(self):
-        text = "t,ch1,ch2\n0.0,1.0,2.0\n0.0078125,nan,2.0\n"
+        text = b"t,ch1,ch2\n0.0,1.0,2.0\n0.0078125,nan,2.0\n"
         with pytest.raises(MalformedNumber) as err:
             parse_eeg_csv(text, META2)
         assert (err.value.row, err.value.col) == (3, 2)
@@ -148,7 +148,7 @@ class TestEegCsv:
     ], ids=["hash-in-cell", "comment-line"])
     def test_hash_is_not_a_comment(self, body, error, cell):
         with pytest.raises(error) as err:
-            parse_eeg_csv("t,ch1,ch2\n" + body, META2)
+            parse_eeg_csv(("t,ch1,ch2\n" + body).encode(), META2)
         assert (err.value.row, err.value.col) == cell
 
 
@@ -188,13 +188,14 @@ class TestNumberGrammar:
     @pytest.mark.parametrize("cell", ["1_0", "\u0661", "0x1p0", "1e999"])
     def test_every_reader_rejects(self, cell):
         with pytest.raises(MalformedNumber) as err:
-            parse_eeg_csv(f"t,ch1,ch2\n0.0,{cell},1\n", META2)
+            parse_eeg_csv(f"t,ch1,ch2\n0.0,{cell},1\n".encode(), META2)
         assert (err.value.row, err.value.col) == (2, 2)
         with pytest.raises(MalformedNumber) as err:
-            parse_events_csv(f"{cell},SESSION_START,,\n2.0,SESSION_END,,\n")
+            parse_events_csv(
+                f"{cell},SESSION_START,,\n2.0,SESSION_END,,\n".encode())
         assert (err.value.row, err.value.col) == (1, 1)
         with pytest.raises(MalformedNumber) as err:
-            parse_gaze_csv(f"t,x,y,valid\n0.0,{cell},0,1\n")
+            parse_gaze_csv(f"t,x,y,valid\n0.0,{cell},0,1\n".encode())
         assert (err.value.row, err.value.col) == (2, 2)
 
 
@@ -206,7 +207,7 @@ class TestEventsCsv:
                 "3,KEY,SUGG,y dog\n"
                 "4,SENTENCE_SUBMIT,\"my dog\",\n"
                 "5,SESSION_END,,\n")
-        log = parse_events_csv(text)
+        log = parse_events_csv(text.encode())
         assert len(log) == 6
         sentences = log.sentences()
         assert len(sentences) == 1
@@ -219,26 +220,26 @@ class TestEventsCsv:
                 "3,SENTENCE_SUBMIT,x,\n"
                 "4,SESSION_END,,\n")
         with pytest.raises(UnknownKeyClass) as err:
-            parse_events_csv(text)
+            parse_events_csv(text.encode())
         assert err.value.row == 3
 
     def test_unknown_kind(self):
         with pytest.raises(UnknownKind):
-            parse_events_csv("0,SESSION_BEGIN,,\n")
+            parse_events_csv(b"0,SESSION_BEGIN,,\n")
 
     def test_marker_order_submit_before_shown(self):
         text = ("0,SESSION_START,,\n"
                 "1,SENTENCE_SUBMIT,x,\n"
                 "2,SESSION_END,,\n")
         with pytest.raises(MarkerOrder) as err:
-            parse_events_csv(text)
+            parse_events_csv(text.encode())
         assert err.value.row == 2
 
     def test_time_regression_rejected(self):
         text = ("5,SESSION_START,,\n"
                 "1,SENTENCE_SHOWN,x,\n")
         with pytest.raises(MarkerOrder):
-            parse_events_csv(text)
+            parse_events_csv(text.encode())
 
     @pytest.mark.parametrize("text,row", [
         ("0,SESSION_START,,\n1,SESSION_END,,\n2,SENTENCE_SHOWN,x,\n", 2),
@@ -247,31 +248,31 @@ class TestEventsCsv:
     ], ids=["event-after-end", "no-end", "empty"])
     def test_marker_order_row_is_the_first_violation(self, text, row):
         with pytest.raises(MarkerOrder) as err:
-            parse_events_csv(text)
+            parse_events_csv(text.encode())
         assert err.value.row == row
 
     def test_row_error_precedes_structure_error(self):
         text = "1,SENTENCE_SHOWN,x,\n2,KEY,TAP,x\n"
         with pytest.raises(UnknownKeyClass) as err:
-            parse_events_csv(text)
+            parse_events_csv(text.encode())
         assert err.value.row == 2
 
     def test_malformed_row_width(self):
         with pytest.raises(MalformedRow):
-            parse_events_csv("0,SESSION_START,\n")
+            parse_events_csv(b"0,SESSION_START,\n")
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "1e999"])
     def test_non_finite_timestamp_rejected(self, raw):
         text = f"0.0,SESSION_START,,\n{raw},SESSION_END,,\n"
         with pytest.raises(MalformedNumber) as exc:
-            parse_events_csv(text)
+            parse_events_csv(text.encode())
         assert exc.value.row == 2
 
     def test_field_over_csv_limit_is_located(self):
         text = ('0.0,SESSION_START,,\n1.0,SENTENCE_SHOWN,"'
                 + "a" * (128 * 1024 + 1) + '",\n')
         with pytest.raises(MalformedRow) as exc:
-            parse_events_csv(text)
+            parse_events_csv(text.encode())
         assert exc.value.row == 2
 
     def test_round_trip_preserves_quoted_text(self):
@@ -279,17 +280,17 @@ class TestEventsCsv:
         for _ in range(40):
             log = random_event_log(rng)
             text = events_to_csv(log)
-            assert parse_events_csv(text) == log
+            assert parse_events_csv(text.encode()) == log
 
     def test_round_trip_keeps_carriage_returns_in_text(self):
         log = make_event_log([[("INSERT", "a\r"), ("SUGG", "\rb")]])
-        assert parse_events_csv(events_to_csv(log)) == log
+        assert parse_events_csv(events_to_csv(log).encode()) == log
 
     def test_round_trip_is_byte_stable(self):
         rng = random.Random(5)
         log = random_event_log(rng)
         once = events_to_csv(log)
-        again = events_to_csv(parse_events_csv(once))
+        again = events_to_csv(parse_events_csv(once.encode()))
         assert once == again
 
 
@@ -297,15 +298,15 @@ class TestMetaJson:
     def test_round_trip(self):
         from gtl.ingest import meta_to_json
         meta = SessionMeta("p07", "C", 3, 128.0, ("a", "b"))
-        assert parse_meta_json(meta_to_json(meta)) == meta
+        assert parse_meta_json(meta_to_json(meta).encode()) == meta
 
     def test_missing_key(self):
         with pytest.raises(MalformedMeta):
-            parse_meta_json('{"participant_id": "x"}')
+            parse_meta_json(b'{"participant_id": "x"}')
 
     def test_bad_json(self):
         with pytest.raises(MalformedMeta):
-            parse_meta_json("{nope")
+            parse_meta_json(b"{nope")
 
     @pytest.mark.parametrize("field,value", [
         ("session_index", "1e400"),
@@ -318,11 +319,11 @@ class TestMetaJson:
         obj[field] = value
         text = "{" + ",".join(f'"{k}": {v}' for k, v in obj.items()) + "}"
         with pytest.raises(MalformedMeta):
-            parse_meta_json(text)
+            parse_meta_json(text.encode())
 
     def test_deep_nesting(self):
         with pytest.raises(MalformedMeta):
-            parse_meta_json("[" * 100_000 + "]" * 100_000)
+            parse_meta_json(b"[" * 100_000 + b"]" * 100_000)
 
     @pytest.mark.parametrize("key", ["participant_id", "keyboard",
                                      "session_index", "fs_eeg", "channels"])
@@ -335,7 +336,7 @@ class TestMetaJson:
                    "channels": '["a"]', key: text}
             data = "{" + ",".join(f'"{k}": {v}' for k, v in obj.items()) + "}"
             try:
-                meta = parse_meta_json(data)
+                meta = parse_meta_json(data.encode())
             except MalformedMeta:
                 continue
             value = json.loads(text)
@@ -351,11 +352,11 @@ class TestGazeCsv:
         gaze = (GazeSample(0.0, 1.5, 2.5, True),
                 GazeSample(1 / 60, 3.0, 4.0, False))
         text = gaze_to_csv(gaze)
-        assert parse_gaze_csv(text) == gaze
+        assert parse_gaze_csv(text.encode()) == gaze
 
     def test_non_monotonic(self):
         with pytest.raises(NonMonotonicTime):
-            parse_gaze_csv("t,x,y,valid\n1.0,0,0,1\n0.5,0,0,1\n")
+            parse_gaze_csv(b"t,x,y,valid\n1.0,0,0,1\n0.5,0,0,1\n")
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("col", [0, 1, 2])
@@ -364,7 +365,7 @@ class TestGazeCsv:
         cells[col] = raw
         text = "t,x,y,valid\n0.0,0,0,1\n" + ",".join(cells) + "\n"
         with pytest.raises(MalformedNumber) as err:
-            parse_gaze_csv(text)
+            parse_gaze_csv(text.encode())
         assert err.value.row == 3
 
 
@@ -618,8 +619,7 @@ def _total(parse, data):
     try:
         parse(data)
     except (MalformedRow, MalformedNumber) as err:
-        newline = b"\n" if isinstance(data, bytes) else "\n"
-        assert err.row is not None and 1 <= err.row <= data.count(newline) + 1
+        assert err.row is not None and 1 <= err.row <= data.count(b"\n") + 1
     except IngestError:
         pass
 
@@ -643,23 +643,24 @@ class TestParsersAreTotal:
 
     @given(st.text())
     def test_arbitrary_text_after_headers(self, text):
-        _total(lambda d: parse_eeg_csv(d, META2), "t,ch1,ch2\n" + text)
-        _total(parse_gaze_csv, "t,x,y,valid\n" + text)
-        _total(parse_meta_json, '{"channels": ' + text)
+        _total(lambda d: parse_eeg_csv(d, META2),
+               ("t,ch1,ch2\n" + text).encode())
+        _total(parse_gaze_csv, ("t,x,y,valid\n" + text).encode())
+        _total(parse_meta_json, ('{"channels": ' + text).encode())
 
     @given(st.lists(_EEG_LINE, max_size=6))
     def test_near_valid_eeg(self, lines):
         _total(lambda d: parse_eeg_csv(d, META2),
-               "\n".join(["t,ch1,ch2", *lines]))
+               "\n".join(["t,ch1,ch2", *lines]).encode())
 
     @given(st.lists(_EEG_LINE.map(lambda line: line + ",1"), max_size=6))
     def test_near_valid_gaze(self, lines):
-        _total(parse_gaze_csv, "\n".join(["t,x,y,valid", *lines]))
+        _total(parse_gaze_csv, "\n".join(["t,x,y,valid", *lines]).encode())
 
     @given(st.lists(st.one_of(st.sampled_from(_EVENT_LINES), st.text()),
                     max_size=8))
     def test_near_valid_events(self, lines):
-        _total(parse_events_csv, "\n".join(lines))
+        _total(parse_events_csv, "\n".join(lines).encode())
 
 
 _FINITE = st.floats(-1e6, 1e6, allow_nan=False)

@@ -138,12 +138,18 @@ class TestValidation:
         assert any(v.code is ViolationCode.EVENT_OUTSIDE_EEG
                    for v in report.violations)
 
-    def test_slack_is_configurable(self, simple_log):
+    def test_one_second_slack_after_the_eeg(self, simple_log):
         rec = make_record(simple_log)
-        short = EegRecording(t0=rec.eeg.t0, fs=rec.eeg.fs,
-                             samples=rec.eeg.samples[:, :16])
-        clipped = SessionRecord(meta=rec.meta, eeg=short, events=rec.events)
-        assert validate_session(clipped, slack=1e6).ok
+        for past_end, codes in ((0.5, []),
+                                (1.5, [ViolationCode.EVENT_OUTSIDE_EEG])):
+            # the EEG ends past_end seconds before the last event
+            n = round((simple_log.events[-1].t - past_end) * rec.eeg.fs)
+            short = EegRecording(t0=rec.eeg.t0, fs=rec.eeg.fs,
+                                 samples=rec.eeg.samples[:, :n])
+            clipped = SessionRecord(meta=rec.meta, eeg=short,
+                                    events=rec.events)
+            assert [v.code for v in validate_session(clipped).violations] == (
+                codes)
 
     def test_empty_bksp_is_warning_not_violation(self):
         log = make_event_log([[("BKSP", ""), ("INSERT", "a")]])
@@ -277,12 +283,12 @@ class TestEventLogOrder:
         text = events_to_csv(log)
         if want:
             with pytest.raises(MarkerOrder) as err:
-                parse_events_csv(text)
+                parse_events_csv(text.encode())
             # one event per line, so event i sits on row i + 1
             first = got[0][2]
             assert err.value.row == (None if first is None else first + 1)
         else:
-            assert parse_events_csv(text) == log
+            assert parse_events_csv(text.encode()) == log
 
 
 class TestRecordingInvariants:

@@ -1,11 +1,12 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from gtl.errors import ConfigError
+from gtl.ingest import load_session, write_session
 from gtl.model import Event, EventLog, KeyClass
 from gtl.report import ReportConfig, build_report, render_json
 from gtl.spectral import AnalysisConfig, WindowFn, cognitive_load_series
@@ -108,3 +109,14 @@ def test_subnormal_sentence_keeps_the_report_json():
     assert entry["metrics"] is None
     assert any(w.startswith("metrics unavailable:") and "wpm" in w
                for w in entry["warnings"])
+
+
+def test_a_loaded_record_with_other_events_is_validated_afresh(tmp_path,
+                                                              simple_log):
+    write_session(make_record(simple_log), tmp_path)
+    loaded = load_session(tmp_path)
+    assert loaded.validation.ok
+    # no SESSION_START: the verdict on the loaded log must not carry over
+    broken = replace(loaded, events=EventLog(simple_log.events[1:]))
+    (entry,) = build_report([broken], ReportConfig())["sessions"]
+    assert "MarkerOrder" in {v["code"] for v in entry["violations"]}

@@ -89,8 +89,7 @@ class TestModeIntervals:
             Event.submit(5.0, "x"),
             Event.session_end(6.0),
         ])
-        got = mode_intervals(log)
-        assert [(iv.start, iv.end, iv.mode) for iv in got] == [
+        assert mode_intervals(log) == [
             (0.0, 2.0, "INSERT"), (2.0, 5.0, "SUGG")]
 
     def test_single_backspace(self):
@@ -101,9 +100,7 @@ class TestModeIntervals:
             Event.submit(3.0, ""),
             Event.session_end(4.0),
         ])
-        got = mode_intervals(log)
-        assert [(iv.start, iv.end, iv.mode) for iv in got] == [
-            (1.0, 3.0, "BKSP")]
+        assert mode_intervals(log) == [(1.0, 3.0, "BKSP")]
 
     def test_durations_sum_to_shown_to_last_key(self):
         rng = random.Random(41)
@@ -111,9 +108,9 @@ class TestModeIntervals:
             log = random_event_log(rng)
             intervals = mode_intervals(log)
             for s in log.sentences():
-                mine = [iv for iv in intervals
-                        if s.shown.t <= iv.start and iv.end <= s.keys[-1].t]
-                total = sum(iv.end - iv.start for iv in mine)
+                mine = [(start, end) for start, end, _ in intervals
+                        if s.shown.t <= start and end <= s.keys[-1].t]
+                total = sum(end - start for start, end in mine)
                 span = s.keys[-1].t - s.shown.t
                 assert total == pytest.approx(span, rel=1e-12, abs=1e-12)
 
@@ -121,30 +118,30 @@ class TestModeIntervals:
         rng = random.Random(43)
         for _ in range(30):
             log = random_event_log(rng)
-            intervals = sorted(mode_intervals(log), key=lambda iv: iv.start)
+            intervals = sorted((start, end) for start, end, _
+                               in mode_intervals(log))
             for a, b in zip(intervals, intervals[1:]):
-                assert b.start >= a.end
+                assert b[0] >= a[1]
             # within one sentence the intervals chain exactly
             for s in log.sentences():
-                inside = [iv for iv in intervals
-                          if s.shown.t <= iv.start and iv.end <= s.keys[-1].t]
-                assert inside[0].start == s.shown.t
-                assert inside[-1].end == s.keys[-1].t
+                inside = [(start, end) for start, end in intervals
+                          if s.shown.t <= start and end <= s.keys[-1].t]
+                assert inside[0][0] == s.shown.t
+                assert inside[-1][1] == s.keys[-1].t
                 for a, b in zip(inside, inside[1:]):
-                    assert a.end == b.start
+                    assert a[1] == b[0]
 
 
 class TestPhaseIntervals:
     def test_pre_phase(self):
         log = make_event_log([[("INSERT", "a")]], pre=10.0)
-        phases = phase_intervals(log)
-        assert phases[0].label == "Pre"
-        assert (phases[0].start, phases[0].end) == (0.0, 10.0)
+        # sentence 0 is the Pre phase
+        assert phase_intervals(log)[0] == (0.0, 10.0, 0)
 
     def test_five_sentences(self):
         log = make_event_log([[("INSERT", "a")] for _ in range(5)])
-        labels = [p.label for p in phase_intervals(log)]
-        assert labels == ["Pre", "S1", "S2", "S3", "S4", "S5"]
+        sentences = [s for _, _, s in phase_intervals(log)]
+        assert sentences == [0, 1, 2, 3, 4, 5]
 
     def test_zero_length_pre_omitted(self):
         log = _log([
@@ -154,8 +151,7 @@ class TestPhaseIntervals:
             Event.submit(1.0, "a"),
             Event.session_end(2.0),
         ])
-        labels = [p.label for p in phase_intervals(log)]
-        assert labels == ["S1"]
+        assert [s for _, _, s in phase_intervals(log)] == [1]
 
 
 class TestAssignWindows:
@@ -317,3 +313,4 @@ class TestLabelLoadWindows:
                  and s.window_end <= 8.0 + 1.0 + 25.0]
         assert inner
         assert all(s.mode == "INSERT" for s in inner)
+        assert all((s.phase, s.sentence) == ("S1", 1) for s in inner)

@@ -8,6 +8,9 @@ from gtl.metrics import session_metrics
 from gtl.model import SessionMeta, validate_session
 from gtl.segmentation import phase_intervals
 from gtl.simgen import (
+    EEG_CELL_BYTES,
+    GAZE_SAMPLE_BYTES,
+    MAX_SIMULATE_BYTES,
     BandComponent,
     ScriptKey,
     ScriptSentence,
@@ -71,6 +74,11 @@ class TestSplitMix64:
         assert abs(g.std() - 1.0) < 0.02
 
 
+_MOST_SAMPLES = MAX_SIMULATE_BYTES // (4 * EEG_CELL_BYTES) - 3
+_MOST_CHANNELS = MAX_SIMULATE_BYTES // (3 * EEG_CELL_BYTES) - 3
+_MOST_GAZE = (MAX_SIMULATE_BYTES - 12 * EEG_CELL_BYTES) // GAZE_SAMPLE_BYTES
+
+
 class TestSynthEeg:
     def test_deterministic_bitwise(self):
         spec = SimSpec(duration_s=10.0, components=(BandComponent(20.0, 2.0),),
@@ -110,6 +118,29 @@ class TestSynthEeg:
                 ScriptSentence(4.0, (ScriptKey(2.0, KeyClass.INSERT, "a"),)),
             ))
 
+    # one channel is 4 x (samples + 3) cells; no sample leaves 3 a channel
+    @pytest.mark.parametrize("fields,ok", [
+        ({"duration_s": _MOST_SAMPLES}, True),
+        ({"duration_s": _MOST_SAMPLES + 1}, False),
+        ({"duration_s": 0.1, "n_channels": _MOST_CHANNELS}, True),
+        ({"duration_s": 0.1, "n_channels": _MOST_CHANNELS + 1}, False),
+        ({"duration_s": 0.1, "n_channels": 10 ** 400}, False),
+        ({"duration_s": 1e308, "fs": 1e308}, False),
+        ({"duration_s": _MOST_GAZE, "fs": 1e-300, "gaze_rate": 1.0}, True),
+        ({"duration_s": _MOST_GAZE + 1, "fs": 1e-300, "gaze_rate": 1.0},
+         False),
+        ({"duration_s": 1.0, "gaze_rate": 1e308}, False),
+    ])
+    def test_memory_budget(self, fields, ok):
+        """A spec asks for at most MAX_SIMULATE_BYTES, counted as
+        EEG_CELL_BYTES per cell and GAZE_SAMPLE_BYTES per gaze sample;
+        construction allocates nothing."""
+        spec = {"fs": 1.0, "n_channels": 1, **fields}
+        if ok:
+            SimSpec(**spec)
+        else:
+            with pytest.raises(SpecInvalid, match="more than 800 MiB"):
+                SimSpec(**spec)
 
 class TestSynthEvents:
     def test_log_passes_validation(self):
@@ -132,8 +163,7 @@ class TestSynthEvents:
                            (ScriptKey(1.0, KeyClass.INSERT, "a"),))
             for i in range(5))
         log = synth_events(SimSpec(duration_s=60.0, script=script))
-        assert [p.label for p in phase_intervals(log)] == \
-            ["Pre", "S1", "S2", "S3", "S4", "S5"]
+        assert [s for _, _, s in phase_intervals(log)] == [0, 1, 2, 3, 4, 5]
 
     def test_insert_only_script_saves_nothing(self):
         script = (ScriptSentence(5.0, tuple(
