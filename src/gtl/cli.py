@@ -6,15 +6,19 @@ written; these include a session passed twice and a session the analysis
 cannot process, e.g. one whose sampling rate (<= 28 Hz) is too low for
 the default bands), 3 degenerate statistics input (including values whose
 mean or sum of squares overflows the float range), 64 usage error
-(including a bad analysis option or simulation spec, and a spec past the
-:mod:`gtl.simgen` memory budget), 74 I/O error (a malformed or non-UTF-8
-bundle file, spec or group file, or a group line that is not one finite
-number), 1 any other error. Group files and bundle files share one
+(including a bad analysis option or simulation spec, a spec whose
+duration rounds to no EEG sample, and a spec past the :mod:`gtl.simgen`
+memory budget), 74 I/O error (a malformed or non-UTF-8 bundle file, spec
+or group file, or a group line that is not one finite number), 1 any
+other error. Group files and bundle files share one
 number grammar and row splitter
 (:func:`gtl.ingest.read_number`, :func:`gtl.ingest.split_rows`): rows end
 in ``\n`` with an optional ``\r``, and ``1_0``, non-ASCII digits,
-``nan`` and ``inf`` are not numbers. An ``analyze`` I/O error names the
-``--session`` directory it comes from. The ``analyze`` options are the
+``nan`` and ``inf`` are not numbers. ``analyze`` loads, analyses and drops
+one ``--session`` bundle at a time, in command-line order, so it holds
+one loaded record however many bundles it is given. The first bundle
+that does not load stops the batch with exit 74, names its directory,
+and no report is written. The ``analyze`` options are the
 fields of ``ReportConfig``, which extends ``AnalysisConfig``'s windowing
 fields with the report's own; their defaults and rules (e.g. a window
 length that is a power of two) are ``ReportConfig()``'s. The bands are
@@ -28,14 +32,14 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (ConfigError, IngestError, MalformedMeta, SpecInvalid,
                      StatsError, ToolError)
 from .ingest import (as_text, load_session, meta_from_dict, read_number,
                      split_rows, write_session)
 from .metrics import TIMING_ANCHORS
-from .model import EPOC14_CHANNELS, SessionMeta
+from .model import EPOC14_CHANNELS, SessionMeta, SessionRecord
 from .report import ReportConfig, build_report, render_csv, render_json, report_has_violations
 from .segmentation import AGGREGATION_LEVELS
 from .simgen import SimSpec, simspec_from_dict, simulate_session
@@ -117,6 +121,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+class _Unreadable(Exception):
+    """An ``--session`` bundle that does not load, with its directory."""
+
+
+def _load_each(paths: Sequence[str]) -> Iterator[SessionRecord]:
+    """Each bundle's record in turn, in ``paths`` order; one whose load
+    fails raises _Unreadable naming its directory."""
+    for path in paths:
+        try:
+            yield load_session(path)
+        except IngestError as exc:
+            raise _Unreadable(f"{path}: {exc}") from exc
+
+
 def _cmd_analyze(parser: _Parser, args: argparse.Namespace) -> int:
     try:
         # every config field is the dest of the flag that sets it
@@ -125,15 +143,11 @@ def _cmd_analyze(parser: _Parser, args: argparse.Namespace) -> int:
     except ConfigError as exc:
         parser.error(f"bad analysis option: {exc}")
 
-    records = []
-    for path in args.session:
-        try:
-            records.append(load_session(path))
-        except IngestError as exc:
-            print(f"gtl: {path}: {exc}", file=sys.stderr)
-            return EXIT_IO
-
-    report = build_report(records, config)
+    try:
+        report = build_report(_load_each(args.session), config)
+    except _Unreadable as exc:
+        print(f"gtl: {exc}", file=sys.stderr)
+        return EXIT_IO
     text = render_json(report) if args.format == "json" else render_csv(report)
     try:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -76,6 +76,9 @@ EVENTS_FILE = "events.csv"
 GAZE_FILE = "gaze.csv"
 EEG_SIDECAR = "eeg.sidecar"
 
+#: Bytes of ``eeg.csv`` that :func:`_row_spans` scans at a time.
+_ROW_SCAN_BLOCK = 256 * 1024
+
 _DIGEST_SIZE = hashlib.sha256().digest_size
 #: What the sidecar stores: float64, little-endian on every platform, so
 #: its bytes do not depend on the machine that wrote them.
@@ -259,9 +262,12 @@ def _data_row(data: bytes, index: int) -> Optional[int]:
 def _row_spans(eeg_csv: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Start and stop offsets of the lines after the header of ``eeg_csv``
     that hold a row: the lines :func:`split_rows` does not skip as blank.
-    One vectorised scan instead of a bytes object per line."""
+    Vectorised scans of _ROW_SCAN_BLOCK bytes each instead of a bytes
+    object per line, or a newline mask as large as the file."""
     data = np.frombuffer(eeg_csv, np.uint8)
-    starts = np.flatnonzero(data == ord("\n")) + 1
+    starts = np.concatenate([np.empty(0, np.intp)] + [
+        np.flatnonzero(data[i:i + _ROW_SCAN_BLOCK] == ord("\n")) + (i + 1)
+        for i in range(0, data.size, _ROW_SCAN_BLOCK)])
     stops = np.append(starts[1:] - 1, data.size)[:starts.size]
     length = stops - starts
     # stops - 1 is the line's last byte, or the newline before an empty one

@@ -16,7 +16,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Literal, Optional, Sequence
+from typing import Iterable, Literal, Optional, Sequence
 
 from . import metrics as metrics_mod
 from . import stats as stats_mod
@@ -31,7 +31,7 @@ from .errors import (
     ToolError,
     ZeroVariance,
 )
-from .model import SessionRecord, ViolationCode, validate_session
+from .model import SessionMeta, SessionRecord, ViolationCode, validate_session
 from .segmentation import (AGGREGATION_LEVELS, LabeledLoadSample, aggregate,
                            label_load_windows)
 from .spectral import AnalysisConfig, cognitive_load_series
@@ -167,33 +167,38 @@ def _metric_anova(session_entries: Sequence[dict], metric_key: str,
             **result.to_dict()}
 
 
-def build_report(records: Sequence[SessionRecord], config: ReportConfig,
+def build_report(records: Iterable[SessionRecord], config: ReportConfig,
                  threads: int = 1) -> dict:
     """Assemble the full report for a set of sessions.
 
-    Per-session analysis is independent and may run on ``threads``
-    workers; entries are merged in (participant, keyboard, session_index)
-    order afterwards, so the same inputs always produce the same bytes.
-    Every copy of a (participant, keyboard, session_index) after the
-    first carries a DuplicateSession violation.
+    Each record is analysed as ``records`` yields it, and only its meta,
+    report entry and labeled windows are kept, so a generator that loads
+    bundles holds one record at a time. On ``threads`` > 1 workers every
+    record is taken up front. The results are then stable-sorted by
+    (participant, keyboard, session_index), so the same inputs always
+    produce the same bytes, and every copy of a session after the first
+    in the given order carries a DuplicateSession violation.
     """
-    ordered = sorted(records, key=lambda r: (r.meta.participant_id,
-                                             r.meta.keyboard,
-                                             r.meta.session_index))
-    if threads > 1 and len(ordered) > 1:
+    def analyzed(rec: SessionRecord) -> tuple[SessionMeta, dict,
+                                              list[LabeledLoadSample]]:
+        return (rec.meta, *analyze_session(rec, config))
+
+    # map drops each record before it asks for the next one; a for loop
+    # would keep it bound while the next one loads
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            analyzed = list(pool.map(
-                lambda r: analyze_session(r, config), ordered))
+            results = list(pool.map(analyzed, records))
     else:
-        analyzed = [analyze_session(r, config) for r in ordered]
+        results = list(map(analyzed, records))
+    results.sort(key=lambda r: (r[0].participant_id, r[0].keyboard,
+                                r[0].session_index))
 
     warnings: list[str] = []
     session_entries: list[dict] = []
     samples: list[LabeledLoadSample] = []
     seen: set[tuple[str, str, int]] = set()
-    for rec, (entry, rec_samples) in zip(ordered, analyzed):
-        identity = (rec.meta.participant_id, rec.meta.keyboard,
-                    rec.meta.session_index)
+    for meta, entry, rec_samples in results:
+        identity = (meta.participant_id, meta.keyboard, meta.session_index)
         if identity in seen:
             entry["violations"].append({
                 "code": ViolationCode.DUPLICATE_SESSION.value,
@@ -201,12 +206,12 @@ def build_report(records: Sequence[SessionRecord], config: ReportConfig,
                            .format(*identity)})
         seen.add(identity)
         session_entries.append(entry)
-        if config.include_training or not rec.meta.is_training:
+        if config.include_training or not meta.is_training:
             samples.extend(rec_samples)
         elif rec_samples:
             warnings.append(
-                f"training session {rec.meta.participant_id}/"
-                f"{rec.meta.keyboard} excluded from load groups")
+                f"training session {meta.participant_id}/"
+                f"{meta.keyboard} excluded from load groups")
 
     level = config.level
     groups_kb = aggregate(samples, level, ("keyboard",))

@@ -162,6 +162,10 @@ class SimSpec:
                 + GAZE_SAMPLE_BYTES * round(gaze) > MAX_SIMULATE_BYTES):
             raise SpecInvalid(f"spec asks for more than "
                               f"{MAX_SIMULATE_BYTES >> 20} MiB to simulate")
+        if round(samples) < 1:
+            # eeg.csv would hold a header only, which no reader accepts
+            raise SpecInvalid(f"duration_s x fs is {samples:.6g}, which "
+                              f"rounds to no EEG sample")
         for c in self.components:
             if not 0 < c.freq < self.fs / 2:
                 raise SpecInvalid(

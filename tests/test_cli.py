@@ -4,17 +4,21 @@ import hashlib
 import json
 import shutil
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gtl.cli
 from gtl.cli import _build_parser, main
 from gtl.ingest import EEG_SIDECAR, load_session, write_session
-from gtl.model import Event, EventLog, KeyClass
-from gtl.report import ReportConfig
-from gtl.simgen import study_sessions, simulate_session
+from gtl.model import Event, EventLog, KeyClass, SessionMeta
+from gtl.report import (ReportConfig, analyze_session, build_report,
+                        render_csv, render_json)
+from gtl.segmentation import AGGREGATION_LEVELS
+from gtl.simgen import simspec_from_dict, study_sessions, simulate_session
 
 from conftest import ODD_JSON_VALUES, make_event_log, make_record
 
@@ -337,6 +341,27 @@ class TestExitCodes:
         assert rc == 64
         assert not (tmp_path / "b").exists()
 
+    def test_spec_of_no_sample_is_usage_error(self, tmp_path, spec_file,
+                                             capsys):
+        # 0.001 s at 128 Hz rounds to no sample: the bundle used to hold an
+        # eeg.csv header only, which gtl analyze then refused with exit 74
+        spec_file.write_text(json.dumps({"duration_s": 0.001}))
+        rc = main(["simulate", "--spec", str(spec_file),
+                   "--out", str(tmp_path / "b")])
+        assert rc == 64
+        assert "no EEG sample" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_spec_of_one_sample_simulates_and_loads(self, tmp_path,
+                                                    spec_file):
+        spec_file.write_text(json.dumps({"duration_s": 0.008}))
+        bundle = tmp_path / "b"
+        assert main(["simulate", "--spec", str(spec_file),
+                     "--out", str(bundle)]) == 0
+        assert load_session(bundle).eeg.n_samples == 1
+        assert main(["analyze", "--session", str(bundle),
+                     "--out", str(tmp_path / "r.json")]) == 0
+
     def test_non_utf8_spec_is_located_io_error(self, tmp_path, spec_file,
                                                capsys):
         spec_file.write_bytes(b'{"duration_s":\n\xff 3}')
@@ -464,6 +489,83 @@ class TestAnalysisFlags:
         report = json.loads(out.read_text())
         mean = report["load_groups"]["by_keyboard"][0]["boxplot"]["mean"]
         assert abs(mean - 0.5) <= 0.02
+
+
+#: (participant, keyboard, session_index, seed) of the bundles that
+#: TestStreaming analyses; the last one is a second recording of the first
+#: session.
+_STREAM_SESSIONS = (("p01", "A", 1, 1), ("p01", "B", 1, 2), ("p02", "A", 1, 3),
+                    ("p02", "B", 1, 4), ("p01", "A", 1, 5))
+
+
+@pytest.fixture(scope="module")
+def stream_bundles(tmp_path_factory) -> list[str]:
+    """Short simulated bundles of _STREAM_SESSIONS, built once."""
+    root = tmp_path_factory.mktemp("stream")
+    keystrokes = [{"dt": 0.5, "class": "INSERT", "produced": "h"},
+                  {"dt": 0.5, "class": "SUGG", "produced": "ello"}]
+    bundles = []
+    for participant, keyboard, index, seed in _STREAM_SESSIONS:
+        spec = simspec_from_dict({
+            "duration_s": 30.0, "n_channels": 2, "seed": seed,
+            "noise_sigma": 4.0,
+            "components": [{"freq": 10.0, "amplitude": 8.0},
+                           {"freq": 20.0, "amplitude": 8.0}],
+            "script": [{"shown_t": 5.0 + 10.0 * i, "keystrokes": keystrokes}
+                       for i in range(2)]})
+        meta = SessionMeta(participant, keyboard, index, spec.fs,
+                           ("ch1", "ch2"))
+        bundle = root / f"{participant}{keyboard}{index}-{seed}"
+        write_session(simulate_session(spec, meta), bundle)
+        bundles.append(str(bundle))
+    return bundles
+
+
+class TestStreaming:
+    def test_analyze_holds_one_record_at_a_time(self, tmp_path, monkeypatch,
+                                                stream_bundles):
+        loaded = []
+        real = gtl.cli.load_session
+
+        def load_after_the_last_is_gone(path):
+            # CPython frees a record with its last reference
+            assert all(ref() is None for ref in loaded), \
+                f"a record is still held when {path} loads"
+            rec = real(path)
+            loaded.append(weakref.ref(rec))
+            return rec
+
+        monkeypatch.setattr(gtl.cli, "load_session",
+                            load_after_the_last_is_gone)
+        out = tmp_path / "r.json"
+        rc = main(["analyze", "--session", *stream_bundles[:4],
+                   "--out", str(out)])
+        assert rc == 0
+        assert len(loaded) == 4
+        assert len(json.loads(out.read_text())["sessions"]) == 4
+
+    @pytest.mark.parametrize("level", AGGREGATION_LEVELS)
+    def test_streamed_report_is_the_list_report(self, tmp_path,
+                                                stream_bundles, level):
+        first, p01b, p02a, p02b, again = stream_bundles
+        # shuffled, with one bundle twice and one session recorded twice
+        order = [p02b, again, p01b, first, p02a, p02b]
+        config = ReportConfig(level=level)
+        expected = build_report([load_session(p) for p in order], config)
+        for fmt, render in (("json", render_json), ("csv", render_csv)):
+            out = tmp_path / f"r.{fmt}"
+            assert main(["analyze", "--session", *order, "--out", str(out),
+                         "--format", fmt, "--level", level]) == 2
+            assert out.read_text(encoding="utf-8") == render(expected)
+        sessions = expected["sessions"]
+        codes = [[v["code"] for v in e["violations"]] for e in sessions]
+        assert codes == [[], ["DuplicateSession"], [], [], [],
+                         ["DuplicateSession"]]
+        # the copy given later carries the violation: the p01/A entry with
+        # it is the bundle passed after the other recording of p01/A
+        later, _ = analyze_session(load_session(first), config)
+        assert sessions[1]["load"] == later["load"]
+        assert sessions[0]["load"] != later["load"]
 
 
 class TestReportStructure:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gtl.errors import (
     IngestError,
@@ -603,11 +603,20 @@ class TestSidecar:
         assert matrix.tobytes() == good[32:]
 
     @settings(max_examples=500)
-    @given(st.lists(st.sampled_from(["", "\r", "\r\r", " ", "1", "1,2\r"]),
-                    max_size=8).map("\n".join))
-    def test_row_spans_are_the_lines_split_rows_reads(self, text):
+    @given(st.lists(st.sampled_from(["", "\r", "\r\r", " ", "1", "1,2\r",
+                                     "0.5,-1.25"]),
+                    max_size=12).map("\n".join),
+           st.integers(1, 7) | st.just(ingest._ROW_SCAN_BLOCK))
+    # 2-byte blocks split the "\r\n" that ends a row and the one that
+    # ends a blank line
+    @example("t\n1\r\n\r\n\r\r\n\n0.5,-1.25", 2)
+    def test_row_spans_are_the_lines_split_rows_reads(self, text, block):
+        # blocks of 1-7 bytes put block edges inside and between lines,
+        # inside "\r\n" and next to blank lines
         data = text.encode()
-        starts, stops = ingest._row_spans(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_ROW_SCAN_BLOCK", block)
+            starts, stops = ingest._row_spans(data)
         expected = [line.encode() for line in text.split("\n")[1:]
                     if line.removesuffix("\r")]
         assert [data[a:b] for a, b in zip(starts, stops)] == expected

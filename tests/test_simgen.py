@@ -75,8 +75,8 @@ class TestSplitMix64:
 
 
 _MOST_SAMPLES = MAX_SIMULATE_BYTES // (4 * EEG_CELL_BYTES) - 3
-_MOST_CHANNELS = MAX_SIMULATE_BYTES // (3 * EEG_CELL_BYTES) - 3
-_MOST_GAZE = (MAX_SIMULATE_BYTES - 12 * EEG_CELL_BYTES) // GAZE_SAMPLE_BYTES
+_MOST_CHANNELS = MAX_SIMULATE_BYTES // (4 * EEG_CELL_BYTES) - 3
+_MOST_GAZE = (MAX_SIMULATE_BYTES - 16 * EEG_CELL_BYTES) // GAZE_SAMPLE_BYTES
 
 
 class TestSynthEeg:
@@ -118,17 +118,18 @@ class TestSynthEeg:
                 ScriptSentence(4.0, (ScriptKey(2.0, KeyClass.INSERT, "a"),)),
             ))
 
-    # one channel is 4 x (samples + 3) cells; no sample leaves 3 a channel
+    # one channel is 4 x (samples + 3) cells, and one sample 4 a channel
     @pytest.mark.parametrize("fields,ok", [
         ({"duration_s": _MOST_SAMPLES}, True),
         ({"duration_s": _MOST_SAMPLES + 1}, False),
-        ({"duration_s": 0.1, "n_channels": _MOST_CHANNELS}, True),
-        ({"duration_s": 0.1, "n_channels": _MOST_CHANNELS + 1}, False),
-        ({"duration_s": 0.1, "n_channels": 10 ** 400}, False),
+        ({"duration_s": 1.0, "n_channels": _MOST_CHANNELS}, True),
+        ({"duration_s": 1.0, "n_channels": _MOST_CHANNELS + 1}, False),
+        ({"duration_s": 1.0, "n_channels": 10 ** 400}, False),
         ({"duration_s": 1e308, "fs": 1e308}, False),
-        ({"duration_s": _MOST_GAZE, "fs": 1e-300, "gaze_rate": 1.0}, True),
-        ({"duration_s": _MOST_GAZE + 1, "fs": 1e-300, "gaze_rate": 1.0},
-         False),
+        ({"duration_s": _MOST_GAZE, "fs": 1 / _MOST_GAZE, "gaze_rate": 1.0},
+         True),
+        ({"duration_s": _MOST_GAZE + 1, "fs": 1 / _MOST_GAZE,
+          "gaze_rate": 1.0}, False),
         ({"duration_s": 1.0, "gaze_rate": 1e308}, False),
     ])
     def test_memory_budget(self, fields, ok):
