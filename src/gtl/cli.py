@@ -4,8 +4,9 @@ ones, run standalone hypothesis tests.
 Exit codes: 0 success, 2 session validation violations (report still
 written; these include a session passed twice and a session the analysis
 cannot process, e.g. one whose sampling rate (<= 28 Hz) is too low for
-the default bands), 3 degenerate statistics input (including values whose
-mean or sum of squares overflows the float range), 64 usage error
+the default bands), 3 degenerate statistics input (including groups
+that are all constant, whatever their means, and values whose mean or
+sum of squares overflows the float range), 64 usage error
 (including a bad analysis option or simulation spec, a spec whose
 duration rounds to no EEG sample, and a spec past the :mod:`gtl.simgen`
 memory budget), 74 I/O error (a malformed or non-UTF-8 bundle file, spec

@@ -102,7 +102,8 @@ class NonPositiveDuration(ToolError):
 
 
 class EmptyTranscription(ToolError):
-    """Per-character metrics are undefined for an empty transcription."""
+    """Per-character metrics are undefined for an empty transcription, and
+    session means for a session without a sentence."""
 
 
 class NonFiniteMetric(ToolError):

@@ -120,11 +120,14 @@ def _metrics_of(s: Sentence, timing_anchor: str) -> SentenceMetrics:
 
 def session_metrics(rec: SessionRecord,
                     timing_anchor: str = "shown") -> TypingMetrics:
-    """Metrics for every sentence plus unweighted means across sentences."""
+    """Metrics for every sentence plus unweighted means across sentences.
+
+    A session without a sentence has no means: EmptyTranscription.
+    """
     per_sentence = tuple(_metrics_of(s, timing_anchor)
                          for s in rec.events.sentences())
     if not per_sentence:
-        return TypingMetrics((), 0.0, 0.0, 0.0, 0.0, 0)
+        raise EmptyTranscription("session has no sentence")
     n = len(per_sentence)
     mean_wpm = sum(m.wpm for m in per_sentence) / n
     if not math.isfinite(mean_wpm):

@@ -1,7 +1,9 @@
 """Core domain model: session metadata, EEG recording, event log.
 
-All types are immutable after construction and every operation is a pure
-function, so records can be processed concurrently without locking.
+Metadata, events, the event log and gaze samples are frozen dataclasses,
+and an EEG recording freezes its sample matrix. A SessionRecord and its
+ValidationReport are mutable: ``load_session`` sets ``rec.validation``
+and appends its own warnings to that report.
 Timestamps are seconds (float64) relative to one shared epoch for all
 streams of a session.
 """
@@ -322,7 +324,14 @@ class Violation:
 
 @dataclass
 class ValidationReport:
-    """Violations make a record non-analyzable; warnings do not."""
+    """What validation found in one record.
+
+    Neither list stops the analysis: a record with violations is still
+    analyzed, its windows join the load groups, and its violations are
+    listed in the report (exit 2). Only an AnalysisError, which the report
+    adds when the analysis itself fails, keeps a session's windows out of
+    the load groups.
+    """
 
     violations: list[Violation]
     warnings: list[str]

@@ -23,7 +23,6 @@ from . import stats as stats_mod
 from .errors import (
     ConfigError,
     DegenerateInput,
-    EmptyInput,
     EmptyTranscription,
     NonFiniteMetric,
     NonPositiveDuration,
@@ -32,8 +31,8 @@ from .errors import (
     ZeroVariance,
 )
 from .model import SessionMeta, SessionRecord, ViolationCode, validate_session
-from .segmentation import (AGGREGATION_LEVELS, LabeledLoadSample, aggregate,
-                           label_load_windows)
+from .segmentation import (AGGREGATION_LEVELS, LOAD_UNITS, LabeledLoadSample,
+                           aggregate, label_load_windows)
 from .spectral import AnalysisConfig, cognitive_load_series
 
 #: Published grand means from the original five-participant study whose
@@ -79,18 +78,20 @@ class ReportConfig(AnalysisConfig):
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _group_section(groups: dict[tuple, list[float]], key_names: Sequence[str],
-                   warnings: list[str]) -> list[dict]:
-    out = []
-    for gkey, values in groups.items():
-        entry: dict = {name: key for name, key in zip(key_names, gkey)}
-        try:
-            entry["boxplot"] = asdict(stats_mod.boxplot_summary(values))
-        except EmptyInput:
-            warnings.append(f"empty group {dict(zip(key_names, gkey))}")
-            continue
-        out.append(entry)
-    return out
+#: Each load_groups section and the sample fields that key its groups.
+_LOAD_SECTIONS = {
+    "by_keyboard": ("keyboard",),
+    "by_keyboard_mode": ("keyboard", "mode"),
+    "by_keyboard_phase": ("keyboard", "phase"),
+}
+
+
+def _group_section(groups: dict[tuple, list[float]],
+                   key_names: Sequence[str]) -> list[dict]:
+    # aggregate makes a group only for a row it keeps, so none is empty
+    return [{**dict(zip(key_names, gkey)),
+             "boxplot": asdict(stats_mod.boxplot_summary(values))}
+            for gkey, values in groups.items()]
 
 
 def analyze_session(rec: SessionRecord, config: ReportConfig,
@@ -122,9 +123,10 @@ def analyze_session(rec: SessionRecord, config: ReportConfig,
             typing = metrics_mod.session_metrics(rec, config.timing_anchor)
         except (EmptyTranscription, NonFiniteMetric,
                 NonPositiveDuration) as exc:
-            # e.g. a sentence whose keystrokes were all deleted again, or
-            # one too short for a finite wpm; the session stays analyzable
-            # for load, only its metrics are absent
+            # e.g. a session without a sentence, a sentence whose
+            # keystrokes were all deleted again, or one too short for a
+            # finite wpm; the session stays analyzable for load, only its
+            # metrics are absent
             typing = None
             entry["warnings"].append(f"metrics unavailable: {exc}")
     except ToolError as exc:
@@ -146,24 +148,18 @@ def analyze_session(rec: SessionRecord, config: ReportConfig,
 def _metric_anova(session_entries: Sequence[dict], metric_key: str,
                   warnings: list[str]) -> Optional[dict]:
     """One-way ANOVA over keyboards on participant-level metric means."""
-    per_participant: dict[tuple[str, str], list[float]] = {}
-    for entry in session_entries:
-        if entry["metrics"] is None:
-            continue
-        key = (entry["keyboard"], entry["participant"])
-        per_participant.setdefault(key, []).append(entry["metrics"][metric_key])
-    groups: dict[str, list[float]] = {}
-    for (keyboard, _participant), values in sorted(per_participant.items()):
-        groups.setdefault(keyboard, []).append(sum(values) / len(values))
+    groups = aggregate(((e["keyboard"],), (e["participant"],),
+                        e["metrics"][metric_key])
+                       for e in session_entries if e["metrics"] is not None)
     if len(groups) < 2 or any(len(v) < 2 for v in groups.values()):
         warnings.append(f"anova on {metric_key} skipped: not enough groups")
         return None
     try:
-        result = stats_mod.anova_oneway([groups[k] for k in sorted(groups)])
+        result = stats_mod.anova_oneway(list(groups.values()))
     except StatsError as exc:
         warnings.append(f"anova on {metric_key} failed: {exc}")
         return None
-    return {"metric": metric_key, "groups": sorted(groups),
+    return {"metric": metric_key, "groups": [k for (k,) in groups],
             **result.to_dict()}
 
 
@@ -214,9 +210,12 @@ def build_report(records: Iterable[SessionRecord], config: ReportConfig,
                 f"{meta.keyboard} excluded from load groups")
 
     level = config.level
-    groups_kb = aggregate(samples, level, ("keyboard",))
-    groups_mode = aggregate(samples, level, ("keyboard", "mode"))
-    groups_phase = aggregate(samples, level, ("keyboard", "phase"))
+    unit_of = LOAD_UNITS[level]
+    load_groups = {
+        section: aggregate((tuple(getattr(s, k) for k in keys), unit_of(s),
+                            s.load) for s in samples)
+        for section, keys in _LOAD_SECTIONS.items()}
+    groups_kb = load_groups["by_keyboard"]
 
     tests: list[dict] = []
     for metric_key in ("mean_wpm", "mean_keystrokes_saved_pct",
@@ -224,8 +223,7 @@ def build_report(records: Iterable[SessionRecord], config: ReportConfig,
         result = _metric_anova(session_entries, metric_key, warnings)
         if result is not None:
             tests.append(result)
-    for kb_a, kb_b in combinations(sorted(k for (k,) in groups_kb), 2):
-        a, b = groups_kb[(kb_a,)], groups_kb[(kb_b,)]
+    for ((kb_a,), a), ((kb_b,), b) in combinations(groups_kb.items(), 2):
         try:
             result = stats_mod.ttest_two_sample(a, b, config.ttest_variant)
         except (DegenerateInput, ZeroVariance) as exc:
@@ -238,13 +236,8 @@ def build_report(records: Iterable[SessionRecord], config: ReportConfig,
         "config": config.to_dict(),
         "config_hash": config.hash(),
         "sessions": session_entries,
-        "load_groups": {
-            "by_keyboard": _group_section(groups_kb, ("keyboard",), warnings),
-            "by_keyboard_mode": _group_section(
-                groups_mode, ("keyboard", "mode"), warnings),
-            "by_keyboard_phase": _group_section(
-                groups_phase, ("keyboard", "phase"), warnings),
-        },
+        "load_groups": {section: _group_section(load_groups[section], keys)
+                        for section, keys in _LOAD_SECTIONS.items()},
         "tests": tests,
         "not_reproduced": REFERENCE_CONTEXT,
         "warnings": warnings,

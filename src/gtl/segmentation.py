@@ -12,14 +12,12 @@ unlabeled time stay unlabeled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .model import EventKind, EventLog, SessionMeta
 from .spectral import LoadSeries
-
-AGGREGATION_LEVELS = ("window", "sentence", "session", "participant")
 
 PRE_PHASE = "Pre"
 
@@ -167,17 +165,11 @@ def label_load_windows(series: LoadSeries, events: EventLog,
     return out
 
 
-_GROUP_FIELDS = {
-    "keyboard": lambda s: s.keyboard,
-    "mode": lambda s: s.mode,
-    "phase": lambda s: s.phase,
-    "participant": lambda s: s.participant,
-    "session": lambda s: s.session_index,
-}
-
-# a session's identity includes the keyboard: the same participant may
-# hold session index i on several keyboards
-_UNIT_FIELDS = {
+#: The unit of each aggregation level: every unit contributes the mean of
+#: its windows. A session's identity includes the keyboard, since the same
+#: participant may hold session index i on several keyboards; a window
+#: outside every sentence has no sentence unit.
+LOAD_UNITS = {
     "window": lambda s: (s.participant, s.keyboard, s.session_index,
                          s.window_start),
     "sentence": lambda s: (s.participant, s.keyboard, s.session_index,
@@ -185,43 +177,25 @@ _UNIT_FIELDS = {
     "session": lambda s: (s.participant, s.keyboard, s.session_index),
     "participant": lambda s: (s.participant,),
 }
+AGGREGATION_LEVELS = tuple(LOAD_UNITS)
 
 
-def aggregate(samples: Sequence[LabeledLoadSample], level: str = "window",
-              group_by: Sequence[str] = ("keyboard",),
+def aggregate(rows: Iterable[tuple[tuple, tuple, float]],
               ) -> dict[tuple, list[float]]:
-    """Group window loads and reduce them to one value per unit.
+    """The mean value of each unit, listed per group.
 
-    ``level`` fixes the unit, and every unit contributes the arithmetic
-    mean of its windows: a window unit holds one window unless the same
-    session was passed in twice.
-    ``group_by`` names the partition keys (keyboard / mode / phase /
-    participant / session). Samples missing a requested label or, at
-    sentence level, a sentence phase are excluded. Groups and the values
-    inside them come out sorted, so output order is deterministic.
+    ``rows`` are (group key, unit key, value) triples; a row whose group
+    or unit key holds None is left out. Each unit's values are summed in
+    row order from 0.0. Groups and the unit means inside them come out
+    sorted by key, so output order is deterministic.
     """
-    if level not in AGGREGATION_LEVELS:
-        raise ValueError(f"level must be one of {AGGREGATION_LEVELS}")
-    for key in group_by:
-        if key not in _GROUP_FIELDS:
-            raise ValueError(f"unknown group_by key {key!r}")
-    unit_of = _UNIT_FIELDS[level]
-
     sums: dict[tuple, dict[tuple, tuple[float, int]]] = {}
-    for s in samples:
-        gkey = tuple(_GROUP_FIELDS[k](s) for k in group_by)
-        if any(v is None for v in gkey):
+    for gkey, ukey, value in rows:
+        if None in gkey or None in ukey:
             continue
-        if level == "sentence" and s.sentence is None:
-            continue
-        ukey = unit_of(s)
         per_group = sums.setdefault(gkey, {})
         total, count = per_group.get(ukey, (0.0, 0))
-        per_group[ukey] = (total + s.load, count + 1)
-
-    out: dict[tuple, list[float]] = {}
-    for gkey in sorted(sums):
-        per_group = sums[gkey]
-        out[gkey] = [per_group[u][0] / per_group[u][1]
-                     for u in sorted(per_group)]
-    return out
+        per_group[ukey] = (total + value, count + 1)
+    return {gkey: [total / count for _, (total, count)
+                   in sorted(sums[gkey].items())]
+            for gkey in sorted(sums)}

@@ -4,6 +4,9 @@ ANOVA, two-sample t-tests.
 p-values come from the regularized incomplete beta function, evaluated
 from first principles with the continued-fraction expansion (modified
 Lentz iteration), so the package carries no statistics dependency.
+Where every group is constant the statistic is undefined, whatever the
+means: both tests raise instead of returning an infinite statistic, so a
+result always holds finite numbers.
 """
 
 from __future__ import annotations
@@ -198,9 +201,8 @@ def _mean(xs: Sequence[float]) -> float:
 def anova_oneway(groups: Sequence[Sequence[float]]) -> StatResult:
     """Between-groups one-way ANOVA: F = MSB/MSW, p = 1 - CDF_F(F).
 
-    With zero within-group variance the statistic degenerates: a real
-    between-group difference is reported as (+inf, p=0); all-identical
-    data has no defined F and raises.
+    Zero within-group variance leaves F undefined and raises
+    DegenerateInput, whether or not the group means differ.
     """
     if len(groups) < 2:
         raise DegenerateInput("ANOVA needs at least 2 groups")
@@ -220,10 +222,9 @@ def anova_oneway(groups: Sequence[Sequence[float]]) -> StatResult:
     msb = ssb / df_b
     msw = ssw / df_w
     if msw == 0.0:
-        if msb > 0.0:
-            return StatResult("anova", math.inf, (float(df_b), float(df_w)),
-                              0.0, tuple(ns))
-        raise DegenerateInput("all values identical: F undefined")
+        raise DegenerateInput("all values identical: F undefined"
+                              if msb == 0.0 else
+                              "every group constant: F undefined")
     f = msb / msw
     p = 1.0 - cdf_f(f, df_b, df_w)
     return StatResult("anova", f, (float(df_b), float(df_w)), p, tuple(ns))
@@ -234,7 +235,9 @@ def ttest_two_sample(a: Sequence[float], b: Sequence[float],
     """Two-sided unpaired t-test.
 
     ``student`` pools the variances (df = n_a + n_b - 2); ``welch`` uses
-    the Welch-Satterthwaite degrees of freedom.
+    the Welch-Satterthwaite degrees of freedom. A zero standard error
+    (both samples constant) leaves t undefined and raises ZeroVariance,
+    whether or not the means differ.
     """
     if variant not in TTEST_VARIANTS:
         raise ValueError(f"unknown t-test variant {variant!r}")
@@ -253,20 +256,16 @@ def ttest_two_sample(a: Sequence[float], b: Sequence[float],
     else:
         sa, sb = var_a / n_a, var_b / n_b
         se = math.sqrt(sa + sb)
-        if se > 0.0:
-            try:
-                df = (sa + sb) ** 2 / (sa ** 2 / (n_a - 1) + sb ** 2 / (n_b - 1))
-            except (OverflowError, ZeroDivisionError):
-                raise DegenerateInput("Welch degrees of freedom leave the "
-                                      "float range") from None
-        else:
-            df = float(n_a + n_b - 2)
-
-    kind = f"ttest-{variant}"
     if se == 0.0:
-        if m_a == m_b:
-            raise ZeroVariance("both samples constant and equal: t undefined")
-        stat = math.inf if m_a > m_b else -math.inf
-        return StatResult(kind, stat, (df,), 0.0, (n_a, n_b))
+        raise ZeroVariance("both samples constant and equal: t undefined"
+                           if m_a == m_b else
+                           "both samples constant: t undefined")
+    if variant == "welch":
+        try:
+            df = (sa + sb) ** 2 / (sa ** 2 / (n_a - 1) + sb ** 2 / (n_b - 1))
+        except (OverflowError, ZeroDivisionError):
+            raise DegenerateInput("Welch degrees of freedom leave the "
+                                  "float range") from None
     t = (m_a - m_b) / se
-    return StatResult(kind, t, (df,), _t_two_sided_p(t, df), (n_a, n_b))
+    return StatResult(f"ttest-{variant}", t, (df,), _t_two_sided_p(t, df),
+                      (n_a, n_b))

@@ -18,7 +18,8 @@ from gtl.ingest import EEG_SIDECAR, load_session, write_session
 from gtl.metrics import sentence_metrics
 from gtl.model import SessionMeta
 from gtl.report import ReportConfig, build_report, render_csv, render_json
-from gtl.segmentation import AGGREGATION_LEVELS, aggregate, label_load_windows
+from gtl.segmentation import (AGGREGATION_LEVELS, LOAD_UNITS, aggregate,
+                              label_load_windows)
 from gtl.simgen import (
     BandComponent,
     ScriptKey,
@@ -130,7 +131,8 @@ def test_c4_study_shaped_reproduction():
         rec = simulate_session(spec, meta)
         series = cognitive_load_series(rec.eeg, AnalysisConfig())
         samples.extend(label_load_windows(series, rec.events, meta))
-    groups = aggregate(samples, "sentence", ("keyboard",))
+    groups = aggregate(((s.keyboard,), LOAD_UNITS["sentence"](s), s.load)
+                       for s in samples)
     means = {}
     for kb in ("A", "B", "C"):
         values = groups[(kb,)]

@@ -293,6 +293,20 @@ class TestExitCodes:
         assert any(w.startswith("anova on mean_wpm failed:")
                    and "overflows the float range" in w for w in warnings)
 
+    def test_sentenceless_session_exits_0_without_metrics(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"duration_s": 20.0}')
+        bundle, out = tmp_path / "b", tmp_path / "r.json"
+        assert main(["simulate", "--spec", str(spec), "--out",
+                     str(bundle)]) == 0
+        assert main(["analyze", "--session", str(bundle),
+                     "--out", str(out)]) == 0
+        (entry,) = json.loads(out.read_text())["sessions"]
+        assert entry["violations"] == [] and entry["load"] is not None
+        assert entry["metrics"] is None
+        assert "metrics unavailable: session has no sentence" \
+            in entry["warnings"]
+
     def test_bad_spec_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"duration_s\": -3}")
@@ -410,6 +424,16 @@ class TestStatsCommand:
     def test_degenerate_input_exits_3(self, tmp_path):
         paths = self._write_groups(tmp_path, [2.0, 2.0], [2.0, 2.0])
         assert main(["stats", "--test", "ttest", "--groups", *paths]) == 3
+
+    def test_constant_groups_with_different_means_exit_3(self, tmp_path,
+                                                         capsys):
+        # F and t are undefined, and Infinity is not JSON
+        paths = self._write_groups(tmp_path, [1, 1], [2, 2])
+        for test in (["ttest"], ["ttest", "--variant", "welch"], ["anova"]):
+            assert main(["stats", "--test", *test, "--groups", *paths]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "constant" in captured.err
 
     def test_overflow_exits_3(self, tmp_path, capsys):
         paths = self._write_groups(tmp_path, [1e308, -1e308], [3, 4])

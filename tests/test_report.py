@@ -10,6 +10,7 @@ from gtl.ingest import load_session, write_session
 from gtl.model import Event, EventLog, KeyClass
 from gtl.report import ReportConfig, build_report, render_json
 from gtl.spectral import AnalysisConfig, WindowFn, cognitive_load_series
+from gtl.stats import anova_oneway
 
 from conftest import make_event_log, make_record
 
@@ -120,3 +121,83 @@ def test_a_loaded_record_with_other_events_is_validated_afresh(tmp_path,
     broken = replace(loaded, events=EventLog(simple_log.events[1:]))
     (entry,) = build_report([broken], ReportConfig())["sessions"]
     assert "MarkerOrder" in {v["code"] for v in entry["violations"]}
+
+
+def _typed(key_dt: float, **where):
+    """A record of one sentence, "hello", typed one key per ``key_dt`` s."""
+    log = make_event_log([[("INSERT", c) for c in "hello"]], key_dt=key_dt)
+    return make_record(log, **where)
+
+
+#: no sentence at all: the session has windows but no typing metrics
+_SENTENCELESS = EventLog((Event.session_start(0.0), Event.session_end(20.0)))
+
+#: one sentence too short for a finite wpm: its metrics are null
+_SUBNORMAL = EventLog((
+    Event.session_start(0.0), Event.shown(0.0, "ab"),
+    Event.key(0.0, KeyClass.INSERT, "a"), Event.key(0.0, KeyClass.INSERT, "b"),
+    Event.submit(1e-310, "ab"), Event.session_end(20.0)))
+
+
+def _anova_corpus() -> list:
+    return [
+        _typed(0.5, participant="p01", keyboard="A", session_index=1),
+        _typed(1.0, participant="p01", keyboard="A", session_index=2),
+        _typed(0.8, participant="p02", keyboard="A"),
+        _typed(0.6, participant="p01", keyboard="B"),
+        _typed(0.9, participant="p02", keyboard="B"),
+        make_record(_SUBNORMAL, participant="p03", keyboard="A"),
+    ]
+
+
+def _anovas(report: dict) -> list[dict]:
+    return [t for t in report["tests"] if t["test"] == "anova"]
+
+
+def test_metric_anova_averages_each_participant_per_keyboard():
+    report = build_report(_anova_corpus(), ReportConfig())
+    wpm = {}
+    for entry in report["sessions"]:
+        if entry["metrics"] is not None:
+            key = (entry["keyboard"], entry["participant"])
+            wpm.setdefault(key, []).append(entry["metrics"]["mean_wpm"])
+    assert len(wpm[("A", "p01")]) == 2
+    assert wpm[("A", "p01")][0] != wpm[("A", "p01")][1]
+    # p01's two A sessions enter once, as their mean; p03 has no metrics
+    expected = anova_oneway([
+        [sum(wpm[("A", "p01")]) / 2, *wpm[("A", "p02")]],
+        [*wpm[("B", "p01")], *wpm[("B", "p02")]]])
+    (result,) = [t for t in _anovas(report) if t["metric"] == "mean_wpm"]
+    assert result == {"metric": "mean_wpm", "groups": ["A", "B"],
+                      **expected.to_dict()}
+    assert result["n_per_group"] == [2, 2]
+
+
+def test_sentenceless_session_has_no_metrics():
+    corpus = _anova_corpus()
+    empty = make_record(_SENTENCELESS, participant="p04", keyboard="A")
+    report = build_report([*corpus, empty], ReportConfig())
+    (entry,) = [e for e in report["sessions"] if e["participant"] == "p04"]
+    assert entry["violations"] == []
+    assert entry["load"] is not None and entry["load"]["n_windows"] > 0
+    assert entry["metrics"] is None
+    assert "metrics unavailable: session has no sentence" in entry["warnings"]
+    # no invented 0 wpm joins keyboard A's metric means
+    assert _anovas(report) == _anovas(build_report(corpus, ReportConfig()))
+    assert [t["metric"] for t in _anovas(report)] == ["mean_wpm"]
+
+
+def test_constant_groups_with_different_means_keep_the_report_json():
+    # one script per keyboard: every metric and, at session level, every
+    # load is constant within a keyboard and differs between keyboards
+    records = [_typed(dt, participant=p, keyboard=kb)
+               for kb, dt in (("A", 0.5), ("B", 1.0))
+               for p in ("p01", "p02")]
+    report = json.loads(
+        render_json(build_report(records, ReportConfig(level="session"))),
+        parse_constant=_reject_constant)
+    assert report["tests"] == []
+    assert "anova on mean_wpm failed: every group constant: F undefined" \
+        in report["warnings"]
+    assert "t-test A vs B skipped: both samples constant: t undefined" \
+        in report["warnings"]

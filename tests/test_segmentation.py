@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from gtl.model import Event, EventLog, KeyClass
 from gtl.segmentation import (
+    LOAD_UNITS,
+    PRE_PHASE,
     LabeledLoadSample,
     aggregate,
     assign_windows,
@@ -219,13 +221,19 @@ class TestAssignWindows:
                 assert covered >= 0.5 * (w1 - w0) - 1e-12
 
 
+def _rows(samples, level, *keys):
+    """(group, unit, load) rows of ``samples`` as the report groups them."""
+    return ((tuple(getattr(s, k) for k in keys), LOAD_UNITS[level](s), s.load)
+            for s in samples)
+
+
 class TestAggregate:
     def test_sentence_level_mean(self):
         samples = [
             _sample(v, phase="S1", sentence=1)
             for v in (0.1, 0.1, 0.3, 0.3)
         ]
-        groups = aggregate(samples, "sentence", ("keyboard",))
+        groups = aggregate(_rows(samples, "sentence", "keyboard"))
         assert groups == {("A",): [pytest.approx(0.2)]}
 
     def test_session_level_counts(self):
@@ -237,7 +245,7 @@ class TestAggregate:
                         samples.append(_sample(
                             0.1 * p, participant=f"p{p}", keyboard=kb,
                             session_index=s, start=4.0 * w))
-        groups = aggregate(samples, "session", ("keyboard",))
+        groups = aggregate(_rows(samples, "session", "keyboard"))
         assert {k[0]: len(v) for k, v in groups.items()} == \
             {"A": 25, "B": 25, "C": 25}
 
@@ -250,34 +258,36 @@ class TestAggregate:
                         0.5, phase=f"S{sent}", sentence=sent,
                         participant=f"p{p}", session_index=s,
                         start=100.0 * sent))
-        groups = aggregate(samples, "sentence", ("keyboard",))
+        groups = aggregate(_rows(samples, "sentence", "keyboard"))
         assert len(groups[("A",)]) == 150
 
     def test_constant_load_aggregates_exactly(self):
         samples = [_sample(0.25, mode="INSERT", phase="S1", sentence=1,
                            start=4.0 * i) for i in range(7)]
         for level in ("window", "sentence", "session", "participant"):
-            groups = aggregate(samples, level, ("keyboard",))
+            groups = aggregate(_rows(samples, level, "keyboard"))
             for values in groups.values():
                 assert all(v == 0.25 for v in values)
 
     def test_group_by_mode_excludes_unlabeled(self):
         samples = [_sample(0.5, mode="INSERT", start=0.0),
                    _sample(0.9, mode=None, start=4.0)]
-        groups = aggregate(samples, "window", ("keyboard", "mode"))
+        groups = aggregate(_rows(samples, "window", "keyboard", "mode"))
         assert list(groups) == [("A", "INSERT")]
         assert groups[("A", "INSERT")] == [0.5]
 
-    def test_unknown_level_or_key(self):
-        with pytest.raises(ValueError):
-            aggregate([], "sentences")
-        with pytest.raises(ValueError):
-            aggregate([], "window", ("color",))
+    def test_window_outside_sentences_has_no_sentence_unit(self):
+        samples = [_sample(0.4, phase="S1", sentence=1),
+                   _sample(0.9, phase=PRE_PHASE, start=4.0)]
+        assert aggregate(_rows(samples, "sentence", "keyboard")) == {
+            ("A",): [0.4]}
+        assert aggregate(_rows(samples, "session", "keyboard")) == {
+            ("A",): [pytest.approx(0.65)]}
 
     def test_window_level_passthrough_ordering(self):
         samples = [_sample(v, start=s) for v, s in ((0.3, 8.0), (0.1, 0.0),
                                                     (0.2, 4.0))]
-        groups = aggregate(samples, "window", ("keyboard",))
+        groups = aggregate(_rows(samples, "window", "keyboard"))
         assert groups[("A",)] == [0.1, 0.2, 0.3]
 
     def test_same_session_index_on_two_keyboards_stays_separate(self):
@@ -289,7 +299,7 @@ class TestAggregate:
                     start=4.0),
             _sample(0.8, mode="INSERT", keyboard="C", session_index=1),
         ]
-        groups = aggregate(samples, "session", ("mode",))
+        groups = aggregate(_rows(samples, "session", "mode"))
         assert groups[("INSERT",)] == [pytest.approx(0.2), pytest.approx(0.8)]
 
 

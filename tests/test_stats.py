@@ -241,10 +241,10 @@ class TestAnova:
             assert f.statistic == pytest.approx(t.statistic ** 2, rel=1e-9)
             assert f.p == pytest.approx(t.p, rel=1e-9)
 
-    def test_zero_within_variance_sentinel(self):
-        r = anova_oneway([[1.0, 1.0], [2.0, 2.0]])
-        assert r.statistic == math.inf
-        assert r.p == 0.0
+    def test_zero_within_variance_raises(self):
+        # constant groups leave F undefined even when their means differ
+        with pytest.raises(DegenerateInput, match="every group constant"):
+            anova_oneway([[1.0, 1.0], [2.0, 2.0]])
 
     def test_degenerate_errors(self):
         with pytest.raises(DegenerateInput):
@@ -331,13 +331,14 @@ class TestTtest:
         assert r.df[0] == pytest.approx(want_df, rel=1e-12)
 
     def test_constant_samples(self):
-        with pytest.raises(ZeroVariance):
-            ttest_two_sample([2.0, 2.0], [2.0, 2.0])
-        r = ttest_two_sample([3.0, 3.0], [2.0, 2.0])
-        assert r.statistic == math.inf
-        assert r.p == 0.0
-        r = ttest_two_sample([1.0, 1.0], [2.0, 2.0])
-        assert r.statistic == -math.inf
+        # constant samples leave t undefined even when their means differ
+        for variant in ("student", "welch"):
+            with pytest.raises(ZeroVariance, match="constant and equal"):
+                ttest_two_sample([2.0, 2.0], [2.0, 2.0], variant)
+            for a, b in (([3.0, 3.0], [2.0, 2.0]), ([1.0, 1.0], [2.0, 2.0])):
+                with pytest.raises(ZeroVariance,
+                                   match="both samples constant: t"):
+                    ttest_two_sample(a, b, variant)
 
     def test_too_small_samples(self):
         with pytest.raises(DegenerateInput):
