@@ -13,7 +13,6 @@ from .model import (
     SessionMeta,
     SessionRecord,
     ValidationReport,
-    reconstruct_transcription,
     validate_session,
 )
 from .spectral import (
@@ -53,7 +52,6 @@ __all__ = [
     "default_bands",
     "dft",
     "make_windows",
-    "reconstruct_transcription",
     "spectral_power",
     "validate_session",
     "__version__",

@@ -8,9 +8,11 @@ the default bands), 3 degenerate statistics input (including groups
 that are all constant, whatever their means, and values whose mean or
 sum of squares overflows the float range), 64 usage error
 (including a bad analysis option or simulation spec, a spec whose
-duration rounds to no EEG sample, and a spec past the :mod:`gtl.simgen`
-memory budget), 74 I/O error (a malformed or non-UTF-8 bundle file, spec
-or group file, or a group line that is not one finite number), 1 any
+duration rounds to no EEG sample, a spec past the :mod:`gtl.simgen`
+memory budget, and a channel name holding ``,``, ``\n`` or ``\r``, which
+the ``eeg.csv`` header could not hold), 74 I/O error (a malformed or
+non-UTF-8 bundle file, spec or group file, e.g. a ``meta.json`` naming
+such a channel, or a group line that is not one finite number), 1 any
 other error. Group files and bundle files share one
 number grammar and row splitter
 (:func:`gtl.ingest.read_number`, :func:`gtl.ingest.split_rows`): rows end

@@ -12,12 +12,6 @@ class ToolError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- session model ---------------------------------------------------------
-
-class MissingSentence(ToolError):
-    """A sentence index does not address any SHOWN..SUBMIT span."""
-
-
 # --- ingest ----------------------------------------------------------------
 
 class IngestError(ToolError):
@@ -92,7 +86,9 @@ class BandOutOfRange(ToolError):
 
 
 class ZeroPower(ToolError):
-    """Total spectral power of a window is zero; ratios are undefined."""
+    """Total spectral power of a window is zero, or past the float range
+    (e.g. samples of amplitude 1e160, whose squares overflow); ratios are
+    undefined."""
 
 
 # --- metrics ---------------------------------------------------------------
@@ -107,7 +103,8 @@ class EmptyTranscription(ToolError):
 
 
 class NonFiniteMetric(ToolError):
-    """A rate overflows the float range, e.g. WPM over a subnormal duration."""
+    """A rate or a duration overflows the float range, e.g. WPM over a
+    subnormal duration, or a sentence from -1e308 s to 1e308 s."""
 
 
 # --- stats -----------------------------------------------------------------

@@ -36,7 +36,7 @@ import json
 import math
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -215,9 +215,9 @@ def parse_eeg_csv(data: bytes, meta: SessionMeta,
                 f"eeg.csv timestamps must increase strictly "
                 f"(t[{bad + 1}]={t[bad + 1]} after t[{bad}]={t[bad]})",
                 row=_data_row(data, bad + 1))
-        expected = 1.0 / meta.fs_eeg
         median = float(np.median(spacing))
-        if abs(median - expected) > RATE_TOLERANCE * expected:
+        # |median - 1/fs| > tol/fs times fs: 1/fs overflows below 2**-1024
+        if abs(median * meta.fs_eeg - 1.0) > RATE_TOLERANCE:
             raise NonUniformRate(
                 f"median spacing {median} s implies {1.0 / median:.6g} Hz, "
                 f"metadata says {meta.fs_eeg} Hz")
@@ -387,22 +387,31 @@ def parse_events_csv(data: bytes) -> EventLog:
     return EventLog(tuple(events))
 
 
-def events_to_csv(log: EventLog) -> str:
+def csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """RFC-4180 text of ``rows``, each line ending in ``\\n``.
+
+    csv quotes only the terminator's characters, but an unquoted ``\\r``
+    would read back as a line end, so a row holding one is quoted whole.
+    """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    # csv quotes only the terminator's characters, but an unquoted \r in
-    # text would read back as a line end
-    quoting = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    for ev in log:
-        t = repr(float(ev.t))
-        if ev.kind is EventKind.SENTENCE_SHOWN or ev.kind is EventKind.SENTENCE_SUBMIT:
-            row = [t, ev.kind.value, ev.text, ""]
-        elif ev.kind is EventKind.KEY:
-            row = [t, ev.kind.value, ev.key_class.value, ev.produced]
-        else:
-            row = [t, ev.kind.value, "", ""]
-        (quoting if "\r" in row[2] + row[3] else writer).writerow(row)
+    plain = csv.writer(buf, lineterminator="\n")
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if any("\r" in cell for cell in row) else plain).writerow(row)
     return buf.getvalue()
+
+
+def _event_row(ev: Event) -> list[str]:
+    t = repr(float(ev.t))
+    if ev.kind is EventKind.SENTENCE_SHOWN or ev.kind is EventKind.SENTENCE_SUBMIT:
+        return [t, ev.kind.value, ev.text, ""]
+    if ev.kind is EventKind.KEY:
+        return [t, ev.kind.value, ev.key_class.value, ev.produced]
+    return [t, ev.kind.value, "", ""]
+
+
+def events_to_csv(log: EventLog) -> str:
+    return csv_text(map(_event_row, log))
 
 
 # --- gaze.csv ----------------------------------------------------------------

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 from .errors import EmptyTranscription, NonFiniteMetric, NonPositiveDuration
-from .model import (Event, EventLog, KeyClass, Sentence, SessionRecord,
-                    replay_keystrokes)
+from .model import EventLog, KeyClass, Sentence
 
 TIMING_ANCHORS = ("shown", "first-key")
 
@@ -73,39 +71,28 @@ def kspc(n_keystrokes: int, transcribed_len: int) -> float:
     return n_keystrokes / transcribed_len
 
 
-def _bksp(events: Iterable[Event]) -> int:
-    return sum(1 for ev in events if ev.key_class is KeyClass.BKSP)
-
-
-def backspace_count(events: EventLog, sentence_index: Optional[int] = None) -> int:
-    """BKSP keystrokes in one sentence, or in the whole log when no index given."""
-    if sentence_index is None:
-        return _bksp(events)
-    return _bksp(events.sentence(sentence_index).keys)
-
-
 def _sentence_duration(s: Sentence, timing_anchor: str) -> float:
     if timing_anchor == "shown":
-        return s.submit.t - s.shown.t
-    if timing_anchor == "first-key":
+        duration = s.submit.t - s.shown.t
+    elif timing_anchor == "first-key":
         if not s.keys:
             raise NonPositiveDuration(
                 f"sentence {s.index} has no keystrokes; first-key anchor undefined")
-        return s.submit.t - s.keys[0].t
-    raise ValueError(f"timing_anchor must be one of {TIMING_ANCHORS}")
+        duration = s.submit.t - s.keys[0].t
+    else:
+        raise ValueError(f"timing_anchor must be one of {TIMING_ANCHORS}")
+    if not math.isfinite(duration):
+        raise NonFiniteMetric(
+            f"duration of sentence {s.index} overflows the float range")
+    return duration
 
 
-def sentence_metrics(events: EventLog, sentence_index: int,
+def sentence_metrics(s: Sentence,
                      timing_anchor: str = "shown") -> SentenceMetrics:
-    return _metrics_of(events.sentence(sentence_index), timing_anchor)
-
-
-def _metrics_of(s: Sentence, timing_anchor: str) -> SentenceMetrics:
-    text, _ = replay_keystrokes(s.keys)
-    t_len = len(text)
+    """The metrics of one sentence, from its replayed transcription."""
+    t_len = len(s.text)
     n_keys = len(s.keys)
     duration = _sentence_duration(s, timing_anchor)
-    n_bksp = _bksp(s.keys)
     return SentenceMetrics(
         index=s.index,
         transcribed_len=t_len,
@@ -114,18 +101,18 @@ def _metrics_of(s: Sentence, timing_anchor: str) -> SentenceMetrics:
         keystrokes=n_keys,
         keystrokes_saved_pct=keystrokes_saved_pct(n_keys, t_len),
         kspc=kspc(n_keys, t_len),
-        backspace_count=n_bksp,
+        backspace_count=sum(ev.key_class is KeyClass.BKSP for ev in s.keys),
     )
 
 
-def session_metrics(rec: SessionRecord,
+def session_metrics(events: EventLog,
                     timing_anchor: str = "shown") -> TypingMetrics:
     """Metrics for every sentence plus unweighted means across sentences.
 
     A session without a sentence has no means: EmptyTranscription.
     """
-    per_sentence = tuple(_metrics_of(s, timing_anchor)
-                         for s in rec.events.sentences())
+    per_sentence = tuple(sentence_metrics(s, timing_anchor)
+                         for s in events.sentences())
     if not per_sentence:
         raise EmptyTranscription("session has no sentence")
     n = len(per_sentence)

@@ -20,8 +20,6 @@ from typing import (Iterator, Literal, Optional, Sequence, Union, get_args,
 
 import numpy as np
 
-from .errors import MissingSentence
-
 #: Electrode labels of the 14-channel consumer headset assumed by default.
 EPOC14_CHANNELS: tuple[str, ...] = (
     "AF3", "F7", "F3", "FC5", "T7", "P7", "O1",
@@ -127,12 +125,16 @@ class Event:
 
 @dataclass(frozen=True)
 class Sentence:
-    """One SHOWN..SUBMIT span with the keystrokes in between."""
+    """One SHOWN..SUBMIT span with the keystrokes in between, and what
+    :func:`replay_keystrokes` makes of them: the transcription ``text`` and
+    ``empty_bksp``, the BKSP presses that hit an empty buffer."""
 
     index: int
     shown: Event
     submit: Event
     keys: tuple[Event, ...]
+    text: str
+    empty_bksp: int
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ class EventLog:
 
     The type itself is permissive: structurally broken sequences can be
     represented so that :func:`validate_session` can report on them.
-    Sentence accessors only see well-delimited SHOWN..SUBMIT spans.
+    :meth:`sentences` only sees well-delimited SHOWN..SUBMIT spans.
     """
 
     events: tuple[Event, ...]
@@ -156,17 +158,10 @@ class EventLog:
         """SHOWN..SUBMIT spans in order; unterminated spans are skipped."""
         return list(self._sentences)
 
-    def sentence(self, index: int) -> Sentence:
-        """The sentence at ``index``; MissingSentence when there is none."""
-        if not 0 <= index < len(self._sentences):
-            raise MissingSentence(
-                f"sentence index {index} out of range (log has "
-                f"{len(self._sentences)} sentences)")
-        return self._sentences[index]
-
     @cached_property
     def _sentences(self) -> tuple[Sentence, ...]:
-        # built on first use and kept; sentences() hands out copies
+        # built and replayed on first use and kept; sentences() hands out
+        # copies
         out: list[Sentence] = []
         shown: Optional[Event] = None
         keys: list[Event] = []
@@ -177,7 +172,8 @@ class EventLog:
             elif ev.kind is EventKind.KEY and shown is not None:
                 keys.append(ev)
             elif ev.kind is EventKind.SENTENCE_SUBMIT and shown is not None:
-                out.append(Sentence(len(out), shown, ev, tuple(keys)))
+                out.append(Sentence(len(out), shown, ev, tuple(keys),
+                                    *replay_keystrokes(keys)))
                 shown = None
                 keys = []
         return tuple(out)
@@ -201,6 +197,10 @@ class SessionMeta:
             raise ValueError("fs_eeg must be positive")
         if not 0 < len(set(self.channel_names)) == len(self.channel_names):
             raise ValueError("channel_names must be non-empty and distinct")
+        if any(c in name for name in self.channel_names for c in ",\n\r"):
+            # eeg.csv's header row could not hold such a name
+            raise ValueError("channel_names may not contain ',', '\\n' "
+                             "or '\\r'")
 
     @property
     def is_training(self) -> bool:
@@ -295,12 +295,6 @@ def replay_keystrokes(keys: Sequence[Event]) -> tuple[str, int]:
         else:
             buf.extend(ev.produced)
     return "".join(buf), empty_bksp
-
-
-def reconstruct_transcription(events: EventLog, sentence_index: int) -> str:
-    """Final text buffer of one sentence, rebuilt from its keystrokes."""
-    text, _ = replay_keystrokes(events.sentence(sentence_index).keys)
-    return text
 
 
 # --- timeline validation -----------------------------------------------------
@@ -403,14 +397,13 @@ def validate_session(rec: SessionRecord) -> ValidationReport:
     warnings: list[str] = []
 
     for s in rec.events.sentences():
-        text, empty_bksp = replay_keystrokes(s.keys)
-        if empty_bksp:
+        if s.empty_bksp:
             warnings.append(
-                f"sentence {s.index}: {empty_bksp} BKSP on empty buffer")
-        if text != s.submit.text:
+                f"sentence {s.index}: {s.empty_bksp} BKSP on empty buffer")
+        if s.text != s.submit.text:
             violations.append(Violation(
                 ViolationCode.TRANSCRIPTION_MISMATCH,
-                f"sentence {s.index}: reconstruction {text!r} != submitted "
+                f"sentence {s.index}: reconstruction {s.text!r} != submitted "
                 f"{s.submit.text!r}"))
 
     lo = rec.eeg.t0 - EVENT_SLACK_S

@@ -9,9 +9,7 @@ numeric values.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -30,6 +28,7 @@ from .errors import (
     ToolError,
     ZeroVariance,
 )
+from .ingest import csv_text
 from .model import SessionMeta, SessionRecord, ViolationCode, validate_session
 from .segmentation import (AGGREGATION_LEVELS, LOAD_UNITS, LabeledLoadSample,
                            aggregate, label_load_windows)
@@ -120,13 +119,14 @@ def analyze_session(rec: SessionRecord, config: ReportConfig,
         samples = label_load_windows(series, rec.events, rec.meta,
                                      config.label_threshold)
         try:
-            typing = metrics_mod.session_metrics(rec, config.timing_anchor)
+            typing = metrics_mod.session_metrics(rec.events,
+                                                 config.timing_anchor)
         except (EmptyTranscription, NonFiniteMetric,
                 NonPositiveDuration) as exc:
             # e.g. a session without a sentence, a sentence whose
             # keystrokes were all deleted again, or one too short for a
-            # finite wpm; the session stays analyzable for load, only its
-            # metrics are absent
+            # finite wpm or too long for a finite duration; the session
+            # stays analyzable for load, only its metrics are absent
             typing = None
             entry["warnings"].append(f"metrics unavailable: {exc}")
     except ToolError as exc:
@@ -270,12 +270,8 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
 
 
 def render_csv(report: dict) -> str:
-    """Flat ``path,value`` encoding carrying the same numbers as the JSON."""
-    rows: list[tuple[str, str]] = []
+    """Flat ``path,value`` encoding carrying the same numbers as the JSON,
+    quoted as :func:`gtl.ingest.csv_text` quotes."""
+    rows: list[tuple[str, str]] = [("path", "value")]
     _flatten("", report, rows)
-    buf = io.StringIO()
-    buf.write("path,value\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    for path, value in rows:
-        writer.writerow([path, value])
-    return buf.getvalue()
+    return csv_text(rows)

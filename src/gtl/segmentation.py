@@ -27,7 +27,6 @@ class LabeledLoadSample:
     """One load window with whatever labels cleared the overlap threshold."""
 
     window_start: float
-    window_end: float
     load: float
     mode: Optional[str]
     phase: Optional[str]
@@ -152,7 +151,6 @@ def label_load_windows(series: LoadSeries, events: EventLog,
         sentence = phase_labels[i]
         out.append(LabeledLoadSample(
             window_start=float(t),
-            window_end=float(t) + series.window_s,
             load=float(load),
             mode=mode_labels[i],
             phase=(None if sentence is None

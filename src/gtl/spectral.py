@@ -19,13 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BandOutOfRange, ConfigError, ZeroPower
 from .model import EegRecording, check_fields
+
+#: What an overflowing window computes in silence: inf or nan powers,
+#: which drop the window, instead of a RuntimeWarning.
+_OVERFLOW_QUIET = partial(np.errstate, over="ignore", invalid="ignore")
 
 
 class WindowFn(str, Enum):
@@ -121,14 +125,13 @@ class LoadSeries:
     """Per-window cognitive-load values with their time spans.
 
     ``starts[i]`` is the window start time; every window spans
-    ``window_s`` seconds. Windows where any channel had zero total power
-    are dropped; ``dropped`` counts them.
+    ``window_s`` seconds. Windows where any channel's total power has no
+    ratios are dropped; ``dropped`` counts them.
     """
 
     starts: np.ndarray
     loads: np.ndarray
     window_s: float
-    hop_s: float
     dropped: int = 0
 
     def __len__(self) -> int:
@@ -182,10 +185,11 @@ def _taper(x: np.ndarray, kind: WindowFn, detrend: bool) -> np.ndarray:
     last axis; returns ``x`` itself when neither applies. ``kind`` may be
     the enum's value; the curve cache is only ever filled for the enum."""
     kind = WindowFn(kind)
-    if detrend:
-        x = x - x.mean(axis=-1, keepdims=True)
-    if kind is not WindowFn.RECT:
-        x = x * _window_curve(kind, x.shape[-1])
+    with _OVERFLOW_QUIET():
+        if detrend:
+            x = x - x.mean(axis=-1, keepdims=True)
+        if kind is not WindowFn.RECT:
+            x = x * _window_curve(kind, x.shape[-1])
     return x
 
 
@@ -205,7 +209,8 @@ def dft(samples: np.ndarray, fs: float) -> Spectrum:
     if x.ndim != 1 or x.shape[0] < 1 or np.iscomplexobj(x):
         raise ValueError("dft expects a non-empty real 1-D sample vector")
     # bins 0..N/2 from rfft, the rest by C_{N-k} = conj(C_k)
-    half = np.conj(np.fft.rfft(x))
+    with _OVERFLOW_QUIET():
+        half = np.conj(np.fft.rfft(x))
     upper = np.conj(half[1:(x.shape[0] + 1) // 2][::-1])
     return Spectrum(np.concatenate((half, upper)), float(fs))
 
@@ -224,22 +229,31 @@ def _band_bins(band: Band, n: int, fs: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _band_powers(power_bins: np.ndarray, bands: Sequence[Band], n: int,
+def _band_powers(half: np.ndarray, bands: Sequence[Band], n: int,
                  fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Band powers (1/N) * sum |C_k|^2 over the last axis of ``power_bins``
-    (|C_k|^2 for k = 0..N/2), one row per band, and their total summed in
-    band order."""
-    per_band = np.stack([power_bins[..., lo:hi].sum(axis=-1) / n
-                         for lo, hi in (_band_bins(b, n, fs) for b in bands)])
-    total = np.zeros(per_band.shape[1:])
-    for row in per_band:
-        total = total + row
+    """Band powers (1/N) * sum |C_k|^2 over the last axis of ``half``
+    (C_k or its conjugate for k = 0..N/2), one row per band, and their
+    total summed in band order. A power past the float range is inf."""
+    with _OVERFLOW_QUIET():
+        power_bins = np.abs(half)
+        np.square(power_bins, out=power_bins)
+        per_band = np.stack([power_bins[..., lo:hi].sum(axis=-1) / n
+                             for lo, hi in (_band_bins(b, n, fs)
+                                            for b in bands)])
+        total = np.zeros(per_band.shape[1:])
+        for row in per_band:
+            total = total + row
     return per_band, total
+
+
+def _has_ratios(total: np.ndarray) -> np.ndarray:
+    """Where a total band power has ratios: positive and finite."""
+    return (total > 0.0) & (total < np.inf)
 
 
 def _spectrum_bands(s: Spectrum, bands: Sequence[Band],
                     ) -> tuple[np.ndarray, np.ndarray]:
-    return _band_powers(np.abs(s.coeffs[:s.n // 2 + 1]) ** 2, bands, s.n, s.fs)
+    return _band_powers(s.coeffs[:s.n // 2 + 1], bands, s.n, s.fs)
 
 
 def spectral_power(s: Spectrum, band: Band) -> float:
@@ -254,10 +268,11 @@ def band_powers(s: Spectrum, bands: Sequence[Band]) -> BandPowers:
 
 
 def band_ratios(s: Spectrum, bands: Sequence[Band]) -> dict[str, float]:
-    """Per-band share of the total power across ``bands``; sums to 1."""
+    """Per-band share of the total power across ``bands``; sums to 1.
+    A zero total, or one past the float range, is ZeroPower."""
     bp = band_powers(s, bands)
-    if bp.total == 0.0:
-        raise ZeroPower("all-zero window: band ratios undefined")
+    if not _has_ratios(bp.total):
+        raise ZeroPower(f"total power {bp.total}: band ratios undefined")
     return {name: p / bp.total for name, p in bp.powers}
 
 
@@ -269,8 +284,10 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
     over the :func:`default_bands` split of the recording rate.
 
     Channels are processed with identical windowing; a window position is
-    dropped (and counted) when any channel's total power there is zero,
-    e.g. a detrended constant stretch.
+    dropped (and counted) when any channel's total power there has no
+    ratios (:func:`band_ratios`'s ZeroPower): it is zero, e.g. a detrended
+    constant stretch, or past the float range, e.g. samples of amplitude
+    1e160.
     """
     bands = default_bands(eeg.fs)
     band_names = [b.name for b in bands]
@@ -281,7 +298,7 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
     n_win = window_count(eeg.n_samples, n, cfg.hop)
     starts = eeg.t0 + (np.arange(n_win) * cfg.hop) / eeg.fs
     if n_win == 0:
-        return LoadSeries(starts, np.zeros(0), n / eeg.fs, cfg.hop / eeg.fs)
+        return LoadSeries(starts, np.zeros(0), n / eeg.fs)
 
     ratios = np.empty((eeg.n_channels, n_win), dtype=np.float64)
     alive = np.ones(n_win, dtype=bool)
@@ -290,14 +307,13 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
     for ch in range(eeg.n_channels):
         x = _taper(_frames(eeg.samples[ch], n, cfg.hop), cfg.window_fn,
                    cfg.detrend)
-        per_band, total = _band_powers(np.abs(np.fft.rfft(x)) ** 2, bands,
-                                       n, eeg.fs)
-        dead = total == 0.0
-        alive &= ~dead
-        total[dead] = 1.0  # placeholder; dropped below
+        with _OVERFLOW_QUIET():
+            per_band, total = _band_powers(np.fft.rfft(x), bands, n, eeg.fs)
+        live = _has_ratios(total)
+        alive &= live
+        total[~live] = 1.0  # placeholder; dropped below
         ratios[ch] = per_band[load_row] / total
 
     loads = ratios.mean(axis=0)
     dropped = int(n_win - alive.sum())
-    return LoadSeries(starts[alive], loads[alive], n / eeg.fs,
-                      cfg.hop / eeg.fs, dropped)
+    return LoadSeries(starts[alive], loads[alive], n / eeg.fs, dropped)

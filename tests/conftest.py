@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
@@ -95,6 +96,14 @@ def simple_log() -> EventLog:
 #: float range and NaN.
 ODD_JSON_VALUES = ("true", "0.5", '"128"', "null", "[]", "1" + "0" * 400,
                    "NaN")
+
+
+def strict_json(text: str) -> object:
+    """``text`` decoded as JSON proper: ``NaN`` and ``Infinity``, which
+    ``json.loads`` takes by default, are a ValueError."""
+    def reject(name: str):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def loads_as_itself(got: object, value: object) -> bool:

@@ -175,7 +175,7 @@ def test_c5_metrics_exactness_and_df_structure():
 
     for keys, t_len, n_keys, n_bksp in cases:
         log = make_event_log([list(keys)], pre=5.0, key_dt=1.0)
-        m = sentence_metrics(log, 0)
+        m = sentence_metrics(log.sentences()[0])
         duration = float(len(keys))  # SHOWN to SUBMIT, one key per second
         assert m.transcribed_len == t_len
         assert m.keystrokes == n_keys

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import shutil
 import tempfile
@@ -20,7 +22,7 @@ from gtl.report import (ReportConfig, analyze_session, build_report,
 from gtl.segmentation import AGGREGATION_LEVELS
 from gtl.simgen import simspec_from_dict, study_sessions, simulate_session
 
-from conftest import ODD_JSON_VALUES, make_event_log, make_record
+from conftest import ODD_JSON_VALUES, make_event_log, make_record, strict_json
 
 
 @pytest.fixture
@@ -306,6 +308,56 @@ class TestExitCodes:
         assert entry["metrics"] is None
         assert "metrics unavailable: session has no sentence" \
             in entry["warnings"]
+
+    def test_overflowing_sentence_duration_exits_2_without_metrics(
+            self, tmp_path):
+        # the sentence spans 1e308 - (-1e308) = inf seconds; its events
+        # lie outside the EEG span, hence exit 2, and the report used to
+        # hold "duration_s": Infinity
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"duration_s": 20.0, "n_channels": 2}')
+        bundle, out = tmp_path / "b", tmp_path / "r.json"
+        assert main(["simulate", "--spec", str(spec), "--out",
+                     str(bundle)]) == 0
+        (bundle / "events.csv").write_text(
+            "-1e308,SESSION_START,,\n-1e308,SENTENCE_SHOWN,ab,\n"
+            "0.0,KEY,INSERT,a\n0.5,KEY,INSERT,b\n"
+            "1e308,SENTENCE_SUBMIT,ab,\n1e308,SESSION_END,,\n")
+        assert main(["analyze", "--session", str(bundle),
+                     "--out", str(out)]) == 2
+        (entry,) = strict_json(out.read_text())["sessions"]
+        assert entry["metrics"] is None
+        assert ("metrics unavailable: duration of sentence 0 overflows "
+                "the float range") in entry["warnings"]
+
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+    def test_channel_name_eeg_csv_cannot_hold_is_usage_error(self, tmp_path,
+                                                            name):
+        # the bundle used to be written, then fail to load: its eeg.csv
+        # header splits the name
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"duration_s": 10.0, "n_channels": 2,
+                                    "meta": {"channels": [name, "c"]}}))
+        assert main(["simulate", "--spec", str(spec), "--out",
+                     str(tmp_path / "b")]) == 64
+        assert not (tmp_path / "b").exists()
+
+    def test_channel_name_eeg_csv_cannot_hold_names_the_field(
+            self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"duration_s": 10.0, "n_channels": 2}')
+        bundle = tmp_path / "b"
+        assert main(["simulate", "--spec", str(spec), "--out",
+                     str(bundle)]) == 0
+        meta = json.loads((bundle / "meta.json").read_text())
+        (bundle / "meta.json").write_text(
+            json.dumps({**meta, "channels": ["a,b", "c"]}))
+        (bundle / "eeg.csv").write_text(
+            (bundle / "eeg.csv").read_text().replace("t,ch1,ch2", "t,a,b,c", 1))
+        capsys.readouterr()
+        assert main(["analyze", "--session", str(bundle), "--out",
+                     str(tmp_path / "r.json")]) == 74
+        assert "channel_names may not contain" in capsys.readouterr().err
 
     def test_bad_spec_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -698,4 +750,12 @@ class TestArbitraryInputBytes:
                 (bundle / name).write_bytes(damaged)
                 argv = ["analyze", "--session", str(bundle),
                         "--out", str(root / "r.json")]
-            assert main(argv) in exits
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(argv)
+            assert code in exits
+            # whatever is written is JSON proper: no NaN, no Infinity
+            if name == "group.txt" and code == 0:
+                strict_json(stdout.getvalue())
+            elif argv[0] == "analyze" and code in (0, 2):
+                strict_json((root / "r.json").read_text())

@@ -75,6 +75,13 @@ class TestEegCsv:
         with pytest.raises(NonUniformRate):
             parse_eeg_csv(eeg_bytes([0.0, 0.01, 0.02]), meta)
 
+    def test_rate_below_2_pow_minus_1024_vs_meta(self):
+        # 1 / 1e-320 overflows to inf, which once let any spacing pass
+        meta = SessionMeta("p01", "A", 1, fs_eeg=1e-320,
+                           channel_names=tuple(f"c{i}" for i in range(14)))
+        with pytest.raises(NonUniformRate):
+            parse_eeg_csv(eeg_bytes([0.0, 1 / 128, 2 / 128]), meta)
+
     def test_jittered_spacing(self):
         meta = SessionMeta("p01", "A", 1,
                            channel_names=tuple(f"c{i}" for i in range(14)))
@@ -320,6 +327,14 @@ class TestMetaJson:
         text = "{" + ",".join(f'"{k}": {v}' for k, v in obj.items()) + "}"
         with pytest.raises(MalformedMeta):
             parse_meta_json(text.encode())
+
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", "a\r"])
+    def test_channel_name_eeg_csv_cannot_hold_is_malformed(self, name):
+        meta = json.dumps({"participant_id": "p", "keyboard": "A",
+                           "session_index": 1, "fs_eeg": 128.0,
+                           "channels": [name, "c"]})
+        with pytest.raises(MalformedMeta, match="channel_names"):
+            parse_meta_json(meta.encode())
 
     def test_deep_nesting(self):
         with pytest.raises(MalformedMeta):

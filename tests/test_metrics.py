@@ -2,10 +2,8 @@ import random
 
 import pytest
 
-from gtl.errors import (EmptyTranscription, MissingSentence, NonFiniteMetric,
-                        NonPositiveDuration)
+from gtl.errors import EmptyTranscription, NonFiniteMetric, NonPositiveDuration
 from gtl.metrics import (
-    backspace_count,
     keystrokes_saved_pct,
     kspc,
     sentence_metrics,
@@ -14,7 +12,7 @@ from gtl.metrics import (
 )
 from gtl.model import Event, EventLog, KeyClass
 
-from conftest import make_event_log, make_record, random_event_log
+from conftest import make_event_log, random_event_log
 
 
 class TestWpm:
@@ -48,7 +46,20 @@ class TestWpm:
             Event.submit(2 * d, "ab"),
             Event.session_end(1.0)))
         with pytest.raises(NonFiniteMetric):
-            session_metrics(make_record(log))
+            session_metrics(log)
+
+    def test_overflowing_duration_is_non_finite_metric(self):
+        # 1e308 - (-1e308) is inf, where it used to become duration_s
+        log = EventLog((
+            Event.session_start(-1e308), Event.shown(-1e308, "ab"),
+            Event.key(0.0, KeyClass.INSERT, "a"),
+            Event.key(0.5, KeyClass.INSERT, "b"),
+            Event.submit(1e308, "ab"), Event.session_end(1e308)))
+        (sentence,) = log.sentences()
+        with pytest.raises(NonFiniteMetric, match="duration of sentence 0"):
+            sentence_metrics(sentence)
+        # from the first key the span is finite
+        assert sentence_metrics(sentence, "first-key").duration_s == 1e308
 
     def test_monotonicity(self):
         for t_len in range(2, 60):
@@ -85,22 +96,16 @@ class TestKeystrokeMetrics:
 
 class TestEventLogMetrics:
     def test_backspace_counts(self, simple_log):
-        assert backspace_count(simple_log) == 1
-        assert backspace_count(simple_log, 0) == 0
-        assert backspace_count(simple_log, 1) == 1
-
-    def test_missing_sentence(self, simple_log):
-        for index in (-1, 2):
-            with pytest.raises(MissingSentence):
-                backspace_count(simple_log, index)
-            with pytest.raises(MissingSentence):
-                sentence_metrics(simple_log, index)
+        tm = session_metrics(simple_log)
+        assert tm.total_backspace_count == 1
+        assert tm.sentences[0].backspace_count == 0
+        assert tm.sentences[1].backspace_count == 1
 
     def test_sentence_metrics_hand_computed(self):
         # SHOWN at 5.0; keys at 6,7,8 (INSERT a, SUGG "bc ", BKSP);
         # SUBMIT at 8.0 -> replay "a" + "bc " minus one char = "abc"
         log = make_event_log([[("INSERT", "a"), ("SUGG", "bc "), ("BKSP", "")]])
-        m = sentence_metrics(log, 0)
+        m = sentence_metrics(log.sentences()[0])
         assert m.transcribed_len == 3
         assert m.duration_s == pytest.approx(3.0)
         assert m.keystrokes == 3
@@ -110,8 +115,8 @@ class TestEventLogMetrics:
 
     def test_first_key_anchor(self):
         log = make_event_log([[("INSERT", "a"), ("INSERT", "b")]], pre=5.0)
-        shown = sentence_metrics(log, 0, "shown")
-        first = sentence_metrics(log, 0, "first-key")
+        shown = sentence_metrics(log.sentences()[0], "shown")
+        first = sentence_metrics(log.sentences()[0], "first-key")
         assert shown.duration_s == pytest.approx(2.0)  # SHOWN..SUBMIT
         assert first.duration_s == pytest.approx(1.0)  # first key..SUBMIT
         assert first.wpm > shown.wpm
@@ -121,8 +126,7 @@ class TestEventLogMetrics:
             [("INSERT", "a"), ("INSERT", "b"), ("INSERT", "c")],
             [("INSERT", "x"), ("SUGG", "yz ")],
         ])
-        rec = make_record(log)
-        tm = session_metrics(rec)
+        tm = session_metrics(log)
         assert len(tm.sentences) == 2
         assert tm.mean_wpm == pytest.approx(
             (tm.sentences[0].wpm + tm.sentences[1].wpm) / 2)
@@ -138,24 +142,24 @@ class TestEventLogMetrics:
 
         log = make_event_log([[("INSERT", "a"), ("SUGG", "bc ")]] * 200)
         counted = EventLog(CountingEvents(log.events))
-        tm = session_metrics(make_record(counted))
+        tm = session_metrics(counted)
         assert len(tm.sentences) == 200
         assert counted.events.scans == 1
-        assert tm.sentences[137] == sentence_metrics(log, 137)
+        assert tm.sentences[137] == sentence_metrics(log.sentences()[137])
 
     def test_sentence_list_is_a_fresh_copy(self, simple_log):
         expected = simple_log.sentences()
         handed_out = simple_log.sentences()
         handed_out.clear()
         assert simple_log.sentences() == expected
-        assert session_metrics(make_record(simple_log)).sentences[1].index == 1
+        assert session_metrics(simple_log).sentences[1].index == 1
 
     def test_time_translation_invariance(self):
         rng = random.Random(31)
 
         def outcome(lg, i):
             try:
-                return sentence_metrics(lg, i)
+                return sentence_metrics(lg.sentences()[i])
             except EmptyTranscription:
                 return "empty"  # all-backspace sentences have no metrics
 
@@ -169,6 +173,6 @@ class TestEventLogMetrics:
 
     def test_savings_zero_for_insert_only_logs(self):
         log = make_event_log([[("INSERT", c) for c in "hello world"]])
-        m = sentence_metrics(log, 0)
+        m = sentence_metrics(log.sentences()[0])
         assert m.keystrokes_saved_pct == 0.0
         assert m.kspc == 1.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtl.errors import ConfigError, MarkerOrder, MissingSentence, SpecInvalid
+from gtl.errors import ConfigError, MarkerOrder, SpecInvalid
 from gtl.ingest import events_to_csv, parse_events_csv
 from gtl.model import (
     EegRecording,
@@ -22,7 +22,6 @@ from gtl.model import (
     Violation,
     ViolationCode,
     event_log_violations,
-    reconstruct_transcription,
     replay_keystrokes,
     validate_session,
 )
@@ -41,12 +40,12 @@ def _key(t, cls, produced=""):
 class TestReconstruction:
     def test_append_only(self):
         log = make_event_log([[("INSERT", "h"), ("INSERT", "i")]])
-        assert reconstruct_transcription(log, 0) == "hi"
+        assert log.sentences()[0].text == "hi"
 
     def test_suggestion_then_backspace(self):
         log = make_event_log(
             [[("INSERT", "h"), ("SUGG", "ello "), ("BKSP", "")]])
-        assert reconstruct_transcription(log, 0) == "hello"
+        assert log.sentences()[0].text == "hello"
 
     def test_backspace_on_empty_buffer_warns(self):
         keys = [_key(1.0, "BKSP")]
@@ -59,26 +58,14 @@ class TestReconstruction:
             [_key(1.0, "SUGG", "word "), _key(2.0, "BKSP")])
         assert text == "word"
 
-    def test_missing_sentence(self):
-        log = make_event_log([[("INSERT", "a")]])
-        with pytest.raises(MissingSentence):
-            reconstruct_transcription(log, 1)
-
-    def test_sentence_lookup(self):
-        log = make_event_log([[("INSERT", "a")], [("INSERT", "b")]])
-        assert [log.sentence(i) for i in range(2)] == log.sentences()
-        for index in (-1, 2):
-            with pytest.raises(MissingSentence, match="log has 2 sentences"):
-                log.sentence(index)
-
     def test_deterministic_and_matches_submit_payload(self):
         rng = random.Random(7)
         for _ in range(50):
             log = random_event_log(rng)
             for i, sentence in enumerate(log.sentences()):
-                assert reconstruct_transcription(log, i) == sentence.submit.text
-                assert reconstruct_transcription(log, i) == \
-                    reconstruct_transcription(log, i)
+                assert sentence.text == sentence.submit.text
+                assert sentence.text == \
+                    EventLog(log.events).sentences()[i].text
 
 
 class TestValidation:

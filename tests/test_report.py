@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from dataclasses import fields, replace
@@ -7,12 +9,14 @@ import pytest
 
 from gtl.errors import ConfigError
 from gtl.ingest import load_session, write_session
-from gtl.model import Event, EventLog, KeyClass
-from gtl.report import ReportConfig, build_report, render_json
+from gtl.model import EegRecording, Event, EventLog, KeyClass, SessionMeta
+from gtl.report import (ReportConfig, _flatten, build_report, render_csv,
+                        render_json)
+from gtl.simgen import BandComponent, SimSpec, simulate_session
 from gtl.spectral import AnalysisConfig, WindowFn, cognitive_load_series
 from gtl.stats import anova_oneway
 
-from conftest import make_event_log, make_record
+from conftest import make_event_log, make_record, strict_json
 
 
 class TestReportConfig:
@@ -90,10 +94,6 @@ class TestReportConfig:
             ReportConfig().to_dict())
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not JSON")
-
-
 def test_subnormal_sentence_keeps_the_report_json():
     # (2 - 1) * 60 / (5 * 1e-310) overflows: metrics drop out with a
     # warning, the load stays
@@ -103,7 +103,7 @@ def test_subnormal_sentence_keeps_the_report_json():
         Event.key(0.0, KeyClass.INSERT, "b"),
         Event.submit(1e-310, "ab"), Event.session_end(20.0)))
     text = render_json(build_report([make_record(log)], ReportConfig()))
-    report = json.loads(text, parse_constant=_reject_constant)
+    report = strict_json(text)
     (entry,) = report["sessions"]
     assert entry["violations"] == []
     assert entry["load"] is not None and entry["load"]["n_windows"] > 0
@@ -193,11 +193,38 @@ def test_constant_groups_with_different_means_keep_the_report_json():
     records = [_typed(dt, participant=p, keyboard=kb)
                for kb, dt in (("A", 0.5), ("B", 1.0))
                for p in ("p01", "p02")]
-    report = json.loads(
-        render_json(build_report(records, ReportConfig(level="session"))),
-        parse_constant=_reject_constant)
+    report = strict_json(
+        render_json(build_report(records, ReportConfig(level="session"))))
     assert report["tests"] == []
     assert "anova on mean_wpm failed: every group constant: F undefined" \
         in report["warnings"]
     assert "t-test A vs B skipped: both samples constant: t undefined" \
         in report["warnings"]
+
+
+def test_overflowing_band_power_drops_windows_and_keeps_the_report_json():
+    # at 1e160 every |C_k|^2 overflows: the windows have no ratios and
+    # drop out, where they used to give a NaN load without a violation
+    spec = SimSpec(duration_s=40.0, components=(BandComponent(20.0, 1.0),),
+                   noise_sigma=0.5, seed=3)
+    rec = simulate_session(spec, SessionMeta("p01", "A", 1))
+    loud = replace(rec, eeg=EegRecording(rec.eeg.t0, rec.eeg.fs,
+                                         rec.eeg.samples * 1e160))
+    n_windows = len(cognitive_load_series(rec.eeg, ReportConfig()))
+    (entry,) = strict_json(render_json(
+        build_report([loud], ReportConfig())))["sessions"]
+    assert entry["violations"] == []
+    assert entry["load"] == {"n_windows": 0, "dropped_windows": n_windows,
+                             "mean": None, "min": None, "max": None}
+
+
+def test_csv_reads_back_as_the_flattened_pairs():
+    # an unquoted \r in a value would read back as a line end
+    rec = make_record(make_event_log([[("INSERT", "a"), ("INSERT", "b")]]),
+                      participant="p\r1")
+    report = build_report([rec], ReportConfig())
+    pairs: list[tuple[str, str]] = []
+    _flatten("", report, pairs)
+    assert ("sessions[0].participant", "p\r1") in pairs
+    read = csv.reader(io.StringIO(render_csv(report)))
+    assert [tuple(row) for row in read] == [("path", "value"), *pairs]

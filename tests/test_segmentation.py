@@ -68,16 +68,16 @@ def _log(events):
     return EventLog(tuple(events))
 
 
-def _series(starts, loads=None, window_s=8.0, hop_s=4.0):
+def _series(starts, loads=None, window_s=8.0):
     starts = np.asarray(starts, float)
     if loads is None:
         loads = np.full(len(starts), 0.5)
-    return LoadSeries(starts, np.asarray(loads, float), window_s, hop_s)
+    return LoadSeries(starts, np.asarray(loads, float), window_s)
 
 
 def _sample(load, *, mode=None, phase=None, sentence=None,
             participant="p01", keyboard="A", session_index=1, start=0.0):
-    return LabeledLoadSample(start, start + 8.0, load, mode, phase, sentence,
+    return LabeledLoadSample(start, load, mode, phase, sentence,
                              participant, keyboard, session_index)
 
 
@@ -320,7 +320,7 @@ class TestLabelLoadWindows:
         assert samples[0].sentence is None
         # any window fully inside the typing span is INSERT/S1
         inner = [s for s in samples if s.window_start >= 8.0
-                 and s.window_end <= 8.0 + 1.0 + 25.0]
+                 and s.window_start + series.window_s <= 8.0 + 1.0 + 25.0]
         assert inner
         assert all(s.mode == "INSERT" for s in inner)
         assert all((s.phase, s.sentence) == ("S1", 1) for s in inner)

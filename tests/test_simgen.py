@@ -172,7 +172,7 @@ class TestSynthEvents:
         spec = SimSpec(duration_s=20.0,
                        components=(BandComponent(20.0, 1.0),), script=script)
         rec = simulate_session(spec, _meta())
-        tm = session_metrics(rec)
+        tm = session_metrics(rec.events)
         assert tm.sentences[0].keystrokes_saved_pct == 0.0
 
     def test_mixed_script_metrics_hand_computed(self):
@@ -182,7 +182,7 @@ class TestSynthEvents:
                        components=(BandComponent(20.0, 1.0),),
                        script=_script())
         rec = simulate_session(spec, _meta())
-        m = session_metrics(rec).sentences[1]
+        m = session_metrics(rec.events).sentences[1]
         assert m.transcribed_len == 6
         assert m.keystrokes == 3
         assert m.keystrokes_saved_pct == pytest.approx(50.0)

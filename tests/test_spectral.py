@@ -27,7 +27,9 @@ def load_cases(draw) -> tuple[np.ndarray, AnalysisConfig]:
     """Recordings under any power-of-two window configuration; a constant
     first channel (dropped windows when detrended) is drawn too. At most
     three channels: below eight values numpy's 1-D mean adds them in
-    order, as the pipeline's per-window channel mean does."""
+    order, as the pipeline's per-window channel mean does. Each channel is
+    scaled by 2**k, from subnormal samples to ones whose powers overflow;
+    every sample stays finite."""
     n = 2 ** draw(st.integers(1, 8))
     hop = draw(st.integers(1, n))
     cfg = AnalysisConfig(window_len=n, hop=hop,
@@ -38,6 +40,8 @@ def load_cases(draw) -> tuple[np.ndarray, AnalysisConfig]:
                                    draw(st.integers(0, n + 5 * hop))))
     if draw(st.booleans()):
         samples[0] = 7.0
+    for row in samples:
+        row *= 2.0 ** draw(st.integers(-1070, 1020))
     return samples, cfg
 
 
