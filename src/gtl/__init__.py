@@ -19,14 +19,12 @@ from .spectral import (
     AnalysisConfig,
     Band,
     LoadSeries,
-    Spectrum,
     WindowFn,
     band_ratios,
     cognitive_load_series,
     default_bands,
     dft,
     make_windows,
-    spectral_power,
 )
 
 __version__ = "0.1.0"
@@ -44,7 +42,6 @@ __all__ = [
     "LoadSeries",
     "SessionMeta",
     "SessionRecord",
-    "Spectrum",
     "ValidationReport",
     "WindowFn",
     "band_ratios",
@@ -52,7 +49,6 @@ __all__ = [
     "default_bands",
     "dft",
     "make_windows",
-    "spectral_power",
     "validate_session",
     "__version__",
 ]

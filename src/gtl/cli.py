@@ -12,7 +12,9 @@ duration rounds to no EEG sample, a spec past the :mod:`gtl.simgen`
 memory budget, and a channel name holding ``,``, ``\n`` or ``\r``, which
 the ``eeg.csv`` header could not hold), 74 I/O error (a malformed or
 non-UTF-8 bundle file, spec or group file, e.g. a ``meta.json`` naming
-such a channel, or a group line that is not one finite number), 1 any
+such a channel, an ``events.csv`` row with a field its kind does not
+use, ``eeg.csv`` timestamps too far apart for a float spacing, or a
+group line that is not one finite number), 1 any
 other error. Group files and bundle files share one
 number grammar and row splitter
 (:func:`gtl.ingest.read_number`, :func:`gtl.ingest.split_rows`): rows end

@@ -208,14 +208,17 @@ def parse_eeg_csv(data: bytes, meta: SessionMeta,
 
     t = matrix[:, 0]
     if t.shape[0] > 1:
-        spacing = np.diff(t)
+        # stamps too far apart for a float spacing get an inf one, which
+        # the rate checks reject
+        with np.errstate(over="ignore"):
+            spacing = np.diff(t)
+            median = float(np.median(spacing))
         if np.any(spacing <= 0):
             bad = int(np.argmax(spacing <= 0))
             raise NonMonotonicTime(
                 f"eeg.csv timestamps must increase strictly "
                 f"(t[{bad + 1}]={t[bad + 1]} after t[{bad}]={t[bad]})",
                 row=_data_row(data, bad + 1))
-        median = float(np.median(spacing))
         # |median - 1/fs| > tol/fs times fs: 1/fs overflows below 2**-1024
         if abs(median * meta.fs_eeg - 1.0) > RATE_TOLERANCE:
             raise NonUniformRate(
@@ -353,7 +356,8 @@ def parse_events_csv(data: bytes) -> EventLog:
     """Parse and structurally validate the event log.
 
     Rows are ``t,kind,arg1,arg2`` with RFC-4180 quoting on the text
-    fields. A malformed row aborts the parse with a located error; then
+    fields; a field that the row's kind does not use must be empty. A
+    malformed row aborts the parse with a located error; then
     the first :func:`event_log_violations` entry aborts it as a
     MarkerOrder at its event's row. A returned log always satisfies the
     event-log invariants.
@@ -375,6 +379,9 @@ def parse_events_csv(data: bytes) -> EventLog:
             if arg1 not in _KEY_CLASSES:
                 raise UnknownKeyClass(f"unknown key class {arg1!r}", row=row_no)
             events.append(Event.key(t, KeyClass(arg1), arg2))
+        elif arg2 or (arg1 and kind not in _TEXT_KINDS):
+            raise MalformedRow(f"a {kind} row must leave the fields it does "
+                               f"not use empty", row=row_no)
         elif kind in _TEXT_KINDS:
             events.append(Event(t, EventKind(kind), text=arg1))
         else:

@@ -220,8 +220,9 @@ class EegRecording:
         if not fs > 0:
             raise ValueError("fs must be positive")
         arr = np.ascontiguousarray(samples, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("samples must be a [n_channels, n_samples] matrix")
+        if arr.ndim != 2 or arr.shape[0] < 1:
+            raise ValueError("samples must be a [n_channels, n_samples] "
+                             "matrix with at least one channel")
         arr.setflags(write=False)
         self.t0 = float(t0)
         self.fs = float(fs)
@@ -262,7 +263,8 @@ class GazeSample:
 
 @dataclass
 class SessionRecord:
-    """One participant-session bundle: metadata, EEG, events, optional gaze."""
+    """One participant-session bundle: metadata, EEG, events, optional gaze.
+    The EEG's rate and channel count are the meta's; ValueError otherwise."""
 
     meta: SessionMeta
     eeg: EegRecording
@@ -270,6 +272,15 @@ class SessionRecord:
     gaze: Optional[tuple[GazeSample, ...]] = None
     validation: Optional["ValidationReport"] = field(default=None,
                                                      compare=False, init=False)
+
+    def __post_init__(self) -> None:
+        # a bundle stores both; one that disagrees would not reload
+        if self.eeg.fs != self.meta.fs_eeg:
+            raise ValueError(f"eeg is sampled at {self.eeg.fs} Hz, "
+                             f"meta says {self.meta.fs_eeg} Hz")
+        if self.eeg.n_channels != len(self.meta.channel_names):
+            raise ValueError(f"eeg has {self.eeg.n_channels} channels, "
+                             f"meta names {len(self.meta.channel_names)}")
 
 
 # --- transcription reconstruction -------------------------------------------

@@ -91,36 +91,6 @@ class AnalysisConfig:
 
 
 @dataclass(frozen=True)
-class Window:
-    """One window of one channel; ``samples`` has length window_len."""
-
-    channel: int
-    start_sample: int
-    start_t: float
-    samples: np.ndarray
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """DFT coefficients C_k, k = 0..N-1, plus the sampling rate."""
-
-    coeffs: np.ndarray
-    fs: float
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[-1]
-
-
-@dataclass(frozen=True)
-class BandPowers:
-    """Per-band spectral power and their total (summed in band order)."""
-
-    powers: tuple[tuple[str, float], ...]
-    total: float
-
-
-@dataclass(frozen=True)
 class LoadSeries:
     """Per-window cognitive-load values with their time spans.
 
@@ -137,9 +107,6 @@ class LoadSeries:
     def __len__(self) -> int:
         return len(self.loads)
 
-    def spans(self) -> list[tuple[float, float]]:
-        return [(float(t), float(t) + self.window_s) for t in self.starts]
-
 
 # --- windowing ---------------------------------------------------------------
 
@@ -150,20 +117,16 @@ def window_count(n_samples: int, window_len: int, hop: int) -> int:
     return (n_samples - window_len) // hop + 1
 
 
-def _frames(x: np.ndarray, n: int, hop: int) -> np.ndarray:
-    """Every full window of one channel, one per row (a read-only view)."""
-    if x.shape[0] < n:
-        return np.empty((0, n))
-    return np.lib.stride_tricks.sliding_window_view(x, n)[::hop]
-
-
 def make_windows(samples: np.ndarray, cfg: AnalysisConfig, fs: float,
-                 t0: float = 0.0, channel: int = 0) -> list[Window]:
-    """Slice one channel into equal-length windows starting at 0, hop, 2*hop, ..."""
-    frames = _frames(np.asarray(samples, dtype=np.float64), cfg.window_len,
-                     cfg.hop)
-    return [Window(channel, i * cfg.hop, t0 + (i * cfg.hop) / fs, row)
-            for i, row in enumerate(frames)]
+                 t0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Slice one channel into its full windows: their start times
+    (t0 + i*hop/fs) and the windows themselves, one per row of a
+    read-only view."""
+    x = np.asarray(samples, dtype=np.float64)
+    n = cfg.window_len
+    frames = (np.lib.stride_tricks.sliding_window_view(x, n)[::cfg.hop]
+              if x.shape[0] >= n else np.empty((0, n)))
+    return t0 + (np.arange(frames.shape[0]) * cfg.hop) / fs, frames
 
 
 @lru_cache(maxsize=32)
@@ -180,7 +143,8 @@ def _window_curve(kind: WindowFn, n: int) -> np.ndarray:
     return curve
 
 
-def _taper(x: np.ndarray, kind: WindowFn, detrend: bool) -> np.ndarray:
+def apply_window_fn(x: np.ndarray, kind: WindowFn,
+                    detrend: bool = False) -> np.ndarray:
     """Per-row mean removal (optional), then the window function along the
     last axis; returns ``x`` itself when neither applies. ``kind`` may be
     the enum's value; the curve cache is only ever filled for the enum."""
@@ -193,18 +157,10 @@ def _taper(x: np.ndarray, kind: WindowFn, detrend: bool) -> np.ndarray:
     return x
 
 
-def apply_window_fn(w: Window, kind: WindowFn, detrend: bool = False) -> Window:
-    """Taper a window; optionally subtract its mean first."""
-    x = _taper(w.samples, kind, detrend)
-    if x is w.samples:
-        x = x.copy()
-    return Window(w.channel, w.start_sample, w.start_t, x)
-
-
 # --- transform ---------------------------------------------------------------
 
-def dft(samples: np.ndarray, fs: float) -> Spectrum:
-    """Transform one window of real samples."""
+def dft(samples: np.ndarray) -> np.ndarray:
+    """The N coefficients C_k of one window of real samples."""
     x = np.asarray(samples)
     if x.ndim != 1 or x.shape[0] < 1 or np.iscomplexobj(x):
         raise ValueError("dft expects a non-empty real 1-D sample vector")
@@ -212,7 +168,7 @@ def dft(samples: np.ndarray, fs: float) -> Spectrum:
     with _OVERFLOW_QUIET():
         half = np.conj(np.fft.rfft(x))
     upper = np.conj(half[1:(x.shape[0] + 1) // 2][::-1])
-    return Spectrum(np.concatenate((half, upper)), float(fs))
+    return np.concatenate((half, upper))
 
 
 # --- band powers -------------------------------------------------------------
@@ -251,29 +207,28 @@ def _has_ratios(total: np.ndarray) -> np.ndarray:
     return (total > 0.0) & (total < np.inf)
 
 
-def _spectrum_bands(s: Spectrum, bands: Sequence[Band],
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    return _band_powers(s.coeffs[:s.n // 2 + 1], bands, s.n, s.fs)
+def band_powers(coeffs: np.ndarray, fs: float,
+                bands: Sequence[Band]) -> dict[str, float]:
+    """(1/N) * sum |C_k|^2 over each band's bins of one window's N
+    coefficients. Band names must be distinct (ConfigError)."""
+    n = coeffs.shape[-1]
+    per_band, _ = _band_powers(coeffs[:n // 2 + 1], bands, n, fs)
+    powers = {b.name: float(p) for b, p in zip(bands, per_band)}
+    if len(powers) != len(bands):
+        raise ConfigError("band names must be distinct")
+    return powers
 
 
-def spectral_power(s: Spectrum, band: Band) -> float:
-    """(1/N) * sum |C_k|^2 over the band's bins."""
-    return float(_spectrum_bands(s, (band,))[0][0])
-
-
-def band_powers(s: Spectrum, bands: Sequence[Band]) -> BandPowers:
-    per_band, total = _spectrum_bands(s, bands)
-    return BandPowers(tuple((b.name, float(p)) for b, p in zip(bands, per_band)),
-                      float(total))
-
-
-def band_ratios(s: Spectrum, bands: Sequence[Band]) -> dict[str, float]:
+def band_ratios(coeffs: np.ndarray, fs: float,
+                bands: Sequence[Band]) -> dict[str, float]:
     """Per-band share of the total power across ``bands``; sums to 1.
-    A zero total, or one past the float range, is ZeroPower."""
-    bp = band_powers(s, bands)
-    if not _has_ratios(bp.total):
-        raise ZeroPower(f"total power {bp.total}: band ratios undefined")
-    return {name: p / bp.total for name, p in bp.powers}
+    The total is summed in band order, as the pipeline sums it. A zero
+    total, or one past the float range, is ZeroPower."""
+    powers = band_powers(coeffs, fs, bands)
+    total = sum(powers.values())
+    if not _has_ratios(total):
+        raise ZeroPower(f"total power {total}: band ratios undefined")
+    return {name: p / total for name, p in powers.items()}
 
 
 # --- load series -------------------------------------------------------------
@@ -296,17 +251,16 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
 
     n = cfg.window_len
     n_win = window_count(eeg.n_samples, n, cfg.hop)
-    starts = eeg.t0 + (np.arange(n_win) * cfg.hop) / eeg.fs
     if n_win == 0:
-        return LoadSeries(starts, np.zeros(0), n / eeg.fs)
+        return LoadSeries(np.zeros(0), np.zeros(0), n / eeg.fs)
 
     ratios = np.empty((eeg.n_channels, n_win), dtype=np.float64)
     alive = np.ones(n_win, dtype=bool)
     load_row = band_names.index(load_band)
     # one channel per transform: batching all channels raises peak memory
     for ch in range(eeg.n_channels):
-        x = _taper(_frames(eeg.samples[ch], n, cfg.hop), cfg.window_fn,
-                   cfg.detrend)
+        starts, frames = make_windows(eeg.samples[ch], cfg, eeg.fs, eeg.t0)
+        x = apply_window_fn(frames, cfg.window_fn, cfg.detrend)
         with _OVERFLOW_QUIET():
             per_band, total = _band_powers(np.fft.rfft(x), bands, n, eeg.fs)
         live = _has_ratios(total)

@@ -137,6 +137,21 @@ class TestEegCsv:
             parse_eeg_csv(data, meta, bound)
         assert err.value.row == row
 
+    @pytest.mark.parametrize("times,fs", [
+        ((-1e308, 1e308), 1.0),
+        ((-1e308, 1e308, 1.5e308), 1.0),
+        ((-1e308, -9.99e307, 1e308), 1e-300),
+        ((-1.6e308, 0.0, 1.6e308), 1.0),
+    ], ids=["spacing-overflows", "first-of-two-overflows",
+            "tiny-rate", "median-overflows"])
+    def test_far_apart_stamps_fail_the_rate_check_without_a_warning(
+            self, times, fs):
+        # the spacing (or the median of two) exceeds the float range; the
+        # tier-1 warning filter turns a numpy overflow warning into a failure
+        meta = SessionMeta("p01", "A", 1, fs, ("a",))
+        with pytest.raises((NonUniformRate, NonMonotonicTime)):
+            parse_eeg_csv(eeg_bytes(times, names=["a"], n_channels=1), meta)
+
     def test_header_only(self):
         with pytest.raises(MalformedRow) as err:
             parse_eeg_csv(b"t,ch1,ch2\n", META2)
@@ -263,6 +278,23 @@ class TestEventsCsv:
         with pytest.raises(UnknownKeyClass) as err:
             parse_events_csv(text.encode())
         assert err.value.row == 2
+
+    @pytest.mark.parametrize("row,line", [
+        (1, "0,SESSION_START,junk,"),
+        (1, "0,SESSION_START,,more"),
+        (1, "0,SESSION_START,junk,more"),
+        (2, "1,SENTENCE_SHOWN,x,junk"),
+        (3, "2,SENTENCE_SUBMIT,x,junk"),
+        (4, "3,SESSION_END,junk,"),
+        (4, "3,SESSION_END,,junk"),
+    ])
+    def test_unused_field_must_be_empty(self, row, line):
+        lines = ["0,SESSION_START,,", "1,SENTENCE_SHOWN,x,",
+                 "2,SENTENCE_SUBMIT,x,", "3,SESSION_END,,"]
+        lines[row - 1] = line
+        with pytest.raises(MalformedRow) as exc:
+            parse_events_csv("\n".join(lines).encode() + b"\n")
+        assert exc.value.row == row
 
     def test_malformed_row_width(self):
         with pytest.raises(MalformedRow):

@@ -290,6 +290,22 @@ class TestRecordingInvariants:
         assert rec.eeg.end_t == pytest.approx(
             rec.eeg.t0 + rec.eeg.n_samples / rec.eeg.fs)
 
+    def test_zero_channel_eeg_rejected(self):
+        with pytest.raises(ValueError, match="at least one channel"):
+            EegRecording(0.0, 128.0, np.zeros((0, 256)))
+
+    @pytest.mark.parametrize("fs,n_channels,match", [
+        (256.0, 2, "Hz"),
+        (128.0, 3, "channels"),
+    ], ids=["rate", "channel-count"])
+    def test_record_must_agree_with_its_meta(self, simple_log, fs, n_channels,
+                                             match):
+        rec = make_record(simple_log)
+        meta = SessionMeta("p01", "A", 1, fs_eeg=fs, channel_names=tuple(
+            f"ch{i + 1}" for i in range(n_channels)))
+        with pytest.raises(ValueError, match=match):
+            SessionRecord(meta=meta, eeg=rec.eeg, events=rec.events)
+
     def test_bad_meta_rejected(self):
         from gtl.model import SessionMeta
         with pytest.raises(ValueError):

@@ -212,7 +212,8 @@ class TestAssignWindows:
                          for a, b, lab in zip(cut, cut[1:], "ABCDE")
                          if b > a]
             labels = assign_windows(series, intervals, threshold=0.5)
-            for (w0, w1), lab in zip(series.spans(), labels):
+            for w0, lab in zip(series.starts, labels):
+                w1 = w0 + series.window_s
                 if lab is None:
                     continue
                 covered = sum(min(w1, e) - max(w0, s)
