@@ -8,7 +8,6 @@ from .model import (
     Event,
     EventKind,
     EventLog,
-    GazeSample,
     KeyClass,
     SessionMeta,
     SessionRecord,
@@ -37,7 +36,6 @@ __all__ = [
     "Event",
     "EventKind",
     "EventLog",
-    "GazeSample",
     "KeyClass",
     "LoadSeries",
     "SessionMeta",

@@ -1,12 +1,12 @@
 """On-disk session bundles: parsing, validation and round-trip writing.
 
 A bundle directory holds ``meta.json``, ``eeg.csv``, ``events.csv`` and
-optionally ``gaze.csv`` and ``eeg.sidecar``. Numbers use ``.`` as decimal
-point, fields are comma-separated, newlines are ``\\n``, and floats
-serialize in shortest round-trip form, so writing a loaded bundle
-reproduces it byte for byte. Every number cell of every text input is read
-by :func:`read_number` and every plain (unquoted) csv row by
-:func:`split_rows`.
+optionally ``eeg.sidecar`` and ``gaze.csv``, which is checked on load and
+not kept. Numbers use ``.`` as decimal point, fields are comma-separated,
+newlines are ``\\n``, and floats serialize in shortest round-trip form, so
+writing a loaded bundle reproduces it byte for byte. Every number cell of
+every text input is read by :func:`read_number` and every plain
+(unquoted) csv row by :func:`split_rows`.
 
 ``eeg.sidecar`` is a binary copy of the (t, channels) matrix of
 ``eeg.csv``: the 32-byte sha256 digest of the exact ``eeg.csv`` bytes,
@@ -55,11 +55,11 @@ from .errors import (
     UnknownKind,
 )
 from .model import (
+    EVENT_FIELDS,
     EegRecording,
     Event,
     EventKind,
     EventLog,
-    GazeSample,
     KeyClass,
     SessionMeta,
     SessionRecord,
@@ -337,7 +337,6 @@ def _reads_as(line: bytes, values: np.ndarray) -> bool:
 
 _EVENT_KINDS = {k.value for k in EventKind}
 _KEY_CLASSES = {k.value for k in KeyClass}
-_TEXT_KINDS = {EventKind.SENTENCE_SHOWN.value, EventKind.SENTENCE_SUBMIT.value}
 
 
 def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -371,21 +370,18 @@ def parse_events_csv(data: bytes) -> EventLog:
             raise MalformedRow(
                 f"expected 4 fields t,kind,arg1,arg2, got {len(row)}",
                 row=row_no)
-        raw_t, kind, arg1, arg2 = row
+        raw_t, kind, *args = row
         t = read_number(raw_t, EVENTS_FILE, row_no, col=1)
         if kind not in _EVENT_KINDS:
             raise UnknownKind(f"unknown event kind {kind!r}", row=row_no)
-        if kind == EventKind.KEY.value:
-            if arg1 not in _KEY_CLASSES:
-                raise UnknownKeyClass(f"unknown key class {arg1!r}", row=row_no)
-            events.append(Event.key(t, KeyClass(arg1), arg2))
-        elif arg2 or (arg1 and kind not in _TEXT_KINDS):
-            raise MalformedRow(f"a {kind} row must leave the fields it does "
-                               f"not use empty", row=row_no)
-        elif kind in _TEXT_KINDS:
-            events.append(Event(t, EventKind(kind), text=arg1))
-        else:
-            events.append(Event(t, EventKind(kind)))
+        kind = EventKind(kind)
+        if kind is EventKind.KEY and args[0] not in _KEY_CLASSES:
+            raise UnknownKeyClass(f"unknown key class {args[0]!r}", row=row_no)
+        names = EVENT_FIELDS[kind]
+        if any(args[len(names):]):
+            raise MalformedRow(f"a {kind.value} row must leave the fields it "
+                               f"does not use empty", row=row_no)
+        events.append(Event(t, kind, **dict(zip(names, args))))
         rows.append(row_no)
     first = next(event_log_violations(events), None)
     if first is not None:
@@ -409,12 +405,9 @@ def csv_text(rows: Iterable[Sequence[str]]) -> str:
 
 
 def _event_row(ev: Event) -> list[str]:
-    t = repr(float(ev.t))
-    if ev.kind is EventKind.SENTENCE_SHOWN or ev.kind is EventKind.SENTENCE_SUBMIT:
-        return [t, ev.kind.value, ev.text, ""]
-    if ev.kind is EventKind.KEY:
-        return [t, ev.kind.value, ev.key_class.value, ev.produced]
-    return [t, ev.kind.value, "", ""]
+    args = [getattr(ev, name) for name in EVENT_FIELDS[ev.kind]]
+    cells = [a.value if isinstance(a, KeyClass) else a for a in args]
+    return [repr(ev.t), ev.kind.value, *cells, *[""] * (2 - len(cells))]
 
 
 def events_to_csv(log: EventLog) -> str:
@@ -423,31 +416,24 @@ def events_to_csv(log: EventLog) -> str:
 
 # --- gaze.csv ----------------------------------------------------------------
 
-def parse_gaze_csv(data: bytes) -> tuple[GazeSample, ...]:
+def parse_gaze_csv(data: bytes) -> None:
+    """Check a ``gaze.csv``: header ``t,x,y,valid``, three finite numbers
+    and a ``0``/``1`` flag per row, times not decreasing. No analysis
+    reads gaze, so nothing is kept."""
     header, _, body = as_text(data, GAZE_FILE).partition("\n")
     if header.removesuffix("\r") != "t,x,y,valid":
-        raise BadHeader("gaze.csv header must be 't,x,y,valid'")
-    out: list[GazeSample] = []
+        raise BadHeader("gaze.csv header must be 't,x,y,valid'", row=1)
+    prev_t = -math.inf
     for row, cells in split_rows(body, GAZE_FILE, 4, first_row=2):
-        t, x, y = (read_number(cell, GAZE_FILE, row, col)
+        t, _, _ = (read_number(cell, GAZE_FILE, row, col)
                    for col, cell in enumerate(cells[:3], start=1))
         if cells[3] not in ("0", "1"):
             raise MalformedRow(f"valid flag must be 0 or 1, got {cells[3]!r}",
                                row=row)
-        if out and t < out[-1].t:
-            raise NonMonotonicTime(f"gaze timestamp {t} before {out[-1].t}",
+        if t < prev_t:
+            raise NonMonotonicTime(f"gaze timestamp {t} before {prev_t}",
                                    row=row)
-        out.append(GazeSample(t, x, y, cells[3] == "1"))
-    return tuple(out)
-
-
-def gaze_to_csv(gaze: tuple[GazeSample, ...]) -> str:
-    lines = ["t,x,y,valid"]
-    for g in gaze:
-        lines.append(f"{float(g.t)!r},{float(g.x)!r},{float(g.y)!r},"
-                     f"{1 if g.valid else 0}")
-    lines.append("")
-    return "\n".join(lines)
+        prev_t = t
 
 
 # --- bundles -----------------------------------------------------------------
@@ -457,8 +443,9 @@ def load_session(path: Union[str, Path]) -> SessionRecord:
 
     The EEG matrix comes from ``eeg.sidecar`` when :func:`read_sidecar`
     accepts it, else from ``eeg.csv``; an unusable sidecar is a warning.
-    Semantic violations (marker breaks, transcription mismatches, events
-    outside the EEG span) do not raise; they land in ``rec.validation``.
+    A present ``gaze.csv`` must pass :func:`parse_gaze_csv`. Semantic
+    violations (marker breaks, transcription mismatches, events outside
+    the EEG span) do not raise; they land in ``rec.validation``.
     """
     root = Path(path)
     if not root.is_dir():
@@ -483,12 +470,11 @@ def load_session(path: Union[str, Path]) -> SessionRecord:
             sidecar_problem = exc
     eeg = parse_eeg_csv(contents[EEG_FILE], meta, matrix)
     events = parse_events_csv(contents[EVENTS_FILE])
-    gaze = None
     gaze_file = root / GAZE_FILE
     if gaze_file.is_file():
-        gaze = parse_gaze_csv(gaze_file.read_bytes())
+        parse_gaze_csv(gaze_file.read_bytes())
 
-    rec = SessionRecord(meta=meta, eeg=eeg, events=events, gaze=gaze)
+    rec = SessionRecord(meta=meta, eeg=eeg, events=events)
     rec.validation = validate_session(rec)
     if sidecar_problem is not None:
         rec.validation.warnings.append(
@@ -500,7 +486,7 @@ def write_session(rec: SessionRecord, path: Union[str, Path]) -> None:
     """Write a bundle such that loading it back yields an equal record.
 
     The EEG matrix is built once and written as ``eeg.csv`` and as the
-    sidecar bound to those bytes.
+    sidecar bound to those bytes. A ``gaze.csv`` there is removed.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -510,8 +496,6 @@ def write_session(rec: SessionRecord, path: Union[str, Path]) -> None:
     (root / EEG_FILE).write_bytes(eeg_csv)
     (root / EEG_SIDECAR).write_bytes(sidecar_bytes(eeg_csv, matrix))
     (root / EVENTS_FILE).write_text(events_to_csv(rec.events), encoding="utf-8")
-    if rec.gaze is not None:
-        (root / GAZE_FILE).write_text(gaze_to_csv(rec.gaze), encoding="utf-8")
-    else:
-        # a gaze.csv left from an earlier write would reload as this gaze
-        (root / GAZE_FILE).unlink(missing_ok=True)
+    # a gaze.csv left in the directory is not this record's, and a later
+    # load would still check it
+    (root / GAZE_FILE).unlink(missing_ok=True)

@@ -1,11 +1,11 @@
 """Core domain model: session metadata, EEG recording, event log.
 
-Metadata, events, the event log and gaze samples are frozen dataclasses,
-and an EEG recording freezes its sample matrix. A SessionRecord and its
-ValidationReport are mutable: ``load_session`` sets ``rec.validation``
-and appends its own warnings to that report.
-Timestamps are seconds (float64) relative to one shared epoch for all
-streams of a session.
+A session is its metadata, EEG and event log. Metadata, events and the
+event log are frozen dataclasses, and an EEG recording freezes its sample
+matrix. A SessionRecord and its ValidationReport are mutable:
+``load_session`` sets ``rec.validation`` and appends its own warnings to
+that report. Timestamps are seconds (float64) relative to one shared
+epoch for the EEG and the events of a session.
 """
 
 from __future__ import annotations
@@ -88,12 +88,25 @@ class KeyClass(str, Enum):
     SUGG = "SUGG"
 
 
+#: The fields each kind of event carries besides ``t``, in the order of
+#: the ``events.csv`` argument columns; every other field stays empty.
+EVENT_FIELDS: dict[EventKind, tuple[str, ...]] = {
+    EventKind.SESSION_START: (),
+    EventKind.SENTENCE_SHOWN: ("text",),
+    EventKind.KEY: ("key_class", "produced"),
+    EventKind.SENTENCE_SUBMIT: ("text",),
+    EventKind.SESSION_END: (),
+}
+
+
 @dataclass(frozen=True)
 class Event:
     """One experiment event.
 
     ``text`` carries the SHOWN prompt or SUBMIT transcription; ``produced``
-    carries the characters appended by a keystroke (empty for BKSP).
+    carries the characters appended by a keystroke (empty for BKSP). The
+    time is finite, a KEY has a key class, and a field its kind does not
+    carry (:data:`EVENT_FIELDS`) stays empty; ValueError otherwise.
     """
 
     t: float
@@ -101,6 +114,14 @@ class Event:
     text: str = ""
     key_class: Optional[KeyClass] = None
     produced: str = ""
+
+    def __post_init__(self) -> None:
+        check_fields(self, ValueError)
+        if self.kind is EventKind.KEY and self.key_class is None:
+            raise ValueError("a KEY event needs a key_class")
+        for name in ("text", "key_class", "produced"):
+            if getattr(self, name) and name not in EVENT_FIELDS[self.kind]:
+                raise ValueError(f"a {self.kind.value} event carries no {name}")
 
     @staticmethod
     def session_start(t: float) -> "Event":
@@ -211,7 +232,8 @@ class EegRecording:
     """Uniformly sampled multi-channel EEG block.
 
     Sample ``i`` of every channel has the implicit timestamp ``t0 + i/fs``.
-    The sample matrix is frozen on construction.
+    ``t0`` and every sample are finite, or ValueError. The sample matrix is
+    frozen on construction.
     """
 
     __slots__ = ("t0", "fs", "samples")
@@ -223,6 +245,8 @@ class EegRecording:
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("samples must be a [n_channels, n_samples] "
                              "matrix with at least one channel")
+        if not (math.isfinite(t0) and np.isfinite(arr).all()):
+            raise ValueError("t0 and samples must be finite")
         arr.setflags(write=False)
         self.t0 = float(t0)
         self.fs = float(fs)
@@ -253,23 +277,14 @@ class EegRecording:
                 f"shape={self.samples.shape})")
 
 
-@dataclass(frozen=True)
-class GazeSample:
-    t: float
-    x: float
-    y: float
-    valid: bool
-
-
 @dataclass
 class SessionRecord:
-    """One participant-session bundle: metadata, EEG, events, optional gaze.
+    """One participant-session bundle: metadata, EEG and events.
     The EEG's rate and channel count are the meta's; ValueError otherwise."""
 
     meta: SessionMeta
     eeg: EegRecording
     events: EventLog
-    gaze: Optional[tuple[GazeSample, ...]] = None
     validation: Optional["ValidationReport"] = field(default=None,
                                                      compare=False, init=False)
 

@@ -47,7 +47,7 @@ def mode_intervals(events: EventLog) -> list[tuple[float, float, str]]:
     for s in events.sentences():
         t_prev = s.shown.t
         for key in s.keys:
-            if key.t > t_prev and key.key_class is not None:
+            if key.t > t_prev:
                 out.append((t_prev, key.t, key.key_class.value))
             t_prev = key.t
     return out

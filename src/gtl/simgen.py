@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .model import (
     EegRecording,
     Event,
     EventLog,
-    GazeSample,
     KeyClass,
     SessionMeta,
     SessionRecord,
@@ -124,11 +123,10 @@ class ScriptSentence:
 
 #: Most memory a spec may ask ``gtl simulate`` for (a 14-channel 850 s
 #: session at 128 Hz asks for 116 MiB), at the peak RSS measured per cell
-#: of (channels + 3) x (samples + 3) and per gaze sample, rounded up
-#: (CPython 3.11, numpy 2.4, Linux x86-64); the interpreter adds 35 MB.
+#: of (channels + 3) x (samples + 3), rounded up (CPython 3.11, numpy 2.4,
+#: Linux x86-64); the interpreter adds 35 MB.
 MAX_SIMULATE_BYTES = 800 * 2**20
 EEG_CELL_BYTES = 66
-GAZE_SAMPLE_BYTES = 288
 
 
 @dataclass(frozen=True)
@@ -142,24 +140,22 @@ class SimSpec:
     noise_sigma: float = 0.0
     script: tuple[ScriptSentence, ...] = ()
     seed: int = 0
-    gaze_rate: Optional[float] = None
 
     def __post_init__(self) -> None:
         check_fields(self, SpecInvalid)
-        for name in ("duration_s", "fs", "n_channels", "gaze_rate"):
-            if getattr(self, name) is not None and getattr(self, name) <= 0:
+        for name in ("duration_s", "fs", "n_channels"):
+            if getattr(self, name) <= 0:
                 raise SpecInvalid(f"{name} must be positive")
         if not 0 <= self.seed <= _MASK:
             raise SpecInvalid("seed must lie in [0, 2^64)")
         if self.noise_sigma < 0:
             raise SpecInvalid("noise_sigma must be >= 0")
-        # in integers, as n_channels may pass the float range; max() first,
-        # as round() overflows past it
+        # in integers, as n_channels may pass the float range; samples
+        # first, as round() overflows past it
         samples = self.duration_s * self.fs
-        gaze = self.duration_s * (self.gaze_rate or 0)
-        if max(samples, gaze) > MAX_SIMULATE_BYTES or (
+        if samples > MAX_SIMULATE_BYTES or (
                 EEG_CELL_BYTES * (self.n_channels + 3) * (round(samples) + 3)
-                + GAZE_SAMPLE_BYTES * round(gaze) > MAX_SIMULATE_BYTES):
+                > MAX_SIMULATE_BYTES):
             raise SpecInvalid(f"spec asks for more than "
                               f"{MAX_SIMULATE_BYTES >> 20} MiB to simulate")
         if round(samples) < 1:
@@ -242,15 +238,6 @@ def synth_events(spec: SimSpec) -> EventLog:
     return EventLog(tuple(events))
 
 
-def synth_gaze(spec: SimSpec) -> Optional[tuple[GazeSample, ...]]:
-    """Constant-rate dummy gaze at screen center, all samples valid."""
-    if spec.gaze_rate is None:
-        return None
-    n = int(round(spec.duration_s * spec.gaze_rate))
-    return tuple(GazeSample(i / spec.gaze_rate, 640.0, 360.0, True)
-                 for i in range(n))
-
-
 def simulate_session(spec: SimSpec, meta: SessionMeta) -> SessionRecord:
     if len(meta.channel_names) != spec.n_channels:
         raise SpecInvalid(
@@ -259,7 +246,7 @@ def simulate_session(spec: SimSpec, meta: SessionMeta) -> SessionRecord:
     if meta.fs_eeg != spec.fs:
         raise SpecInvalid(f"spec fs {spec.fs} != meta fs {meta.fs_eeg}")
     return SessionRecord(meta=meta, eeg=synth_eeg(spec),
-                         events=synth_events(spec), gaze=synth_gaze(spec))
+                         events=synth_events(spec))
 
 
 def expected_composition(spec: SimSpec,
@@ -308,14 +295,13 @@ _ITEMS = {"components": BandComponent, "script": ScriptSentence,
 
 
 def simspec_to_dict(value: object) -> object:
-    """The JSON form of a spec or of a part of one, without None fields."""
+    """The JSON form of a spec or of a part of one."""
     if isinstance(value, tuple):
         return [simspec_to_dict(v) for v in value]
     if type(value) not in _SPEC_KEYS:
         return value.value if isinstance(value, Enum) else value
     return {k: simspec_to_dict(getattr(value, f))
-            for k, f in _SPEC_KEYS[type(value)].items()
-            if f and getattr(value, f) is not None}
+            for k, f in _SPEC_KEYS[type(value)].items() if f}
 
 
 def _from_json(cls: type, obj: object) -> object:
@@ -363,12 +349,21 @@ _PHRASES = (
 
 @dataclass(frozen=True)
 class StudyDesign:
-    """Shape of the study-sized synthetic corpus."""
+    """Shape of the study-sized synthetic corpus; SpecInvalid if bad."""
 
     participants: int = 5
     sessions_per_keyboard: int = 6  # index 0 is the training session
     sentences_per_session: int = 5
     seed: int = 2024
+
+    def __post_init__(self) -> None:
+        check_fields(self, SpecInvalid)
+        for name, low in (("participants", 1), ("sessions_per_keyboard", 1),
+                          ("sentences_per_session", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise SpecInvalid(f"{name} must be >= {low}")
+        if self.seed > _MASK:
+            raise SpecInvalid("seed must lie in [0, 2^64)")
 
 
 def _sentence_script(text: str, shown_t: float,

@@ -123,6 +123,9 @@ def make_windows(samples: np.ndarray, cfg: AnalysisConfig, fs: float,
     (t0 + i*hop/fs) and the windows themselves, one per row of a
     read-only view."""
     x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("make_windows expects one channel, a 1-D sample "
+                         "vector")
     n = cfg.window_len
     frames = (np.lib.stride_tricks.sliding_window_view(x, n)[::cfg.hop]
               if x.shape[0] >= n else np.empty((0, n)))

@@ -25,6 +25,11 @@ from gtl.simgen import simspec_from_dict, study_sessions, simulate_session
 from conftest import ODD_JSON_VALUES, make_event_log, make_record, strict_json
 
 
+#: A well-formed gaze.csv: checked on load, kept nowhere.
+GAZE_CSV = (b"t,x,y,valid\n0.0,640.0,360.0,1\n0.5,641.5,359.25,0\n"
+            b"0.5,-3.0,1e3,1\n")
+
+
 @pytest.fixture
 def spec_file(tmp_path) -> Path:
     keystrokes = ([{"dt": 0.5, "class": "INSERT", "produced": "h"},
@@ -106,6 +111,52 @@ class TestSimulateAnalyze:
         assert reports[0] == reports[1]
         # analyze reads bundles and writes only its report
         assert not (bare / EEG_SIDECAR).exists()
+
+    def test_well_formed_gaze_csv_changes_nothing(self, tmp_path, spec_file):
+        bundle = tmp_path / "bundle"
+        main(["simulate", "--spec", str(spec_file), "--out", str(bundle)])
+        assert not (bundle / "gaze.csv").exists()
+        with_gaze = tmp_path / "with_gaze"
+        shutil.copytree(bundle, with_gaze)
+        (with_gaze / "gaze.csv").write_bytes(GAZE_CSV)
+        assert load_session(with_gaze) == load_session(bundle)
+        reports = []
+        for source in (bundle, with_gaze):
+            out = tmp_path / f"{source.name}.json"
+            assert main(["analyze", "--session", str(source),
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("text,row", [
+        (b"t,x,y\n0.0,1,2\n", 1),
+        (b"t,x,y,valid\n0.0,1,2,1\n0.5,nan,2,1\n", 3),
+        (b"t,x,y,valid\n0.0,1,2,2\n", 2),
+        (b"t,x,y,valid\n0.5,1,2,1\n0.0,1,2,1\n", 3),
+    ], ids=["header", "non-finite", "flag-2", "decreasing-time"])
+    def test_malformed_gaze_csv_is_located_io_error(self, tmp_path, spec_file,
+                                                   capsys, text, row):
+        bundle = tmp_path / "bundle"
+        main(["simulate", "--spec", str(spec_file), "--out", str(bundle)])
+        (bundle / "gaze.csv").write_bytes(text)
+        capsys.readouterr()
+        rc = main(["analyze", "--session", str(bundle),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 74
+        err = capsys.readouterr().err
+        assert err.startswith(f"gtl: {bundle}: ")
+        assert f"(row {row}" in err
+
+    def test_readme_spec_simulates_and_analyzes(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("The spec file is JSON:\n\n```json\n", 1)[1]
+        spec = tmp_path / "spec.json"
+        spec.write_text(block.split("```", 1)[0])
+        bundle = tmp_path / "bundle"
+        assert main(["simulate", "--spec", str(spec),
+                     "--out", str(bundle)]) == 0
+        assert main(["analyze", "--session", str(bundle),
+                     "--out", str(tmp_path / "r.json")]) == 0
 
     def test_seed_override_changes_bundle(self, tmp_path, spec_file):
         b1, b2, b3 = (tmp_path / n for n in ("b1", "b2", "b3"))
@@ -379,17 +430,16 @@ class TestExitCodes:
         # an OverflowError traceback
         lambda spec: {**spec, "n_channels": 10 ** 9},
         lambda spec: {**spec, "n_channels": 10 ** 400},
-        lambda spec: {**spec, "gaze_rate": 1e9},
-        lambda spec: {**spec, "duration_s": 1e308, "gaze_rate": 1e308},
+        lambda spec: {**spec, "duration_s": 1e308},
         # no sample per channel, yet ~10 GB of channel names and seeds
         lambda spec: {**spec, "duration_s": 0.001, "n_channels": 160_000_000,
                       "script": []},
-        # 16,000,000 gaze samples, ~4.5 GB
-        lambda spec: {**spec, "gaze_rate": 16e6 / 60},
+        # gaze is no longer simulated: an unknown key
+        lambda spec: {**spec, "gaze_rate": 60.0},
     ], ids=["list", "meta-list", "index-1e400", "keyboard-Z", "duration-inf",
             "channels-2.9", "seed-1.5", "misspelled-key", "index-0.5",
-            "channels-1e9", "channels-1e400", "gaze-1e9", "duration-1e308",
-            "channels-1.6e8-no-samples", "gaze-1.6e7"])
+            "channels-1e9", "channels-1e400", "duration-1e308",
+            "channels-1.6e8-no-samples", "gaze-rate"])
     def test_malformed_spec_is_usage_error(self, tmp_path, spec_file, edit):
         spec = edit(json.loads(spec_file.read_text()))
         # json writes inf as Infinity; 1e400 decodes to the same float
@@ -683,7 +733,6 @@ def fuzz_base(tmp_path_factory) -> dict[str, bytes]:
     root = tmp_path_factory.mktemp("fuzz")
     spec = {"duration_s": 20.0, "n_channels": 2, "seed": 3,
             "components": [{"freq": 20.0, "amplitude": 8.0}],
-            "gaze_rate": 2.0,
             "script": [{"shown_t": 5.0, "keystrokes": [
                 {"dt": 0.5, "class": "INSERT", "produced": "h"},
                 {"dt": 0.5, "class": "SUGG", "produced": "ello"},
@@ -692,7 +741,8 @@ def fuzz_base(tmp_path_factory) -> dict[str, bytes]:
     assert main(["simulate", "--spec", str(root / "spec.json"),
                  "--out", str(root / "bundle")]) == 0
     base = {name: (root / "bundle" / name).read_bytes()
-            for name in _BUNDLE_FILES}
+            for name in _BUNDLE_FILES if name != "gaze.csv"}
+    base["gaze.csv"] = GAZE_CSV
     base["spec.json"] = (root / "spec.json").read_bytes()
     base["group.txt"] = b"0.5\n0.25\n0.75\n"
     return base

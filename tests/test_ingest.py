@@ -39,7 +39,7 @@ from gtl.ingest import (
     split_rows,
     write_session,
 )
-from gtl.model import EegRecording, GazeSample, SessionMeta, SessionRecord
+from gtl.model import EegRecording, SessionMeta, SessionRecord
 
 from conftest import (ODD_JSON_VALUES, loads_as_itself, make_event_log,
                       make_record, random_event_log)
@@ -394,12 +394,10 @@ class TestMetaJson:
 
 
 class TestGazeCsv:
-    def test_round_trip(self):
-        from gtl.ingest import gaze_to_csv
-        gaze = (GazeSample(0.0, 1.5, 2.5, True),
-                GazeSample(1 / 60, 3.0, 4.0, False))
-        text = gaze_to_csv(gaze)
-        assert parse_gaze_csv(text.encode()) == gaze
+    def test_well_formed_is_accepted(self):
+        # equal times, CRLF and blank lines pass; nothing is kept
+        assert parse_gaze_csv(b"t,x,y,valid\r\n0.0,1.5,2.5,1\r\n\n"
+                              b"0.0,3.0,-4.0,0\r\n0.5,0,0,1") is None
 
     def test_non_monotonic(self):
         with pytest.raises(NonMonotonicTime):
@@ -419,7 +417,6 @@ class TestGazeCsv:
 class TestBundles:
     def test_load_write_identity(self, tmp_path, simple_log):
         rec = make_record(simple_log)
-        rec.gaze = (GazeSample(0.0, 1.0, 2.0, True),)
         first = tmp_path / "b1"
         second = tmp_path / "b2"
         write_session(rec, first)
@@ -427,21 +424,18 @@ class TestBundles:
         assert loaded.meta == rec.meta
         assert loaded.eeg == rec.eeg
         assert loaded.events == rec.events
-        assert loaded.gaze == rec.gaze
         assert loaded.validation is not None and loaded.validation.ok
         write_session(loaded, second)
-        for name in ("meta.json", "eeg.csv", "events.csv", "gaze.csv"):
+        for name in ("meta.json", "eeg.csv", "events.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    def test_rewrite_without_gaze_drops_the_old_gaze(self, tmp_path,
-                                                      simple_log):
+    def test_write_removes_a_stale_gaze_csv(self, tmp_path, simple_log):
+        # a gaze.csv left in the directory would still be checked on load
+        (tmp_path / "gaze.csv").write_bytes(b"t,x,y\n")
         rec = make_record(simple_log)
-        rec.gaze = (GazeSample(0.0, 1.0, 2.0, True),)
-        write_session(rec, tmp_path)
-        rec.gaze = None
         write_session(rec, tmp_path)
         assert not (tmp_path / "gaze.csv").exists()
-        assert load_session(tmp_path).gaze is None
+        assert load_session(tmp_path) == rec
 
     def test_load_write_identity_random_logs(self, tmp_path):
         rng = random.Random(17)
@@ -740,12 +734,7 @@ def _records(draw):
     eeg = EegRecording(t0, fs, samples.reshape(len(channels), n))
     log = make_event_log(draw(st.lists(_KEYS, min_size=1, max_size=3)),
                          start=t0, key_dt=draw(st.sampled_from([0.25, 1.0])))
-    gaze = None
-    if draw(st.booleans()):
-        times = sorted(draw(st.lists(_FINITE, max_size=5)))
-        gaze = tuple(GazeSample(t, draw(_FINITE), draw(_FINITE),
-                                draw(st.booleans())) for t in times)
-    return SessionRecord(meta=meta, eeg=eeg, events=log, gaze=gaze)
+    return SessionRecord(meta=meta, eeg=eeg, events=log)
 
 
 def _eeg_bits(rec: SessionRecord) -> tuple[bytes, float, bytes]:

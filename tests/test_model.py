@@ -25,8 +25,9 @@ from gtl.model import (
     replay_keystrokes,
     validate_session,
 )
-from gtl.report import ReportConfig
-from gtl.simgen import BandComponent, ScriptKey, ScriptSentence, SimSpec
+from gtl.report import ReportConfig, build_report, render_json
+from gtl.simgen import (BandComponent, ScriptKey, ScriptSentence, SimSpec,
+                        StudyDesign)
 from gtl.spectral import AnalysisConfig
 
 from conftest import (ODD_JSON_VALUES, loads_as_itself, make_event_log,
@@ -306,6 +307,16 @@ class TestRecordingInvariants:
         with pytest.raises(ValueError, match=match):
             SessionRecord(meta=meta, eeg=rec.eeg, events=rec.events)
 
+    @pytest.mark.parametrize("t0,sample", [
+        (math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan), (0.0, -math.inf),
+    ], ids=["t0-nan", "t0-inf", "sample-nan", "sample-inf"])
+    def test_non_finite_eeg_rejected(self, t0, sample):
+        # such a recording used to write a bundle that did not reload
+        samples = np.zeros((2, 8))
+        samples[1, 3] = sample
+        with pytest.raises(ValueError, match="finite"):
+            EegRecording(t0, 128.0, samples)
+
     def test_bad_meta_rejected(self):
         from gtl.model import SessionMeta
         with pytest.raises(ValueError):
@@ -323,6 +334,35 @@ class TestRecordingInvariants:
                                "session_index": 0, **kwargs})
 
 
+class TestEventRules:
+    @pytest.mark.parametrize("kwargs", [
+        {"kind": EventKind.KEY, "produced": "h"},
+        {"kind": EventKind.SESSION_START, "text": "x"},
+        {"kind": EventKind.SENTENCE_SUBMIT, "text": "a",
+         "key_class": KeyClass.INSERT},
+        {"kind": EventKind.SESSION_START, "t": math.nan},
+    ], ids=["key-without-class", "start-with-text", "submit-with-class",
+            "nan-time"])
+    def test_event_a_bundle_cannot_hold_is_rejected(self, kwargs):
+        # each used to construct, then fail in write_session, be dropped
+        # from the written row, or write a bundle that did not reload
+        with pytest.raises(ValueError):
+            Event(**{"t": 1.5, **kwargs})
+
+    def test_kind_and_key_class_by_value_give_the_same_report(
+            self, simple_log):
+        # a kind given as its value used to end in an AttributeError
+        by_value = EventLog(tuple(
+            Event(ev.t, ev.kind.value, ev.text,
+                  ev.key_class and ev.key_class.value, ev.produced)
+            for ev in simple_log))
+        assert all(isinstance(ev.kind, EventKind) for ev in by_value)
+        reports = [render_json(build_report([make_record(log)],
+                                            ReportConfig()))
+                   for log in (simple_log, by_value)]
+        assert reports[0] == reports[1]
+
+
 _CHECKED_TYPES = [
     (SessionMeta, ValueError, {"participant_id": "p", "keyboard": "A",
                                "session_index": 0}),
@@ -330,6 +370,8 @@ _CHECKED_TYPES = [
     (BandComponent, SpecInvalid, {"freq": 1.0, "amplitude": 1.0}),
     (ScriptSentence, SpecInvalid, {"shown_t": 0.0}),
     (ScriptKey, SpecInvalid, {"dt": 0.5, "key_class": KeyClass.INSERT}),
+    (StudyDesign, SpecInvalid, {}),
+    (Event, ValueError, {"t": 0.0, "kind": "KEY", "key_class": "INSERT"}),
     (AnalysisConfig, ConfigError, {}),
     (ReportConfig, ConfigError, {}),
 ]

@@ -9,13 +9,13 @@ from gtl.model import SessionMeta, validate_session
 from gtl.segmentation import phase_intervals
 from gtl.simgen import (
     EEG_CELL_BYTES,
-    GAZE_SAMPLE_BYTES,
     MAX_SIMULATE_BYTES,
     BandComponent,
     ScriptKey,
     ScriptSentence,
     SimSpec,
     SplitMix64,
+    StudyDesign,
     expected_composition,
     simspec_from_dict,
     simspec_to_dict,
@@ -76,7 +76,8 @@ class TestSplitMix64:
 
 _MOST_SAMPLES = MAX_SIMULATE_BYTES // (4 * EEG_CELL_BYTES) - 3
 _MOST_CHANNELS = MAX_SIMULATE_BYTES // (4 * EEG_CELL_BYTES) - 3
-_MOST_GAZE = (MAX_SIMULATE_BYTES - 16 * EEG_CELL_BYTES) // GAZE_SAMPLE_BYTES
+#: samples of 1021 channels, whose rows count 1024 cells a sample
+_MOST_WIDE = MAX_SIMULATE_BYTES // (1024 * EEG_CELL_BYTES) - 3
 
 
 class TestSynthEeg:
@@ -126,16 +127,12 @@ class TestSynthEeg:
         ({"duration_s": 1.0, "n_channels": _MOST_CHANNELS + 1}, False),
         ({"duration_s": 1.0, "n_channels": 10 ** 400}, False),
         ({"duration_s": 1e308, "fs": 1e308}, False),
-        ({"duration_s": _MOST_GAZE, "fs": 1 / _MOST_GAZE, "gaze_rate": 1.0},
-         True),
-        ({"duration_s": _MOST_GAZE + 1, "fs": 1 / _MOST_GAZE,
-          "gaze_rate": 1.0}, False),
-        ({"duration_s": 1.0, "gaze_rate": 1e308}, False),
+        ({"duration_s": _MOST_WIDE, "n_channels": 1021}, True),
+        ({"duration_s": _MOST_WIDE + 1, "n_channels": 1021}, False),
     ])
     def test_memory_budget(self, fields, ok):
         """A spec asks for at most MAX_SIMULATE_BYTES, counted as
-        EEG_CELL_BYTES per cell and GAZE_SAMPLE_BYTES per gaze sample;
-        construction allocates nothing."""
+        EEG_CELL_BYTES per cell; construction allocates nothing."""
         spec = {"fs": 1.0, "n_channels": 1, **fields}
         if ok:
             SimSpec(**spec)
@@ -191,14 +188,6 @@ class TestSynthEvents:
         assert m.backspace_count == 1
         assert m.wpm == pytest.approx((5 * 60) / (5 * 1.5))
 
-    def test_gaze_dummies(self):
-        spec = SimSpec(duration_s=2.0, components=(BandComponent(20.0, 1.0),),
-                       gaze_rate=60.0)
-        rec = simulate_session(spec, _meta())
-        assert rec.gaze is not None
-        assert len(rec.gaze) == 120
-        assert all(g.valid for g in rec.gaze)
-
 
 class TestExpectedComposition:
     def test_equal_mixture(self):
@@ -237,8 +226,7 @@ class TestExpectedComposition:
 class TestSimSpecSerialization:
     def test_round_trip(self):
         spec = SimSpec(duration_s=30.0, components=(BandComponent(20.0, 2.5),),
-                       noise_sigma=0.25, script=_script(), seed=77,
-                       gaze_rate=60.0)
+                       noise_sigma=0.25, script=_script(), seed=77)
         assert simspec_from_dict(simspec_to_dict(spec)) == spec
 
     def test_malformed_dict(self):
@@ -270,7 +258,7 @@ class TestSimSpecSerialization:
 
     @pytest.mark.parametrize("path", [
         ("duration_s",), ("fs",), ("n_channels",), ("components",),
-        ("noise_sigma",), ("script",), ("seed",), ("gaze_rate",),
+        ("noise_sigma",), ("script",), ("seed",),
         ("components", 0, "freq"), ("components", 0, "amplitude"),
         ("script", 0, "shown_t"), ("script", 0, "keystrokes"),
         ("script", 0, "keystrokes", 0, "dt"),
@@ -282,8 +270,7 @@ class TestSimSpecSerialization:
         # keystroke "produced": 0.5 as "0.5"
         for text in ODD_JSON_VALUES:
             d = simspec_to_dict(SimSpec(
-                30.0, components=(BandComponent(20.0, 1.0),), script=_script(),
-                gaze_rate=60.0))
+                30.0, components=(BandComponent(20.0, 1.0),), script=_script()))
             *parent, key = path
             obj = d
             for step in parent:
@@ -323,6 +310,17 @@ class TestStudySessions:
             betas = [expected_composition(s, default_bands(128.0)).fraction("Beta")
                      for s in specs]
             assert np.mean(betas) == pytest.approx(target, abs=1e-6)
+
+    @pytest.mark.parametrize("field,value", [
+        ("participants", 0), ("sessions_per_keyboard", 0),
+        ("participants", 2.5), ("sentences_per_session", -1), ("seed", -1),
+        ("seed", 2 ** 64),
+    ])
+    def test_bad_design_is_spec_invalid(self, field, value):
+        # 0 used to end in a ZeroDivisionError, 2.5 in a TypeError, and
+        # seed -1 was masked to 2^64 - 1
+        with pytest.raises(SpecInvalid, match=field):
+            StudyDesign(**{field: value})
 
     def test_sessions_validate(self):
         meta, spec = study_sessions()[7]

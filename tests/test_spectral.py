@@ -83,6 +83,13 @@ class TestWindowing:
                 start += hop
             assert window_count(length, n, hop) == count
 
+    @pytest.mark.parametrize("shape", [(2, 4096), (2000, 4), ()])
+    def test_input_that_is_not_one_channel_is_rejected(self, shape):
+        # a (2, 4096) matrix used to give no windows, a (2000, 4) one
+        # numpy's own error
+        with pytest.raises(ValueError, match="1-D"):
+            make_windows(np.zeros(shape), AnalysisConfig(), 128.0)
+
     def test_window_start_times(self):
         cfg = AnalysisConfig(window_len=4, hop=2)
         starts, frames = make_windows(np.arange(8.0), cfg, 2.0, t0=10.0)
