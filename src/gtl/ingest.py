@@ -190,19 +190,20 @@ def parse_eeg_csv(data: bytes, meta: SessionMeta,
         text = as_text(data, EEG_FILE)
     body_start = text.find("\n") + 1
     if not body_start:
-        raise BadHeader("eeg.csv has no header row")
+        raise BadHeader("eeg.csv has no header row", row=1)
     header = text[:body_start - 1].removesuffix("\r")
     columns = header.split(",")
     if not columns or columns[0] != "t":
-        raise BadHeader(f"eeg.csv header must start with 't', got {header!r}")
+        raise BadHeader(f"eeg.csv header must start with 't', got {header!r}",
+                        row=1)
     names = tuple(columns[1:])
     if names != meta.channel_names:
         if len(names) != len(meta.channel_names):
             raise ChannelCountMismatch(
                 f"eeg.csv has {len(names)} channels, metadata names "
-                f"{len(meta.channel_names)}")
+                f"{len(meta.channel_names)}", row=1)
         raise ChannelCountMismatch(
-            f"eeg.csv channel names {names} differ from metadata")
+            f"eeg.csv channel names {names} differ from metadata", row=1)
     if matrix is None:
         matrix = _parse_eeg_body(text[body_start:], len(columns))
 

@@ -1,9 +1,11 @@
 """Deterministic synthetic sessions: ground-truth EEG with a prescribed
 band-power mix plus scripted keystroke logs.
 
-Everything derives from SplitMix64 so equal seeds give bit-identical
-output on any platform. The generator definition, for reimplementation
-elsewhere:
+Everything derives from SplitMix64, so equal seeds give equal output.
+The SplitMix64 integer stream is the same on every platform; the float
+samples also depend on numpy's ``sin``, ``cos`` and ``log``, and are
+bit-identical wherever those are. The generator definition, for
+reimplementation elsewhere:
 
     state <- (state + 0x9E3779B97F4A7C15) mod 2^64
     z <- state
@@ -14,6 +16,14 @@ elsewhere:
 Uniform doubles take the top 53 bits (output >> 11) / 2^53. Gaussians are
 Box-Muller pairs over consecutive uniforms u1, u2 (u1 clamped away from
 zero): g0 = sqrt(-2 ln u1) cos(2 pi u2), g1 = sqrt(-2 ln u1) sin(2 pi u2).
+
+EEG: the spec seed's stream gives one seed per channel, in channel order.
+Each channel's own stream first gives one uniform u per component, in
+component order, as the phase phi = 2 pi u; with noise it then gives the
+channel's n Gaussians. On the grid t = k / fs (k < n), component by
+component, a channel adds (A cos phi) sin(wt) and then (A sin phi) cos(wt),
+with wt = 2 pi f t and the weights in double precision; the noise, times
+noise_sigma, is added last.
 """
 
 from __future__ import annotations
@@ -48,6 +58,8 @@ _U53 = 2.0 ** -53
 
 class SplitMix64:
     """Counter-based SplitMix64; ``take`` methods advance the stream."""
+
+    __slots__ = ("seed", "_count")
 
     def __init__(self, seed: int) -> None:
         self.seed = seed & _MASK
@@ -191,29 +203,40 @@ class ExpectedComposition:
         raise KeyError(band_name)
 
 
-def _channel_seeds(spec: SimSpec) -> list[int]:
+def _channel_rngs(spec: SimSpec) -> list[SplitMix64]:
     root = SplitMix64(spec.seed)
-    return [root.next_u64() for _ in range(spec.n_channels)]
+    return [SplitMix64(root.next_u64()) for _ in range(spec.n_channels)]
 
 
 def synth_eeg(spec: SimSpec) -> EegRecording:
     """Sum of fixed sinusoids plus white noise, per channel.
 
-    Each channel gets its own phase per component and its own noise
-    stream, all derived from the spec seed.
+    Each channel draws one phase per component from its own stream, then
+    its noise from the same stream. A component's ``sin(wt)`` and
+    ``cos(wt)`` are computed once and weighted per channel, as
+    ``A sin(wt + phi) = (A cos phi) sin(wt) + (A sin phi) cos(wt)``.
     """
     n = int(round(spec.duration_s * spec.fs))
     t = np.arange(n, dtype=np.float64) / spec.fs
     samples = np.zeros((spec.n_channels, n), dtype=np.float64)
-    for ch, ch_seed in enumerate(_channel_seeds(spec)):
-        rng = SplitMix64(ch_seed)
-        acc = np.zeros(n, dtype=np.float64)
-        for comp in spec.components:
-            phase = 2.0 * np.pi * rng.next_float()
-            acc += comp.amplitude * np.sin(2.0 * np.pi * comp.freq * t + phase)
-        if spec.noise_sigma > 0:
-            acc += spec.noise_sigma * rng.take_gaussians(n)
-        samples[ch] = acc
+    rngs = _channel_rngs(spec)
+    # one component's pair at a time, and a scratch row for the products
+    sin_wt, cos_wt, scratch = np.empty((3, n), dtype=np.float64)
+    for comp in spec.components:
+        np.multiply(t, 2.0 * np.pi * comp.freq, out=cos_wt)
+        np.sin(cos_wt, out=sin_wt)
+        np.cos(cos_wt, out=cos_wt)
+        for row, rng in zip(samples, rngs):
+            phase = 2.0 * math.pi * rng.next_float()
+            row += np.multiply(sin_wt, comp.amplitude * math.cos(phase),
+                               out=scratch)
+            row += np.multiply(cos_wt, comp.amplitude * math.sin(phase),
+                               out=scratch)
+    del t, sin_wt, cos_wt, scratch  # the noise needs none of them
+    if spec.noise_sigma > 0:
+        for row, rng in zip(samples, rngs):
+            noise = rng.take_gaussians(n)
+            row += np.multiply(noise, spec.noise_sigma, out=noise)
     return EegRecording(t0=0.0, fs=spec.fs, samples=samples)
 
 

@@ -240,6 +240,21 @@ class TestExitCodes:
             f"gtl: {bad}: events.csv cell is not a finite decimal number")
         assert not out.exists()
 
+    def test_eeg_header_error_names_row_1(self, tmp_path, spec_file,
+                                          capsys):
+        bundle = tmp_path / "bundle"
+        main(["simulate", "--spec", str(spec_file), "--out", str(bundle)])
+        eeg = (bundle / "eeg.csv").read_text()
+        (bundle / "eeg.csv").write_text("time" + eeg[1:])
+        capsys.readouterr()
+        rc = main(["analyze", "--session", str(bundle),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 74
+        err = capsys.readouterr().err
+        assert err.startswith(f"gtl: {bundle}: eeg.csv header must start "
+                              f"with 't', got 'time,")
+        assert "(row 1)" in err
+
     @pytest.mark.parametrize("key,value", [
         ("session_index", 0.5), ("session_index", True),
         ("participant_id", None), ("fs_eeg", True), ("fs_eeg", "128"),

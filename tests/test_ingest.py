@@ -118,6 +118,19 @@ class TestEegCsv:
         with pytest.raises(BadHeader):
             parse_eeg_csv(b"0.0,1.0,2.0", META2)
 
+    @pytest.mark.parametrize("data,error", [
+        (b"t,ch1,ch2", BadHeader),
+        (b"time,a,b\n0,1,2\n", BadHeader),
+        (b"t,ch1\n0,1\n", ChannelCountMismatch),
+        (b"t,ch1,chX\n0,1,2\n", ChannelCountMismatch),
+    ], ids=["no-header-row", "first-not-t", "channel-count",
+            "channel-names"])
+    def test_header_error_names_row_1(self, data, error):
+        with pytest.raises(error) as err:
+            parse_eeg_csv(data, META2)
+        assert err.value.row == 1
+        assert str(err.value).endswith("(row 1)")
+
     @pytest.mark.parametrize("text,error,row", [
         ("t,a\n\n0,1\n0,2\n", NonMonotonicTime, 4),
         ("t,a\n0,1\n\n\n1,2\n1,3\n", NonMonotonicTime, 6),

@@ -89,6 +89,35 @@ class TestSynthEeg:
         assert np.array_equal(a.samples, b.samples)
         assert a.fs == 128.0 and a.t0 == 0.0
 
+    def test_matches_the_closed_form(self):
+        components = (BandComponent(2.0, 3.0), BandComponent(6.0, 2.0),
+                      BandComponent(10.0, 1.5), BandComponent(20.0, 1.0))
+        spec = SimSpec(duration_s=850.0, components=components, seed=17)
+        eeg = synth_eeg(spec).samples
+        t = np.arange(eeg.shape[1]) / spec.fs
+        root = SplitMix64(spec.seed)
+        for row in eeg:
+            rng = SplitMix64(root.next_u64())
+            want = sum(c.amplitude * np.sin(2.0 * np.pi * c.freq * t
+                                            + 2.0 * np.pi * rng.next_float())
+                       for c in components)
+            assert np.max(np.abs(row - want)) < 1e-9
+
+    def test_noise_follows_the_phase_draws(self):
+        # each channel draws its phases, then its noise, from one stream
+        components = (BandComponent(20.0, 0.0), BandComponent(6.0, 0.0),
+                      BandComponent(10.0, 0.0))
+        spec = SimSpec(duration_s=10.0, components=components,
+                       noise_sigma=0.7, seed=5)
+        eeg = synth_eeg(spec).samples
+        root = SplitMix64(spec.seed)
+        for row in eeg:
+            rng = SplitMix64(root.next_u64())
+            for _ in components:
+                rng.next_float()
+            want = spec.noise_sigma * rng.take_gaussians(eeg.shape[1])
+            assert np.array_equal(row, want)
+
     def test_different_seeds_differ(self):
         base = dict(duration_s=10.0, components=(BandComponent(20.0, 2.0),),
                     noise_sigma=0.5)
