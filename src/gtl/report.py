@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Iterable, Literal, Optional, Sequence
@@ -182,6 +181,8 @@ def build_report(records: Iterable[SessionRecord], config: ReportConfig,
     # map drops each record before it asks for the next one; a for loop
     # would keep it bound while the next one loads
     if threads > 1:
+        # imported here, so that the analyze path does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(analyzed, records))
     else:

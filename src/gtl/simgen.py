@@ -134,9 +134,11 @@ class ScriptSentence:
 
 
 #: Most memory a spec may ask ``gtl simulate`` for (a 14-channel 850 s
-#: session at 128 Hz asks for 116 MiB), at the peak RSS measured per cell
-#: of (channels + 3) x (samples + 3), rounded up (CPython 3.11, numpy 2.4,
-#: Linux x86-64); the interpreter adds 35 MB.
+#: session at 128 Hz asks for 116 MiB), counted per cell of
+#: (channels + 3) x (samples + 3). A bound: with the block writer of
+#: :func:`gtl.ingest.eeg_to_csv`, the peak RSS measured at the budget is
+#: 11-59 B per cell (CPython 3.11, numpy 2.4, Linux x86-64); the
+#: interpreter adds 33 MiB.
 MAX_SIMULATE_BYTES = 800 * 2**20
 EEG_CELL_BYTES = 66
 

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
+import os
 import random
 import struct
 import tempfile
@@ -145,7 +147,8 @@ class TestEegCsv:
         # the same row when the matrix comes from a bound sidecar
         matrix = np.loadtxt(io.StringIO(text.partition("\n")[2]),
                             delimiter=",", ndmin=2)
-        bound = ingest.read_sidecar(ingest.sidecar_bytes(data, matrix), data, 2)
+        sidecar = ingest.sidecar_bytes(hashlib.sha256(data).digest(), matrix)
+        bound = ingest.read_sidecar(sidecar, data, 2)
         with pytest.raises(error) as err:
             parse_eeg_csv(data, meta, bound)
         assert err.value.row == row
@@ -349,8 +352,15 @@ class TestEventsCsv:
 class TestMetaJson:
     def test_round_trip(self):
         from gtl.ingest import meta_to_json
-        meta = SessionMeta("p07", "C", 3, 128.0, ("a", "b"))
-        assert parse_meta_json(meta_to_json(meta).encode()) == meta
+        for channels in (("a", "b"),
+                         tuple(f"channel{i}" for i in range(20_000))):
+            meta = SessionMeta("p07", "C", 3, 128.0, channels)
+            text = meta_to_json(meta)
+            assert text == json.dumps(
+                {"channels": list(channels), "fs_eeg": 128.0,
+                 "keyboard": "C", "participant_id": "p07",
+                 "session_index": 3}, sort_keys=True, indent=2) + "\n"
+            assert parse_meta_json(text.encode()) == meta
 
     def test_missing_key(self):
         with pytest.raises(MalformedMeta):
@@ -480,6 +490,93 @@ class TestBundles:
         (bundle / "eeg.csv").write_bytes(b"")
         with pytest.raises(MissingFile):
             load_session(bundle)
+
+
+def _fail_block(block):
+    raise ValueError("block not formatted")
+
+
+def _block_record(n_channels: int, n_samples: int) -> SessionRecord:
+    meta = SessionMeta("p01", "A", 1, 128.0,
+                       tuple(f"c{i}" for i in range(n_channels)))
+    samples = np.random.default_rng(3).standard_normal((n_channels, n_samples))
+    return SessionRecord(meta=meta, eeg=EegRecording(0.0, 128.0, samples),
+                         events=make_event_log([[("INSERT", "h")]]))
+
+
+# 14 channels in five full blocks and a partial one; a row too wide for
+# two to share a block. Six blocks are more than two workers keep in
+# flight.
+_ROWS_PER_BLOCK = ingest.EEG_BLOCK_CELLS // 15
+_BLOCK_SHAPES = {
+    "partial-block": (14, 5 * _ROWS_PER_BLOCK + _ROWS_PER_BLOCK // 2),
+    "row-per-block": (ingest.EEG_BLOCK_CELLS // 2, 6),
+}
+
+
+class TestBlockWriter:
+    """eeg.csv is formatted in row blocks, in worker processes when the
+    process may use more than one CPU."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def use(n: int) -> None:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(n)), raising=False)
+        return use
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("shape", sorted(_BLOCK_SHAPES))
+    def test_blocks_join_to_the_whole_text(self, tmp_path, cpus, n_cpus,
+                                           shape):
+        rec = _block_record(*_BLOCK_SHAPES[shape])
+        matrix = eeg_matrix(rec.eeg)
+        text = ("t," + ",".join(rec.meta.channel_names) + "\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in matrix.tolist()))
+        cpus(n_cpus)
+        write_session(rec, tmp_path)
+        assert (tmp_path / "eeg.csv").read_bytes() == text.encode()
+        assert (tmp_path / EEG_SIDECAR).read_bytes() == (
+            hashlib.sha256(text.encode()).digest()
+            + matrix.astype("<f8").tobytes())
+        assert multiprocessing.active_children() == []
+
+    def test_at_most_two_blocks_per_worker_in_flight(self, cpus,
+                                                     monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+        submits_at_write = []
+        submitted = 0
+        real_submit = ProcessPoolExecutor.submit
+
+        def submit(pool, *args):
+            nonlocal submitted
+            submitted += 1
+            return real_submit(pool, *args)
+
+        class Out(io.BytesIO):
+            def write(self, chunk):
+                submits_at_write.append(submitted)
+                return super().write(chunk)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        cpus(2)
+        rec = _block_record(*_BLOCK_SHAPES["partial-block"])
+        ingest.eeg_to_csv(eeg_matrix(rec.eeg), rec.meta.channel_names, Out())
+        header, *blocks = submits_at_write
+        assert header == 0 and len(blocks) == submitted == 6
+        # submitted and not yet written when block k is written
+        assert max(n - k for k, n in enumerate(blocks)) == 2 * 2
+
+    def test_no_worker_outlives_a_failed_write(self, tmp_path, cpus,
+                                               monkeypatch):
+        cpus(2)
+        monkeypatch.setattr(ingest, "_eeg_lines", _fail_block)
+        with pytest.raises(ValueError, match="block not formatted") as err:
+            write_session(_block_record(*_BLOCK_SHAPES["partial-block"]),
+                          tmp_path)
+        # raised in a worker: the pool attaches the remote traceback
+        assert type(err.value.__cause__).__name__ == "_RemoteTraceback"
+        assert multiprocessing.active_children() == []
 
 
 class _Tripwire:
@@ -632,7 +729,8 @@ class TestSidecar:
 
     def test_csv_without_rows_binds_no_sidecar(self):
         csv_bytes = b"t,a\n\r\n"
-        empty = ingest.sidecar_bytes(csv_bytes, np.empty((0, 2)))
+        empty = ingest.sidecar_bytes(hashlib.sha256(csv_bytes).digest(),
+                                     np.empty((0, 2)))
         with pytest.raises(ValueError, match="not the 0 rows"):
             ingest.read_sidecar(empty, csv_bytes, 2)
 
@@ -642,7 +740,8 @@ class TestSidecar:
         """Any bytes after a matching digest give the matrix or a
         ValueError, never another exception."""
         csv_bytes = b"t,a,b\n0.0,1.0,2.0\n"
-        good = ingest.sidecar_bytes(csv_bytes, np.array([[0.0, 1.0, 2.0]]))
+        good = ingest.sidecar_bytes(hashlib.sha256(csv_bytes).digest(),
+                                    np.array([[0.0, 1.0, 2.0]]))
         if data.draw(st.booleans()):
             tail = data.draw(st.binary(max_size=200))
         else:
