@@ -59,14 +59,6 @@ class NonUniformRate(IngestError):
     pass
 
 
-class UnknownKind(IngestError):
-    pass
-
-
-class UnknownKeyClass(IngestError):
-    pass
-
-
 class MarkerOrder(IngestError):
     pass
 

@@ -31,11 +31,11 @@ matrix in row blocks of about EEG_BLOCK_CELLS cells, on every CPU the
 process may use (forked workers where ``os.fork`` exists), and writes
 them in file order to the file and to the sidecar's digest, so the text
 is never held whole and never read back. The bytes are those of one
-serial pass. ``gtl simulate`` of an 850 s, 14-channel session at 128 Hz
-peaks at 82 MiB, against 168 MiB for the earlier whole-text writer; a
-14- to 256-channel spec at the memory budget of :mod:`gtl.simgen` peaks
-at 320-330 MiB, against 940-950 MiB (CPython 3.11, numpy 2.4, Linux
-x86-64, two CPUs).
+serial pass. The sidecar is written from the matrix's own buffer.
+``gtl simulate`` of an 850 s, 14-channel session at 128 Hz peaks at
+70 MiB, and a 14- to 256-channel spec at the memory budget of
+:mod:`gtl.simgen` at 236 MiB (CPython 3.11, numpy 2.4, Linux x86-64,
+two CPUs).
 """
 
 from __future__ import annotations
@@ -66,8 +66,6 @@ from .errors import (
     MissingFile,
     NonMonotonicTime,
     NonUniformRate,
-    UnknownKeyClass,
-    UnknownKind,
 )
 from .model import (
     EVENT_FIELDS,
@@ -380,14 +378,6 @@ def _format_in_pool(blocks: list[np.ndarray], workers: int,
 
 # --- eeg.sidecar -------------------------------------------------------------
 
-def sidecar_bytes(eeg_csv_digest: bytes, matrix: np.ndarray) -> bytes:
-    """Sidecar of ``matrix`` bound to the ``eeg.csv`` bytes whose sha256
-    digest is ``eeg_csv_digest``."""
-    # one copy of the data: tobytes() and + would make two
-    data = np.ascontiguousarray(matrix, _SIDECAR_DTYPE)
-    return b"".join((eeg_csv_digest, data.data))
-
-
 def read_sidecar(data: bytes, eeg_csv: bytes, width: int) -> np.ndarray:
     """The matrix of a sidecar bound to ``eeg_csv`` with ``width`` columns.
 
@@ -423,10 +413,6 @@ def _reads_as(line: bytes, values: np.ndarray) -> bool:
 
 # --- events.csv --------------------------------------------------------------
 
-_EVENT_KINDS = {k.value for k in EventKind}
-_KEY_CLASSES = {k.value for k in KeyClass}
-
-
 def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) per record; a record csv cannot read, e.g. a
     field over csv's size limit, becomes a located MalformedRow."""
@@ -443,10 +429,10 @@ def parse_events_csv(data: bytes) -> EventLog:
     """Parse and structurally validate the event log.
 
     Rows are ``t,kind,arg1,arg2`` with RFC-4180 quoting on the text
-    fields; a field that the row's kind does not use must be empty. A
-    malformed row aborts the parse with a located error; then
-    the first :func:`event_log_violations` entry aborts it as a
-    MarkerOrder at its event's row. A returned log always satisfies the
+    fields; a field that the row's kind does not use must be empty, and
+    :class:`Event` checks the rest. A malformed row aborts the parse with
+    a located error; then the first :func:`event_log_violations` entry
+    aborts it as a MarkerOrder at its event's row. A returned log always satisfies the
     event-log invariants.
     """
     events: list[Event] = []
@@ -460,16 +446,16 @@ def parse_events_csv(data: bytes) -> EventLog:
                 row=row_no)
         raw_t, kind, *args = row
         t = read_number(raw_t, EVENTS_FILE, row_no, col=1)
-        if kind not in _EVENT_KINDS:
-            raise UnknownKind(f"unknown event kind {kind!r}", row=row_no)
-        kind = EventKind(kind)
-        if kind is EventKind.KEY and args[0] not in _KEY_CLASSES:
-            raise UnknownKeyClass(f"unknown key class {args[0]!r}", row=row_no)
-        names = EVENT_FIELDS[kind]
-        if any(args[len(names):]):
-            raise MalformedRow(f"a {kind.value} row must leave the fields it "
-                               f"does not use empty", row=row_no)
-        events.append(Event(t, kind, **dict(zip(names, args))))
+        try:
+            names = EVENT_FIELDS[EventKind(kind)]
+            # Event cannot see a column its kind has no field for
+            if any(args[len(names):]):
+                raise MalformedRow(f"a {kind} row must leave the fields it "
+                                   f"does not use empty", row=row_no)
+            events.append(Event(t, kind, **dict(zip(names, args))))
+        except ValueError as exc:
+            # an unknown kind or key class
+            raise MalformedRow(f"invalid event: {exc}", row=row_no) from None
         rows.append(row_no)
     first = next(event_log_violations(events), None)
     if first is not None:
@@ -574,7 +560,8 @@ def write_session(rec: SessionRecord, path: Union[str, Path]) -> None:
     """Write a bundle such that loading it back yields an equal record.
 
     The EEG matrix is built once and written as ``eeg.csv`` and as the
-    sidecar bound to those bytes. A ``gaze.csv`` there is removed.
+    sidecar bound to those bytes, straight from the matrix's buffer. A
+    ``gaze.csv`` there is removed.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -582,7 +569,10 @@ def write_session(rec: SessionRecord, path: Union[str, Path]) -> None:
     matrix = eeg_matrix(rec.eeg)
     with open(root / EEG_FILE, "wb") as f:
         digest = eeg_to_csv(matrix, rec.meta.channel_names, f)
-    (root / EEG_SIDECAR).write_bytes(sidecar_bytes(digest, matrix))
+    with open(root / EEG_SIDECAR, "wb") as f:
+        f.write(digest)
+        # no copy where the machine is little-endian
+        f.write(np.ascontiguousarray(matrix, _SIDECAR_DTYPE).data)
     (root / EVENTS_FILE).write_text(events_to_csv(rec.events), encoding="utf-8")
     # a gaze.csv left in the directory is not this record's, and a later
     # load would still check it

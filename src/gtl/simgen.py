@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -137,7 +136,7 @@ class ScriptSentence:
 #: session at 128 Hz asks for 116 MiB), counted per cell of
 #: (channels + 3) x (samples + 3). A bound: with the block writer of
 #: :func:`gtl.ingest.eeg_to_csv`, the peak RSS measured at the budget is
-#: 11-59 B per cell (CPython 3.11, numpy 2.4, Linux x86-64); the
+#: 10-59 B per cell (CPython 3.11, numpy 2.4, Linux x86-64); the
 #: interpreter adds 33 MiB.
 MAX_SIMULATE_BYTES = 800 * 2**20
 EEG_CELL_BYTES = 66
@@ -317,16 +316,6 @@ _SPEC_KEYS = {
 #: Fields whose spec value is an array of objects of a type.
 _ITEMS = {"components": BandComponent, "script": ScriptSentence,
           "keys": ScriptKey}
-
-
-def simspec_to_dict(value: object) -> object:
-    """The JSON form of a spec or of a part of one."""
-    if isinstance(value, tuple):
-        return [simspec_to_dict(v) for v in value]
-    if type(value) not in _SPEC_KEYS:
-        return value.value if isinstance(value, Enum) else value
-    return {k: simspec_to_dict(getattr(value, f))
-            for k, f in _SPEC_KEYS[type(value)].items() if f}
 
 
 def _from_json(cls: type, obj: object) -> object:

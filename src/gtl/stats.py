@@ -5,7 +5,8 @@ p-values come from the regularized incomplete beta function, evaluated
 from first principles with the continued-fraction expansion (modified
 Lentz iteration), so the package carries no statistics dependency.
 Where every group is constant the statistic is undefined, whatever the
-means: both tests raise instead of returning an infinite statistic, so a
+means: both tests raise instead of returning an infinite statistic. A
+sum, mean or statistic past the float range raises DegenerateInput, so a
 result always holds finite numbers.
 """
 
@@ -110,16 +111,6 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def cdf_t(t: float, df: float) -> float:
-    """CDF of Student's t distribution with ``df`` degrees of freedom."""
-    if df <= 0:
-        raise DomainError("df must be positive")
-    if t == 0.0:
-        return 0.5
-    tail = 0.5 * _t_two_sided_p(t, df)
-    return 1.0 - tail if t > 0 else tail
-
-
 def cdf_f(f: float, df1: float, df2: float) -> float:
     """CDF of the F distribution with (df1, df2) degrees of freedom."""
     if df1 <= 0 or df2 <= 0:
@@ -179,6 +170,13 @@ def boxplot_summary(values: Sequence[float]) -> BoxplotSummary:
 
 # --- inferential -------------------------------------------------------------
 
+def _finite(value: float, what: str) -> float:
+    """``value``; DegenerateInput naming ``what`` when it is not finite."""
+    if not math.isfinite(value):
+        raise DegenerateInput(f"{what} overflows the float range")
+    return value
+
+
 def _finite_sum(terms: Iterable[float], what: str) -> float:
     """``sum(terms)``; DegenerateInput naming ``what`` when it overflows.
 
@@ -189,9 +187,7 @@ def _finite_sum(terms: Iterable[float], what: str) -> float:
         total = sum(terms)
     except OverflowError:
         total = math.inf
-    if not math.isfinite(total):
-        raise DegenerateInput(f"{what} overflows the float range")
-    return total
+    return _finite(total, what)
 
 
 def _mean(xs: Sequence[float]) -> float:
@@ -225,7 +221,8 @@ def anova_oneway(groups: Sequence[Sequence[float]]) -> StatResult:
         raise DegenerateInput("all values identical: F undefined"
                               if msb == 0.0 else
                               "every group constant: F undefined")
-    f = msb / msw
+    # a tiny positive msw can still send F past the float range
+    f = _finite(msb / msw, "F statistic")
     p = 1.0 - cdf_f(f, df_b, df_w)
     return StatResult("anova", f, (float(df_b), float(df_w)), p, tuple(ns))
 
@@ -266,6 +263,6 @@ def ttest_two_sample(a: Sequence[float], b: Sequence[float],
         except (OverflowError, ZeroDivisionError):
             raise DegenerateInput("Welch degrees of freedom leave the "
                                   "float range") from None
-    t = (m_a - m_b) / se
+    t = _finite((m_a - m_b) / se, "t statistic")
     return StatResult(f"ttest-{variant}", t, (df,), _t_two_sided_p(t, df),
                       (n_a, n_b))

@@ -558,6 +558,14 @@ class TestStatsCommand:
             assert main(["stats", "--test", *test, "--groups", *paths]) == 3
             assert "overflows the float range" in capsys.readouterr().err
 
+    def test_overflowing_t_statistic_exits_3(self, tmp_path, capsys):
+        # every sum is finite, but t = 1e300 / 5e-161 is not
+        paths = self._write_groups(tmp_path, [1e300, 1e300], [0, 1e-160])
+        assert main(["stats", "--test", "ttest", "--groups", *paths]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "t statistic overflows the float range" in captured.err
+
     @pytest.mark.parametrize("bad", [
         b"nan", b"inf", b"-inf", b"\xff", b"1_0", "\u0661".encode(), b"  ",
         b"1,2"])

@@ -24,8 +24,6 @@ from gtl.errors import (
     MissingFile,
     NonMonotonicTime,
     NonUniformRate,
-    UnknownKeyClass,
-    UnknownKind,
 )
 from gtl import ingest
 from gtl.ingest import (
@@ -41,7 +39,8 @@ from gtl.ingest import (
     split_rows,
     write_session,
 )
-from gtl.model import EegRecording, SessionMeta, SessionRecord
+from gtl.model import (EegRecording, EventKind, KeyClass, SessionMeta,
+                       SessionRecord)
 
 from conftest import (ODD_JSON_VALUES, loads_as_itself, make_event_log,
                       make_record, random_event_log)
@@ -49,6 +48,7 @@ from conftest import (ODD_JSON_VALUES, loads_as_itself, make_event_log,
 META14 = SessionMeta("p01", "A", 1)
 META2 = SessionMeta("p01", "A", 1,
                     channel_names=("ch1", "ch2"))
+_ENUM_VALUES = {k.value for k in (*EventKind, *KeyClass)}
 
 
 def eeg_bytes(times, n_channels=14, names=None):
@@ -147,7 +147,7 @@ class TestEegCsv:
         # the same row when the matrix comes from a bound sidecar
         matrix = np.loadtxt(io.StringIO(text.partition("\n")[2]),
                             delimiter=",", ndmin=2)
-        sidecar = ingest.sidecar_bytes(hashlib.sha256(data).digest(), matrix)
+        sidecar = hashlib.sha256(data).digest() + matrix.astype("<f8").tobytes()
         bound = ingest.read_sidecar(sidecar, data, 2)
         with pytest.raises(error) as err:
             parse_eeg_csv(data, meta, bound)
@@ -257,13 +257,25 @@ class TestEventsCsv:
                 "2,KEY,TAP,x\n"
                 "3,SENTENCE_SUBMIT,x,\n"
                 "4,SESSION_END,,\n")
-        with pytest.raises(UnknownKeyClass) as err:
+        with pytest.raises(MalformedRow, match="KeyClass") as err:
             parse_events_csv(text.encode())
         assert err.value.row == 3
 
     def test_unknown_kind(self):
-        with pytest.raises(UnknownKind):
+        with pytest.raises(MalformedRow, match="EventKind") as err:
             parse_events_csv(b"0,SESSION_BEGIN,,\n")
+        assert err.value.row == 1
+
+    @given(st.sampled_from(["1,{},x,", "1,KEY,{},x"]),
+           st.text().filter(lambda s: s not in _ENUM_VALUES))
+    def test_any_other_kind_or_key_class_is_a_row_error(self, line, value):
+        # Event decides what a kind or key class is; the reader locates it
+        # at the last line of its record
+        cell = ingest.csv_text([[value]]).removesuffix("\n")
+        text = "0,SESSION_START,,\n" + line.format(cell) + "\n"
+        with pytest.raises(MalformedRow) as err:
+            parse_events_csv(text.encode())
+        assert err.value.row == 2 + value.count("\n")
 
     def test_marker_order_submit_before_shown(self):
         text = ("0,SESSION_START,,\n"
@@ -291,7 +303,7 @@ class TestEventsCsv:
 
     def test_row_error_precedes_structure_error(self):
         text = "1,SENTENCE_SHOWN,x,\n2,KEY,TAP,x\n"
-        with pytest.raises(UnknownKeyClass) as err:
+        with pytest.raises(MalformedRow) as err:
             parse_events_csv(text.encode())
         assert err.value.row == 2
 
@@ -729,8 +741,7 @@ class TestSidecar:
 
     def test_csv_without_rows_binds_no_sidecar(self):
         csv_bytes = b"t,a\n\r\n"
-        empty = ingest.sidecar_bytes(hashlib.sha256(csv_bytes).digest(),
-                                     np.empty((0, 2)))
+        empty = hashlib.sha256(csv_bytes).digest()
         with pytest.raises(ValueError, match="not the 0 rows"):
             ingest.read_sidecar(empty, csv_bytes, 2)
 
@@ -740,8 +751,8 @@ class TestSidecar:
         """Any bytes after a matching digest give the matrix or a
         ValueError, never another exception."""
         csv_bytes = b"t,a,b\n0.0,1.0,2.0\n"
-        good = ingest.sidecar_bytes(hashlib.sha256(csv_bytes).digest(),
-                                    np.array([[0.0, 1.0, 2.0]]))
+        good = (hashlib.sha256(csv_bytes).digest()
+                + np.array([[0.0, 1.0, 2.0]], "<f8").tobytes())
         if data.draw(st.booleans()):
             tail = data.draw(st.binary(max_size=200))
         else:

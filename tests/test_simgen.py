@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -18,7 +19,6 @@ from gtl.simgen import (
     StudyDesign,
     expected_composition,
     simspec_from_dict,
-    simspec_to_dict,
     simulate_session,
     study_sessions,
     synth_eeg,
@@ -252,11 +252,38 @@ class TestExpectedComposition:
         assert abs(series.loads.mean() - comp.fraction("Beta")) <= 0.02
 
 
+#: Spec JSON keys that differ from the field they set.
+_JSON_KEYS = {"keys": "keystrokes", "key_class": "class"}
+
+
+def _spec_json(value):
+    """The spec JSON that ``simspec_from_dict`` reads ``value`` from."""
+    if isinstance(value, tuple):
+        return [_spec_json(v) for v in value]
+    if isinstance(value, KeyClass):
+        return value.value
+    if not dataclasses.is_dataclass(value):
+        return value
+    return {_JSON_KEYS.get(f.name, f.name): _spec_json(getattr(value, f.name))
+            for f in dataclasses.fields(value)}
+
+
 class TestSimSpecSerialization:
     def test_round_trip(self):
         spec = SimSpec(duration_s=30.0, components=(BandComponent(20.0, 2.5),),
                        noise_sigma=0.25, script=_script(), seed=77)
-        assert simspec_from_dict(simspec_to_dict(spec)) == spec
+        d = {"duration_s": 30.0, "fs": 128.0, "n_channels": 14,
+             "components": [{"freq": 20.0, "amplitude": 2.5}],
+             "noise_sigma": 0.25, "seed": 77, "script": [
+                 {"shown_t": 10.0, "keystrokes": [
+                     {"dt": 0.5, "class": "INSERT", "produced": "h"},
+                     {"dt": 0.5, "class": "INSERT", "produced": "i"}]},
+                 {"shown_t": 20.0, "keystrokes": [
+                     {"dt": 0.5, "class": "INSERT", "produced": "n"},
+                     {"dt": 0.5, "class": "SUGG", "produced": "o way "},
+                     {"dt": 0.5, "class": "BKSP", "produced": ""}]}]}
+        assert _spec_json(spec) == d
+        assert simspec_from_dict(d) == spec
 
     def test_malformed_dict(self):
         with pytest.raises(SpecInvalid):
@@ -276,7 +303,7 @@ class TestSimSpecSerialization:
     ], ids=["spec", "component", "sentence", "keystroke"])
     def test_unknown_key_is_spec_invalid(self, path):
         # a misspelled key used to be ignored: noise_sgima gave no noise
-        d = simspec_to_dict(SimSpec(
+        d = _spec_json(SimSpec(
             30.0, components=(BandComponent(20.0, 1.0),), script=_script()))
         obj = d
         for step in path:
@@ -298,7 +325,7 @@ class TestSimSpecSerialization:
         # n_channels 2.9 and seed 1.5 used to load as 2 and 1, and a
         # keystroke "produced": 0.5 as "0.5"
         for text in ODD_JSON_VALUES:
-            d = simspec_to_dict(SimSpec(
+            d = _spec_json(SimSpec(
                 30.0, components=(BandComponent(20.0, 1.0),), script=_script()))
             *parent, key = path
             obj = d
@@ -309,7 +336,7 @@ class TestSimSpecSerialization:
                 spec = simspec_from_dict(d)
             except SpecInvalid:
                 continue
-            got = simspec_to_dict(spec)
+            got = _spec_json(spec)
             for step in path:
                 got = got.get(step) if isinstance(got, dict) else got[step]
             assert loads_as_itself(got, value), text

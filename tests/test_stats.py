@@ -8,8 +8,8 @@ from gtl.errors import DegenerateInput, DomainError, EmptyInput, ZeroVariance
 from gtl.stats import (
     anova_oneway,
     boxplot_summary,
+    _t_two_sided_p,
     cdf_f,
-    cdf_t,
     regularized_incomplete_beta,
     ttest_two_sample,
 )
@@ -132,8 +132,10 @@ class TestIncompleteBeta:
 
     def test_cdf_monotone_on_grids(self):
         for df in (1.0, 2.0, 12.0, 298.0):
-            values = [cdf_t(t, df) for t in np.linspace(-8, 8, 161)]
-            assert all(x1 <= x2 + 1e-15 for x1, x2 in zip(values, values[1:]))
+            # the two-sided p of t falls as |t| grows
+            values = [_t_two_sided_p(t, df)
+                      for t in sorted(np.linspace(-8, 8, 161), key=abs)]
+            assert all(x1 >= x2 - 1e-15 for x1, x2 in zip(values, values[1:]))
         for d1, d2 in ((2.0, 12.0), (1.0, 5.0), (10.0, 10.0)):
             values = [cdf_f(f, d1, d2) for f in np.linspace(0, 20, 161)]
             assert all(x1 <= x2 + 1e-15 for x1, x2 in zip(values, values[1:]))
@@ -258,7 +260,8 @@ class TestAnova:
         [[1e308, -1e308], [3.0, 4.0]],
         [[1e308, 1e308], [-1e308, -1e308]],
         [[1e160, 0.0], [0.0, 1.0]],
-    ], ids=["squares", "means", "between-groups"])
+        [[1e150, 1e150], [0.0, 1e-160]],
+    ], ids=["squares", "means", "between-groups", "F"])
     def test_overflow_is_degenerate(self, groups):
         with pytest.raises(DegenerateInput, match="float range"):
             anova_oneway(groups)
@@ -349,7 +352,8 @@ class TestTtest:
         ([1e308, -1e308], [3.0, 4.0]),
         ([1e308, 1e308], [-1e308, -1e308]),
         ([0.0, 1.4e154], [0.0, 1.4e154]),
-    ], ids=["squares", "means", "pooled"])
+        ([1e300, 1e300], [0.0, 1e-160]),
+    ], ids=["squares", "means", "pooled", "t"])
     def test_overflow_is_degenerate(self, a, b, variant):
         with pytest.raises(DegenerateInput, match="float range"):
             ttest_two_sample(a, b, variant)
