@@ -51,7 +51,7 @@ from collections import deque
 from dataclasses import fields
 from pathlib import Path
 from typing import (BinaryIO, Callable, Iterable, Iterator, Optional,
-                    Sequence, Union)
+                    Sequence, TypeVar, Union)
 
 import numpy as np
 
@@ -414,15 +414,18 @@ def _reads_as(line: bytes, values: np.ndarray) -> bool:
 # --- events.csv --------------------------------------------------------------
 
 def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) per record; a record csv cannot read, e.g. a
-    field over csv's size limit, becomes a located MalformedRow."""
+    """(line number, fields) per record, numbered by the line the record
+    starts on; a record csv cannot read, e.g. a field over csv's size
+    limit, becomes a MalformedRow located the same way."""
     reader = csv.reader(io.StringIO(text))
+    start = 1
     try:
         for row in reader:
-            yield reader.line_num, row
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise MalformedRow(f"events.csv record is unreadable: {exc}",
-                           row=reader.line_num) from None
+                           row=start) from None
 
 
 def parse_events_csv(data: bytes) -> EventLog:
@@ -512,6 +515,19 @@ def parse_gaze_csv(data: bytes) -> None:
 
 # --- bundles -----------------------------------------------------------------
 
+_T = TypeVar("_T")
+
+
+def _checked_io(call: Callable[[Path], _T], path: Path) -> _T:
+    """``call(path)``; an OSError becomes a MissingFile naming ``path`` and
+    the OS reason, e.g. a bundle file that cannot be read."""
+    try:
+        return call(path)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise MissingFile(f"cannot read {path}: {reason}") from None
+
+
 def load_session(path: Union[str, Path]) -> SessionRecord:
     """Parse a bundle directory into a cross-validated record.
 
@@ -522,31 +538,31 @@ def load_session(path: Union[str, Path]) -> SessionRecord:
     the EEG span) do not raise; they land in ``rec.validation``.
     """
     root = Path(path)
-    if not root.is_dir():
+    if not _checked_io(Path.is_dir, root):
         raise MissingFile(f"session bundle {root} is not a directory")
     contents: dict[str, bytes] = {}
     for name in (META_FILE, EEG_FILE, EVENTS_FILE):
         f = root / name
-        if not f.is_file():
+        if not _checked_io(Path.is_file, f):
             raise MissingFile(f"bundle {root} misses {name}")
-        contents[name] = f.read_bytes()
+        contents[name] = _checked_io(Path.read_bytes, f)
         if not contents[name]:
             raise MissingFile(f"bundle file {f} is empty")
 
     meta = parse_meta_json(contents[META_FILE])
     matrix, sidecar_problem = None, None
     sidecar = root / EEG_SIDECAR
-    if sidecar.is_file():
-        try:
+    try:
+        if sidecar.is_file():
             matrix = read_sidecar(sidecar.read_bytes(), contents[EEG_FILE],
                                   1 + len(meta.channel_names))
-        except (OSError, ValueError) as exc:
-            sidecar_problem = exc
+    except (OSError, ValueError) as exc:
+        sidecar_problem = exc
     eeg = parse_eeg_csv(contents[EEG_FILE], meta, matrix)
     events = parse_events_csv(contents[EVENTS_FILE])
     gaze_file = root / GAZE_FILE
-    if gaze_file.is_file():
-        parse_gaze_csv(gaze_file.read_bytes())
+    if _checked_io(Path.is_file, gaze_file):
+        parse_gaze_csv(_checked_io(Path.read_bytes, gaze_file))
 
     rec = SessionRecord(meta=meta, eeg=eeg, events=events)
     rec.validation = validate_session(rec)

@@ -5,25 +5,25 @@ Everything derives from SplitMix64, so equal seeds give equal output.
 The SplitMix64 integer stream is the same on every platform; the float
 samples also depend on numpy's ``sin``, ``cos`` and ``log``, and are
 bit-identical wherever those are. The generator definition, for
-reimplementation elsewhere:
+reimplementation elsewhere: output k >= 1 of the stream seeded s is
+mix(s + k * gamma), with gamma = 0x9E3779B97F4A7C15 and, all mod 2^64,
 
-    state <- (state + 0x9E3779B97F4A7C15) mod 2^64
-    z <- state
-    z <- ((z XOR (z >> 30)) * 0xBF58476D1CE4E5B9) mod 2^64
-    z <- ((z XOR (z >> 27)) * 0x94D049BB133111EB) mod 2^64
-    output <- z XOR (z >> 31)
+    mix(z): z <- (z XOR (z >> 30)) * 0xBF58476D1CE4E5B9
+            z <- (z XOR (z >> 27)) * 0x94D049BB133111EB
+            return z XOR (z >> 31)
 
 Uniform doubles take the top 53 bits (output >> 11) / 2^53. Gaussians are
 Box-Muller pairs over consecutive uniforms u1, u2 (u1 clamped away from
 zero): g0 = sqrt(-2 ln u1) cos(2 pi u2), g1 = sqrt(-2 ln u1) sin(2 pi u2).
 
 EEG: the spec seed's stream gives one seed per channel, in channel order.
-Each channel's own stream first gives one uniform u per component, in
-component order, as the phase phi = 2 pi u; with noise it then gives the
-channel's n Gaussians. On the grid t = k / fs (k < n), component by
-component, a channel adds (A cos phi) sin(wt) and then (A sin phi) cos(wt),
-with wt = 2 pi f t and the weights in double precision; the noise, times
-noise_sigma, is added last.
+Channel c's draw k is mix(seed_c + k * gamma), computed for blocks of
+channels at once: draws 1..C give its C components' phases phi = 2 pi u,
+in component order, then with noise its n Gaussians. On the grid
+t = k / fs (k < n), component by component, a channel adds
+(A cos phi) sin(wt) and then (A sin phi) cos(wt), with wt = 2 pi f t and
+the weights in double precision; the noise, times noise_sigma, is added
+last.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoundaryFrequency, ScriptInvalid, SpecInvalid
+from .ingest import EEG_BLOCK_CELLS
 from .model import (
     KEYBOARDS,
     EegRecording,
@@ -55,6 +56,29 @@ _MASK = (1 << 64) - 1
 _U53 = 2.0 ** -53
 
 
+def _draws(seeds, first: int, count: int) -> np.ndarray:
+    """Draws first..first+count-1 of streams ``seeds``, on a new last axis."""
+    z = np.arange(first, first + count, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = np.asarray(seeds, dtype=np.uint64)[..., None] + z
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def _uniforms(draws: np.ndarray) -> np.ndarray:
+    return (draws >> np.uint64(11)).astype(np.float64) * _U53
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Gaussian pairs from the uniform pairs along the last axis."""
+    r = np.sqrt(-2.0 * np.log(np.maximum(u[..., 0::2], _U53)))
+    theta = 2.0 * np.pi * u[..., 1::2]
+    g = np.empty_like(u)
+    g[..., 0::2] = r * np.cos(theta)
+    g[..., 1::2] = r * np.sin(theta)
+    return g
+
+
 class SplitMix64:
     """Counter-based SplitMix64; ``take`` methods advance the stream."""
 
@@ -73,31 +97,17 @@ class SplitMix64:
 
     def take_u64(self, count: int) -> np.ndarray:
         """Vectorized batch; identical to ``count`` calls of next_u64."""
-        idx = np.arange(self._count + 1, self._count + count + 1,
-                        dtype=np.uint64)
         self._count += count
-        z = np.uint64(self.seed) + idx * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        return _draws(self.seed, self._count - count + 1, count)
 
     def next_float(self) -> float:
         return (self.next_u64() >> 11) * _U53
 
     def take_floats(self, count: int) -> np.ndarray:
-        return (self.take_u64(count) >> np.uint64(11)).astype(np.float64) * _U53
+        return _uniforms(self.take_u64(count))
 
     def take_gaussians(self, count: int) -> np.ndarray:
-        pairs = (count + 1) // 2
-        u = self.take_floats(2 * pairs)
-        u1 = np.maximum(u[0::2], _U53)
-        u2 = u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        g = np.empty(2 * pairs)
-        g[0::2] = r * np.cos(theta)
-        g[1::2] = r * np.sin(theta)
-        return g[:count]
+        return _box_muller(self.take_floats(2 * ((count + 1) // 2)))[:count]
 
 
 @dataclass(frozen=True)
@@ -204,40 +214,36 @@ class ExpectedComposition:
         raise KeyError(band_name)
 
 
-def _channel_rngs(spec: SimSpec) -> list[SplitMix64]:
-    root = SplitMix64(spec.seed)
-    return [SplitMix64(root.next_u64()) for _ in range(spec.n_channels)]
-
-
 def synth_eeg(spec: SimSpec) -> EegRecording:
     """Sum of fixed sinusoids plus white noise, per channel.
 
-    Each channel draws one phase per component from its own stream, then
-    its noise from the same stream. A component's ``sin(wt)`` and
-    ``cos(wt)`` are computed once and weighted per channel, as
-    ``A sin(wt + phi) = (A cos phi) sin(wt) + (A sin phi) cos(wt)``.
+    Each channel draws one phase per component, then its noise, from its
+    own stream, for a block of channels at a time. A component's
+    ``sin(wt)`` and ``cos(wt)`` are computed once and weighted per channel,
+    as ``A sin(wt + phi) = (A cos phi) sin(wt) + (A sin phi) cos(wt)``.
     """
     n = int(round(spec.duration_s * spec.fs))
     t = np.arange(n, dtype=np.float64) / spec.fs
     samples = np.zeros((spec.n_channels, n), dtype=np.float64)
-    rngs = _channel_rngs(spec)
-    # one component's pair at a time, and a scratch row for the products
-    sin_wt, cos_wt, scratch = np.empty((3, n), dtype=np.float64)
-    for comp in spec.components:
+    seeds = SplitMix64(spec.seed).take_u64(spec.n_channels)
+    rows = max(1, EEG_BLOCK_CELLS // n)
+    blocks = [slice(i, i + rows) for i in range(0, spec.n_channels, rows)]
+    # one component's pair at a time
+    sin_wt, cos_wt = np.empty((2, n), dtype=np.float64)
+    for k, comp in enumerate(spec.components, start=1):
         np.multiply(t, 2.0 * np.pi * comp.freq, out=cos_wt)
         np.sin(cos_wt, out=sin_wt)
         np.cos(cos_wt, out=cos_wt)
-        for row, rng in zip(samples, rngs):
-            phase = 2.0 * math.pi * rng.next_float()
-            row += np.multiply(sin_wt, comp.amplitude * math.cos(phase),
-                               out=scratch)
-            row += np.multiply(cos_wt, comp.amplitude * math.sin(phase),
-                               out=scratch)
-    del t, sin_wt, cos_wt, scratch  # the noise needs none of them
+        phase = 2.0 * np.pi * _uniforms(_draws(seeds, k, 1))  # channels x 1
+        for b in blocks:
+            samples[b] += sin_wt * (comp.amplitude * np.cos(phase[b]))
+            samples[b] += cos_wt * (comp.amplitude * np.sin(phase[b]))
+    del t, sin_wt, cos_wt  # the noise needs none of them
     if spec.noise_sigma > 0:
-        for row, rng in zip(samples, rngs):
-            noise = rng.take_gaussians(n)
-            row += np.multiply(noise, spec.noise_sigma, out=noise)
+        for b in blocks:  # n Gaussians from an even count of uniforms
+            noise = _box_muller(_uniforms(
+                _draws(seeds[b], len(spec.components) + 1, n + n % 2)))[:, :n]
+            samples[b] += np.multiply(noise, spec.noise_sigma, out=noise)
     return EegRecording(t0=0.0, fs=spec.fs, samples=samples)
 
 
@@ -393,12 +399,9 @@ def _sentence_script(text: str, shown_t: float,
     use_sugg = rng.next_float() < 0.7 and len(words) > 1
 
     keys: list[ScriptKey] = []
-    first = True
 
     def push(key_class: KeyClass, produced: str) -> None:
-        nonlocal first
-        keys.append(ScriptKey(0.5 if first else dt, key_class, produced))
-        first = False
+        keys.append(ScriptKey(dt if keys else 0.5, key_class, produced))
 
     for wi, word in enumerate(words):
         lead = word if wi == len(words) - 1 else word + " "
@@ -418,13 +421,10 @@ def _sentence_script(text: str, shown_t: float,
 
 def _beta_components(beta_fraction: float) -> tuple[BandComponent, ...]:
     """Four on-bin tones realizing the requested beta power share."""
-    rest = (1.0 - beta_fraction) / 3.0
-    return (
-        BandComponent(2.0, math.sqrt(2.0 * rest)),
-        BandComponent(6.0, math.sqrt(2.0 * rest)),
-        BandComponent(10.0, math.sqrt(2.0 * rest)),
-        BandComponent(20.0, math.sqrt(2.0 * beta_fraction)),
-    )
+    rest = math.sqrt(2.0 * ((1.0 - beta_fraction) / 3.0))
+    return (BandComponent(2.0, rest), BandComponent(6.0, rest),
+            BandComponent(10.0, rest),
+            BandComponent(20.0, math.sqrt(2.0 * beta_fraction)))
 
 
 def study_sessions(design: StudyDesign = StudyDesign(),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,3 +111,16 @@ def loads_as_itself(got: object, value: object) -> bool:
     """A field read from ``value`` holds ``value`` with its type, so that
     neither ``True`` for ``1`` nor ``0`` for ``0.5`` passes."""
     return got == value and type(got) is type(value)
+
+
+def deny_reading(monkeypatch, name: str) -> None:
+    """Make ``Path.read_bytes`` fail as the OS does on a file ``name``
+    that the process may not read (a chmod cannot deny root)."""
+    real = Path.read_bytes
+
+    def read_bytes(self):
+        if self.name == name:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real(self)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)

@@ -22,7 +22,8 @@ from gtl.report import (ReportConfig, analyze_session, build_report,
 from gtl.segmentation import AGGREGATION_LEVELS
 from gtl.simgen import simspec_from_dict, study_sessions, simulate_session
 
-from conftest import ODD_JSON_VALUES, make_event_log, make_record, strict_json
+from conftest import (ODD_JSON_VALUES, deny_reading, make_event_log,
+                      make_record, strict_json)
 
 
 #: A well-formed gaze.csv: checked on load, kept nowhere.
@@ -238,6 +239,20 @@ class TestExitCodes:
         assert rc == 74
         assert capsys.readouterr().err.startswith(
             f"gtl: {bad}: events.csv cell is not a finite decimal number")
+        assert not out.exists()
+
+    def test_unreadable_bundle_file_is_io_error(self, tmp_path, spec_file,
+                                                monkeypatch, capsys):
+        bundle = tmp_path / "bundle"
+        main(["simulate", "--spec", str(spec_file), "--out", str(bundle)])
+        deny_reading(monkeypatch, "eeg.csv")
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        rc = main(["analyze", "--session", str(bundle), "--out", str(out)])
+        assert rc == 74
+        assert capsys.readouterr().err == (
+            f"gtl: {bundle}: cannot read {bundle / 'eeg.csv'}: "
+            f"Permission denied\n")
         assert not out.exists()
 
     def test_eeg_header_error_names_row_1(self, tmp_path, spec_file,

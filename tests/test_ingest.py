@@ -42,8 +42,8 @@ from gtl.ingest import (
 from gtl.model import (EegRecording, EventKind, KeyClass, SessionMeta,
                        SessionRecord)
 
-from conftest import (ODD_JSON_VALUES, loads_as_itself, make_event_log,
-                      make_record, random_event_log)
+from conftest import (ODD_JSON_VALUES, deny_reading, loads_as_itself,
+                      make_event_log, make_record, random_event_log)
 
 META14 = SessionMeta("p01", "A", 1)
 META2 = SessionMeta("p01", "A", 1,
@@ -270,12 +270,20 @@ class TestEventsCsv:
            st.text().filter(lambda s: s not in _ENUM_VALUES))
     def test_any_other_kind_or_key_class_is_a_row_error(self, line, value):
         # Event decides what a kind or key class is; the reader locates it
-        # at the last line of its record
+        # at the line its record starts on, however many lines it spans
         cell = ingest.csv_text([[value]]).removesuffix("\n")
         text = "0,SESSION_START,,\n" + line.format(cell) + "\n"
         with pytest.raises(MalformedRow) as err:
             parse_events_csv(text.encode())
-        assert err.value.row == 2 + value.count("\n")
+        assert err.value.row == 2
+
+    def test_unreadable_record_names_its_first_line(self):
+        # a quoted prompt over csv's field size limit, from row 2 on
+        prompt = "a\n" * (csv.field_size_limit() // 2 + 1)
+        text = f'0,SESSION_START,,\n1,SENTENCE_SHOWN,"{prompt}",\n'
+        with pytest.raises(MalformedRow, match="unreadable") as err:
+            parse_events_csv(text.encode())
+        assert err.value.row == 2
 
     def test_marker_order_submit_before_shown(self):
         text = ("0,SESSION_START,,\n"
@@ -502,6 +510,43 @@ class TestBundles:
         (bundle / "eeg.csv").write_bytes(b"")
         with pytest.raises(MissingFile):
             load_session(bundle)
+
+    @pytest.mark.parametrize("name", ["meta.json", "eeg.csv", "events.csv",
+                                      "gaze.csv"])
+    def test_unreadable_file_is_named(self, tmp_path, simple_log,
+                                      monkeypatch, name):
+        bundle = tmp_path / "b"
+        write_session(make_record(simple_log), bundle)
+        (bundle / "gaze.csv").write_bytes(b"t,x,y,valid\n")
+        deny_reading(monkeypatch, name)
+        with pytest.raises(MissingFile) as err:
+            load_session(bundle)
+        assert str(err.value) == (f"cannot read {bundle / name}: "
+                                  f"Permission denied")
+
+    @pytest.mark.parametrize("call", ["is_dir", "is_file"])
+    def test_unreadable_directory_is_named(self, tmp_path, simple_log,
+                                           monkeypatch, call):
+        bundle = tmp_path / "b"
+        write_session(make_record(simple_log), bundle)
+
+        def denied(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, call, denied)
+        with pytest.raises(MissingFile, match="Permission denied"):
+            load_session(bundle)
+
+    def test_unreadable_sidecar_is_a_warning(self, tmp_path, simple_log,
+                                             monkeypatch):
+        rec = make_record(simple_log)
+        write_session(rec, tmp_path / "b")
+        deny_reading(monkeypatch, EEG_SIDECAR)
+        loaded = load_session(tmp_path / "b")
+        assert loaded == rec
+        assert loaded.validation.warnings == [
+            f"{EEG_SIDECAR} ignored, eeg.csv parsed: [Errno 13] Permission "
+            f"denied: '{tmp_path / 'b' / EEG_SIDECAR}'"]
 
 
 def _fail_block(block):

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from gtl.errors import BoundaryFrequency, ScriptInvalid, SpecInvalid
+from gtl.ingest import EEG_BLOCK_CELLS
 from gtl.metrics import session_metrics
 from gtl.model import SessionMeta, validate_session
 from gtl.segmentation import phase_intervals
@@ -117,6 +119,48 @@ class TestSynthEeg:
                 rng.next_float()
             want = spec.noise_sigma * rng.take_gaussians(eeg.shape[1])
             assert np.array_equal(row, want)
+
+    def test_blocks_equal_the_per_channel_reference(self):
+        # 1,281 samples make blocks of 51 channels, so 100 channels end in
+        # a partial block
+        components = (BandComponent(2.0, 3.0), BandComponent(6.0, 2.0),
+                      BandComponent(10.0, 1.5), BandComponent(20.0, 1.0))
+        spec = SimSpec(duration_s=1281 / 128, n_channels=100,
+                       components=components, noise_sigma=0.7, seed=23)
+        eeg = synth_eeg(spec).samples
+        n = eeg.shape[1]
+        rows = EEG_BLOCK_CELLS // n
+        assert n == 1281 and rows < 100 and 100 % rows  # two blocks
+        t = np.arange(n, dtype=np.float64) / spec.fs
+        root = SplitMix64(spec.seed)
+        for row in eeg:
+            rng = SplitMix64(root.next_u64())
+            want = np.zeros(n)
+            for c in components:
+                wt = t * (2.0 * math.pi * c.freq)
+                phase = 2.0 * math.pi * rng.next_float()
+                want += np.sin(wt) * (c.amplitude * math.cos(phase))
+                want += np.cos(wt) * (c.amplitude * math.sin(phase))
+            want += rng.take_gaussians(n) * spec.noise_sigma
+            assert row.tobytes() == want.tobytes()
+
+    def test_no_generator_per_channel(self, monkeypatch):
+        made = []
+        init = SplitMix64.__init__
+
+        def counting_init(self, seed):
+            made.append(seed)
+            init(self, seed)
+
+        monkeypatch.setattr(SplitMix64, "__init__", counting_init)
+        counts = []
+        for n_channels in (2, 2000):
+            made.clear()
+            synth_eeg(SimSpec(duration_s=1.0, n_channels=n_channels,
+                              components=(BandComponent(10.0, 1.0),),
+                              noise_sigma=1.0, seed=8))
+            counts.append(len(made))
+        assert counts[0] == counts[1]
 
     def test_different_seeds_differ(self):
         base = dict(duration_s=10.0, components=(BandComponent(20.0, 2.0),),
