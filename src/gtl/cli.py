@@ -20,10 +20,13 @@ number grammar and row splitter
 (:func:`gtl.ingest.read_number`, :func:`gtl.ingest.split_rows`): rows end
 in ``\n`` with an optional ``\r``, and ``1_0``, non-ASCII digits,
 ``nan`` and ``inf`` are not numbers. ``analyze`` loads, analyses and drops
-one ``--session`` bundle at a time, in command-line order, so it holds
-one loaded record however many bundles it is given. The first bundle
-that does not load stops the batch with exit 74, names its directory,
-and no report is written. The ``analyze`` options are the
+each ``--session`` bundle in turn, on one worker thread per usable CPU
+when it is given more than one bundle (on this thread otherwise), so it
+holds at most one loaded bundle per usable CPU however many bundles it
+is given. The first bundle in command-line order that does not load
+stops the batch with exit 74 and names its directory, even when a later
+one failed first on another worker; bundles not started by then are not
+loaded, and no report is written. The ``analyze`` options are the
 fields of ``ReportConfig``, which extends ``AnalysisConfig``'s windowing
 fields with the report's own; their defaults and rules (e.g. a window
 length that is a power of two) are ``ReportConfig()``'s. The bands are
@@ -37,8 +40,9 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
+from . import ingest
 from .errors import (ConfigError, IngestError, MalformedMeta, SpecInvalid,
                      StatsError, ToolError)
 from .ingest import (as_text, load_session, meta_from_dict, read_number,
@@ -130,14 +134,13 @@ class _Unreadable(Exception):
     """An ``--session`` bundle that does not load, with its directory."""
 
 
-def _load_each(paths: Sequence[str]) -> Iterator[SessionRecord]:
-    """Each bundle's record in turn, in ``paths`` order; one whose load
-    fails raises _Unreadable naming its directory."""
-    for path in paths:
-        try:
-            yield load_session(path)
-        except IngestError as exc:
-            raise _Unreadable(f"{path}: {exc}") from exc
+def _load(path: str) -> SessionRecord:
+    """The record of bundle ``path``; one that does not load raises
+    _Unreadable naming its directory."""
+    try:
+        return load_session(path)
+    except IngestError as exc:
+        raise _Unreadable(f"{path}: {exc}") from exc
 
 
 def _cmd_analyze(parser: _Parser, args: argparse.Namespace) -> int:
@@ -149,7 +152,9 @@ def _cmd_analyze(parser: _Parser, args: argparse.Namespace) -> int:
         parser.error(f"bad analysis option: {exc}")
 
     try:
-        report = build_report(_load_each(args.session), config)
+        report = build_report(
+            args.session, config, load=_load,
+            threads=min(len(args.session), ingest._usable_cpus()))
     except _Unreadable as exc:
         print(f"gtl: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -13,7 +13,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Iterable, Literal, Optional, Sequence
+from typing import (Callable, Iterable, Literal, Optional, Sequence,
+                    TypeVar)
 
 from . import metrics as metrics_mod
 from . import stats as stats_mod
@@ -162,26 +163,39 @@ def _metric_anova(session_entries: Sequence[dict], metric_key: str,
             **result.to_dict()}
 
 
-def build_report(records: Iterable[SessionRecord], config: ReportConfig,
-                 threads: int = 1) -> dict:
+_Item = TypeVar("_Item")
+
+
+def build_report(records: Iterable[_Item], config: ReportConfig,
+                 threads: int = 1,
+                 load: Callable[[_Item], SessionRecord] = lambda rec: rec,
+                 ) -> dict:
     """Assemble the full report for a set of sessions.
 
-    Each record is analysed as ``records`` yields it, and only its meta,
-    report entry and labeled windows are kept, so a generator that loads
-    bundles holds one record at a time. On ``threads`` > 1 workers every
-    record is taken up front. The results are then stable-sorted by
-    (participant, keyboard, session_index), so the same inputs always
-    produce the same bytes, and every copy of a session after the first
-    in the given order carries a DuplicateSession violation.
+    Each item of ``records`` is turned into its record by ``load`` (by
+    default the item is the record) and analysed, and only its meta,
+    report entry and labeled windows are kept, so an item is loaded only
+    when it is analysed and dropped right after. On ``threads`` > 1
+    workers the items are loaded and analysed on a thread pool, so at
+    most one record per worker is alive at once. A ``load`` that raises
+    stops the run with the error of the first such item in ``records``
+    order; items not started by then are not loaded. The results are
+    then stable-sorted by (participant, keyboard, session_index), so the
+    same inputs always produce the same bytes, and every copy of a
+    session after the first in the given order carries a
+    DuplicateSession violation.
     """
-    def analyzed(rec: SessionRecord) -> tuple[SessionMeta, dict,
-                                              list[LabeledLoadSample]]:
+    def analyzed(item: _Item) -> tuple[SessionMeta, dict,
+                                       list[LabeledLoadSample]]:
+        rec = load(item)
         return (rec.meta, *analyze_session(rec, config))
 
     # map drops each record before it asks for the next one; a for loop
     # would keep it bound while the next one loads
     if threads > 1:
-        # imported here, so that the analyze path does not pay for it
+        # imported here, so that a run on one thread does not pay for it.
+        # The map's results come in item order; the first that raises
+        # cancels the items not yet started
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(analyzed, records))

@@ -114,13 +114,16 @@ def loads_as_itself(got: object, value: object) -> bool:
 
 
 def deny_reading(monkeypatch, name: str) -> None:
-    """Make ``Path.read_bytes`` fail as the OS does on a file ``name``
-    that the process may not read (a chmod cannot deny root)."""
-    real = Path.read_bytes
+    """Make ``Path.read_bytes`` and ``Path.open`` fail as the OS does on a
+    file ``name`` that the process may not read (a chmod cannot deny
+    root); ``open`` is how a bundle's ``eeg.csv`` and sidecar are read in
+    blocks."""
+    def deny(real):
+        def call(self, *args, **kwargs):
+            if self.name == name:
+                raise PermissionError(13, "Permission denied", str(self))
+            return real(self, *args, **kwargs)
+        return call
 
-    def read_bytes(self):
-        if self.name == name:
-            raise PermissionError(13, "Permission denied", str(self))
-        return real(self)
-
-    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    for method in ("read_bytes", "open"):
+        monkeypatch.setattr(Path, method, deny(getattr(Path, method)))

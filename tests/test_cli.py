@@ -6,6 +6,8 @@ import io
 import json
 import shutil
 import tempfile
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gtl.cli
+from gtl import ingest
 from gtl.cli import _build_parser, main
 from gtl.ingest import EEG_SIDECAR, load_session, write_session
 from gtl.model import Event, EventLog, KeyClass, SessionMeta
@@ -686,27 +689,96 @@ def stream_bundles(tmp_path_factory) -> list[str]:
 
 
 class TestStreaming:
-    def test_analyze_holds_one_record_at_a_time(self, tmp_path, monkeypatch,
-                                                stream_bundles):
-        loaded = []
+    def test_analyze_holds_at_most_one_record_per_cpu(self, tmp_path,
+                                                     monkeypatch,
+                                                     stream_bundles):
         real = gtl.cli.load_session
+        lock = threading.Lock()
+        for cpus in (1, 2):
+            monkeypatch.setattr(ingest, "_usable_cpus", lambda n=cpus: n)
+            loaded, alive, on_main = [], [], []
 
-        def load_after_the_last_is_gone(path):
-            # CPython frees a record with its last reference
-            assert all(ref() is None for ref in loaded), \
-                f"a record is still held when {path} loads"
-            rec = real(path)
-            loaded.append(weakref.ref(rec))
-            return rec
+            def load_counted(path):
+                rec = real(path)
+                with lock:
+                    loaded.append(weakref.ref(rec))
+                    # CPython frees a record with its last reference
+                    alive.append(sum(ref() is not None for ref in loaded))
+                    on_main.append(threading.current_thread()
+                                   is threading.main_thread())
+                return rec
 
-        monkeypatch.setattr(gtl.cli, "load_session",
-                            load_after_the_last_is_gone)
+            monkeypatch.setattr(gtl.cli, "load_session", load_counted)
+            out = tmp_path / f"r{cpus}.json"
+            rc = main(["analyze", "--session", *stream_bundles[:4],
+                       "--out", str(out)])
+            assert rc == 0
+            assert len(loaded) == 4
+            assert max(alive) <= cpus
+            # one worker loads on this thread, a pool only on its own
+            assert on_main == [cpus == 1] * 4
+            assert len(json.loads(out.read_text())["sessions"]) == 4
+
+    def test_report_bytes_do_not_depend_on_the_workers(self, tmp_path,
+                                                       monkeypatch,
+                                                       stream_bundles):
+        first, p01b, p02a, p02b, again = stream_bundles
+        order = [p02b, again, p01b, first, p02a, p02b]
+        texts = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(ingest, "_usable_cpus", lambda n=cpus: n)
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"r{cpus}.{fmt}"
+                assert main(["analyze", "--session", *order, "--out",
+                             str(out), "--format", fmt]) == 2
+                texts[cpus, fmt] = out.read_bytes()
+        assert texts[1, "json"] == texts[2, "json"]
+        assert texts[1, "csv"] == texts[2, "csv"]
+        codes = [[v["code"] for v in e["violations"]]
+                 for e in json.loads(texts[2, "json"])["sessions"]]
+        assert codes == [[], ["DuplicateSession"], [], [], [],
+                         ["DuplicateSession"]]
+
+    def test_first_unreadable_bundle_in_order_is_named(self, tmp_path,
+                                                       monkeypatch, capsys,
+                                                       stream_bundles):
+        """A later bundle that fails first on another worker is not the
+        one named, and bundles not started by then are never loaded."""
+        workers = 2
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: workers)
+        early, late = str(tmp_path / "early"), str(tmp_path / "late")
+        order = [stream_bundles[0], early, late, *stream_bundles[1:]]
+        real = gtl.cli.load_session
+        late_failed = threading.Event()
+        lock = threading.Lock()
+        loads = []
+
+        def load(path):
+            with lock:
+                loads.append(path)
+            if path == early:
+                assert late_failed.wait(timeout=30)
+            elif path != late:
+                # long enough for the failure to cancel what is queued
+                time.sleep(0.2)
+            try:
+                return real(path)
+            finally:
+                if path == late:
+                    late_failed.set()
+
+        monkeypatch.setattr(gtl.cli, "load_session", load)
         out = tmp_path / "r.json"
-        rc = main(["analyze", "--session", *stream_bundles[:4],
-                   "--out", str(out)])
-        assert rc == 0
-        assert len(loaded) == 4
-        assert len(json.loads(out.read_text())["sessions"]) == 4
+        assert main(["analyze", "--session", *order,
+                     "--out", str(out)]) == 74
+        assert capsys.readouterr().err == (
+            f"gtl: {early}: session bundle {early} is not a directory\n")
+        assert not out.exists()
+        assert late_failed.is_set()
+        # the bundles through the one that failed first, and one more per
+        # worker: each may start one before the failure is raised here
+        assert len(loads) <= order.index(late) + 1 + workers
+        assert order[-1] not in loads
 
     @pytest.mark.parametrize("level", AGGREGATION_LEVELS)
     def test_streamed_report_is_the_list_report(self, tmp_path,

@@ -7,6 +7,7 @@ import os
 import random
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -776,6 +777,22 @@ class TestSidecar:
         for loaded in (with_sidecar, from_csv):
             assert not loaded.eeg.samples.flags.writeable
 
+    def test_time_error_with_a_bound_sidecar_names_its_row(self, bundle):
+        """The load holds only the head of eeg.csv, yet names the row."""
+        path, _ = bundle
+        eeg = path / "eeg.csv"
+        lines = eeg.read_bytes().split(b"\n")
+        # a blank line, then two rows out of time order
+        lines[2:4] = [b"", lines[3], lines[2]]
+        data = b"\n".join(lines)
+        eeg.write_bytes(data)
+        matrix = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1)
+        (path / EEG_SIDECAR).write_bytes(hashlib.sha256(data).digest()
+                                         + matrix.astype("<f8").tobytes())
+        with pytest.raises(NonMonotonicTime) as err:
+            load_session(path)
+        assert err.value.row == 5
+
     def test_matrix_longer_than_the_csv_is_a_located_error(self):
         """A time break past the last line of eeg.csv has no row to name."""
         meta = SessionMeta("p01", "A", 1, 1.0, ("a",))
@@ -829,6 +846,70 @@ class TestSidecar:
         expected = [line.encode() for line in text.split("\n")[1:]
                     if line.removesuffix("\r")]
         assert [data[a:b] for a, b in zip(starts, stops)] == expected
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(["", "\r", "\r\r", " ", "1", "1,2\r",
+                                     "0.5,-1.25", "\xe9,1"]),
+                    max_size=12).map("\n".join),
+           st.integers(1, 7) | st.just(ingest._ROW_SCAN_BLOCK))
+    @example("t\n1\r\n\r\n\r\r\n\n0.5,-1.25", 2)
+    @example("t,a\r\n", 3)
+    @example("t,a", 2)
+    @example("", 1)
+    def test_streamed_scan_is_the_whole_file_scan(self, text, block):
+        """Blocks of 1-7 bytes split lines, "\\r\\n" pairs and blank
+        lines; the scan keeps what the whole file gives."""
+        data = text.encode()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_ROW_SCAN_BLOCK", block)
+            scan = ingest._EegScan(io.BytesIO(data))
+        starts, stops = ingest._row_spans(data)
+        lines = [data[a:b] for a, b in zip(starts, stops)] or [b""]
+        assert scan.digest == hashlib.sha256(data).digest()
+        assert scan.rows == starts.size
+        assert (scan.first, scan.last) == (lines[0], lines[-1])
+        assert scan.ascii == data.isascii()
+        assert scan.head == data[:data.find(b"\n") + 1 or len(data)]
+
+    def test_load_holds_neither_file_whole(self, tmp_path):
+        """The sidecar load peaks at the samples plus a few scan blocks,
+        well below the size of eeg.csv."""
+        rec = _block_record(14, 180 * 128)
+        write_session(rec, tmp_path)
+        csv_size = (tmp_path / "eeg.csv").stat().st_size
+        bound = (rec.eeg.samples.nbytes + 8 * rec.eeg.n_samples
+                 + 4 * ingest._ROW_SCAN_BLOCK)
+        assert bound < 0.7 * csv_size
+        # the first load in a process imports numpy modules lazily
+        load_session(tmp_path)
+        tracemalloc.start()
+        try:
+            loaded = load_session(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.validation.warnings == []
+        assert peak < bound
+        # the channel-major sidecar matrix becomes the samples uncopied
+        assert loaded.eeg.samples.base is not None
+
+    def test_read_error_inside_eeg_csv_is_named(self, bundle, monkeypatch):
+        path, _ = bundle
+        real = Path.open
+
+        class Failing(io.BytesIO):
+            def read(self, *args):
+                raise OSError(5, "Input/output error")
+
+        def open_failing(self, *args, **kwargs):
+            return Failing() if self.name == "eeg.csv" else real(
+                self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_failing)
+        with pytest.raises(MissingFile) as err:
+            load_session(path)
+        assert str(err.value) == (f"cannot read {path / 'eeg.csv'}: "
+                                  f"Input/output error")
 
 
 def _total(parse, data):

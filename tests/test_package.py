@@ -4,6 +4,9 @@ import sys
 from pathlib import Path
 
 import gtl
+from gtl.ingest import write_session
+
+from conftest import make_event_log, make_record
 
 
 def test_star_import_binds_every_public_name():
@@ -23,3 +26,27 @@ def test_cli_import_loads_no_executor():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path))
     assert out.stdout == "[]\n"
+
+
+def test_one_bundle_analyze_starts_no_thread(tmp_path):
+    """One bundle is loaded and analysed on the calling thread, however
+    many CPUs there are: no pool is imported or started."""
+    bundle, out = tmp_path / "b", tmp_path / "r.json"
+    write_session(make_record(make_event_log([[("INSERT", "h")]])), bundle)
+    src = str(Path(gtl.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, threading, gtl.cli, gtl.ingest\n"
+        "gtl.ingest._usable_cpus = lambda: 2\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda t: started.append(t) or start(t)\n"
+        f"rc = gtl.cli.main(['analyze', '--session', {str(bundle)!r}, "
+        f"'--out', {str(out)!r}])\n"
+        "print(rc, len(started), sorted(m for m in sys.modules "
+        "if m.partition('.')[0] == 'concurrent'))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert run.stdout == "0 0 []\n"
+    assert out.exists()
