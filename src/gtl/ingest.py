@@ -6,7 +6,10 @@ not kept. Numbers use ``.`` as decimal point, fields are comma-separated,
 newlines are ``\\n``, and floats serialize in shortest round-trip form, so
 writing a loaded bundle reproduces it byte for byte. Every number cell of
 every text input is read by :func:`read_number` and every plain
-(unquoted) csv row by :func:`split_rows`.
+(unquoted) csv row by :func:`split_rows`. A line holds a row when it is
+not empty once one ``\r`` before its ``\n`` is dropped; :func:`_row_lines`
+is that rule, and the ``eeg.csv`` scan of :class:`_EegScan` its
+vectorised copy.
 
 ``eeg.sidecar`` is a binary copy of the (t, channels) matrix of
 ``eeg.csv``: the 32-byte sha256 digest of the exact ``eeg.csv`` bytes,
@@ -58,6 +61,7 @@ import os
 import warnings
 from collections import deque
 from dataclasses import fields
+from itertools import islice
 from pathlib import Path
 from typing import (BinaryIO, Callable, Iterable, Iterator, Optional,
                     Sequence, TypeVar, Union)
@@ -102,8 +106,8 @@ EEG_SIDECAR = "eeg.sidecar"
 #: one block of rows; a row wider than this is a block of its own.
 EEG_BLOCK_CELLS = 64 * 1024
 
-#: Bytes of ``eeg.csv`` that :func:`_row_spans` and :class:`_EegScan`
-#: scan at a time, and about the bytes of sidecar rows read at a time.
+#: Bytes of ``eeg.csv`` that :class:`_EegScan` scans at a time, and about
+#: the bytes of sidecar rows read at a time.
 _ROW_SCAN_BLOCK = 256 * 1024
 
 _DIGEST_SIZE = hashlib.sha256().digest_size
@@ -144,19 +148,27 @@ def read_number(cell: str, name: str, row: int,
                           row=row, col=col)
 
 
-def split_rows(text: str, name: str, width: int, first_row: int = 1,
-               ) -> Iterator[tuple[int, list[str]]]:
-    """(line number, cells) for each non-empty line of ``text``.
+def _row_lines(text: str, first_row: int = 1) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of ``text`` that holds a row.
 
-    ``text`` starts at line ``first_row`` of file ``name``. Lines end in
-    ``\\n``, one ``\\r`` before it is dropped, cells are split on ``,``
-    without quoting, and a row of other than ``width`` cells is a
-    MalformedRow.
+    ``text`` starts at line ``first_row``. Lines end in ``\\n``, one
+    ``\\r`` before it is dropped, and a line left empty holds no row.
     """
     for row, line in enumerate(text.split("\n"), start=first_row):
         line = line.removesuffix("\r")
-        if not line:
-            continue
+        if line:
+            yield row, line
+
+
+def split_rows(text: str, name: str, width: int, first_row: int = 1,
+               ) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) for each row line (:func:`_row_lines`) of
+    ``text``, which starts at line ``first_row`` of file ``name``.
+
+    Cells are split on ``,`` without quoting, and a row of other than
+    ``width`` cells is a MalformedRow.
+    """
+    for row, line in _row_lines(text, first_row):
         cells = line.split(",")
         if len(cells) != width:
             raise MalformedRow(
@@ -207,15 +219,12 @@ def parse_eeg_csv(data: bytes, meta: SessionMeta,
     Timestamps must be uniformly spaced to within RATE_TOLERANCE of the
     metadata rate; the rate inferred from the median spacing must agree
     with ``meta.fs_eeg`` to the same tolerance. ``matrix``, when given, is
-    the (t, channels) body of ``data`` read from a sidecar bound to it; the
-    header and every check after the body run on it unchanged.
+    the (t, channels) body of ``eeg.csv`` read from a sidecar bound to it;
+    the header and every check after the body run on it unchanged. Then
+    ``data`` may be the header line alone, and a time error found in the
+    matrix names no row.
     """
-    if matrix is not None and data.isascii():
-        # the sidecar stands for the body; ASCII is valid UTF-8, so only
-        # the header needs decoding
-        text = data[:data.find(b"\n") + 1].decode("ascii")
-    else:
-        text = as_text(data, EEG_FILE)
+    text = as_text(data, EEG_FILE)
     body_start = text.find("\n") + 1
     if not body_start:
         raise BadHeader("eeg.csv has no header row", row=1)
@@ -241,13 +250,17 @@ def parse_eeg_csv(data: bytes, meta: SessionMeta,
         # the rate checks reject
         with np.errstate(over="ignore"):
             spacing = np.diff(t)
-            median = float(np.median(spacing))
+            # np.median's mean of the middle values, without the NaN check
+            # that imports numpy.ma
+            middle = [(spacing.size - 1) // 2, spacing.size // 2]
+            median = float(np.mean(np.partition(spacing, middle)[
+                middle[0]:middle[1] + 1]))
         if np.any(spacing <= 0):
             bad = int(np.argmax(spacing <= 0))
             raise NonMonotonicTime(
                 f"eeg.csv timestamps must increase strictly "
                 f"(t[{bad + 1}]={t[bad + 1]} after t[{bad}]={t[bad]})",
-                row=_data_row(data, bad + 1))
+                row=_data_row(text, bad + 1))
         # |median - 1/fs| > tol/fs times fs: 1/fs overflows below 2**-1024
         if abs(median * meta.fs_eeg - 1.0) > RATE_TOLERANCE:
             raise NonUniformRate(
@@ -257,7 +270,7 @@ def parse_eeg_csv(data: bytes, meta: SessionMeta,
             bad = int(np.argmax(np.abs(spacing - median) > RATE_TOLERANCE * median))
             raise NonUniformRate(
                 f"sample spacing {spacing[bad]} s deviates from {median} s",
-                row=_data_row(data, bad + 1))
+                row=_data_row(text, bad + 1))
     return EegRecording(t0=float(t[0]), fs=meta.fs_eeg,
                         samples=matrix[:, 1:].T)
 
@@ -282,29 +295,11 @@ def _parse_eeg_body(body: str, n_cols: int) -> np.ndarray:
     return matrix
 
 
-def _data_row(data: bytes, index: int) -> Optional[int]:
-    """File line of matrix row ``index`` of ``eeg.csv``, None past the last
-    row. Only error paths ask, so only they pay for the scan."""
-    starts, _ = _row_spans(data)
-    if index >= starts.size:
-        return None
-    return data.count(b"\n", 0, starts[index]) + 1
-
-
-def _row_spans(eeg_csv: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Start and stop offsets of the lines after the header of ``eeg_csv``
-    that hold a row: the lines :func:`split_rows` does not skip as blank.
-    Vectorised scans of _ROW_SCAN_BLOCK bytes each instead of a bytes
-    object per line, or a newline mask as large as the file."""
-    data = np.frombuffer(eeg_csv, np.uint8)
-    starts = np.concatenate([np.empty(0, np.intp)] + [
-        np.flatnonzero(data[i:i + _ROW_SCAN_BLOCK] == ord("\n")) + (i + 1)
-        for i in range(0, data.size, _ROW_SCAN_BLOCK)])
-    stops = np.append(starts[1:] - 1, data.size)[:starts.size]
-    length = stops - starts
-    # stops - 1 is the line's last byte, or the newline before an empty one
-    blank = (length == 0) | ((length == 1) & (data[stops - 1] == ord("\r")))
-    return starts[~blank], stops[~blank]
+def _data_row(text: str, index: int) -> Optional[int]:
+    """File line of matrix row ``index`` of the ``eeg.csv`` text, None past
+    the last row. The header is the first row line. Only error paths ask,
+    so only they pay for the scan."""
+    return next(islice(_row_lines(text), index + 1, None), (None,))[0]
 
 
 def eeg_matrix(eeg: EegRecording) -> np.ndarray:
@@ -392,18 +387,18 @@ class _EegScan:
     """What one pass over the ``eeg.csv`` bytes of ``f`` keeps to bind a
     sidecar to them.
 
-    The bytes are read in blocks of _ROW_SCAN_BLOCK, and each block goes
-    to one sha256 and to a vectorised newline scan. Only the line that a
-    block leaves unfinished is carried to the next one, in pieces joined
-    once it ends, so a ``\\r\\n`` split between two blocks ends a line as
-    it does inside one.
+    The header line is read first, the rest in blocks of _ROW_SCAN_BLOCK,
+    and every byte goes to one sha256. Each block goes to a vectorised
+    newline scan. Only the line that a block leaves unfinished is carried
+    to the next one, in pieces joined once it ends, so a ``\\r\\n`` split
+    between two blocks ends a line as it does inside one.
     """
 
     #: sha256 of the bytes
     digest: bytes
     #: the header line with its newline; all the bytes if there is none
     head: bytes
-    #: lines after the header that :func:`split_rows` reads as rows
+    #: lines after the header that hold a row (:func:`_row_lines`)
     rows: int
     #: the first and the last of those lines, without their newline
     first: bytes
@@ -412,61 +407,45 @@ class _EegScan:
     ascii: bool
 
     def __init__(self, f: BinaryIO) -> None:
-        digest = hashlib.sha256()
-        self.head = None  # until the first line ends
-        self.rows, self.first, self.last, self.ascii = 0, b"", b"", True
+        self.head = f.readline()
+        digest = hashlib.sha256(self.head)
+        self.ascii = self.head.isascii()
+        self.rows, self.first, self.last = 0, b"", b""
         pending: list[bytes] = []
         while block := f.read(_ROW_SCAN_BLOCK):
             digest.update(block)
             self.ascii = self.ascii and block.isascii()
-            data = np.frombuffer(block, np.uint8)
-            ends = np.flatnonzero(data == ord("\n"))
+            ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
             if not ends.size:
                 pending.append(block)
                 continue
-            self._line(b"".join([*pending, block[:ends[0] + 1]]))
+            line = b"".join([*pending, block[:ends[0]]])
+            self._take(line, [0], [len(line)])
+            self._take(block, ends[:-1] + 1, ends[1:])
             pending = [block[ends[-1] + 1:]]
-            # the lines between this block's newlines; one of a byte is
-            # blank when that byte is "\r"
-            starts, stops = ends[:-1] + 1, ends[1:]
-            length = stops - starts
-            kept = np.flatnonzero((length > 1) | (
-                (length == 1) & (data[starts] != ord("\r"))))
-            if kept.size:
-                self.rows += kept.size
-                self.first = self.first or block[starts[kept[0]]:
-                                                 stops[kept[0]]]
-                self.last = block[starts[kept[-1]]:stops[kept[-1]]]
-        self._line(b"".join(pending))
+        line = b"".join(pending)
+        self._take(line, [0], [len(line)])
         self.digest = digest.digest()
 
-    def _line(self, line: bytes) -> None:
-        """Take the next line that ended, with its newline if it has one."""
-        if self.head is None:
-            self.head = line
-            return
-        line = line.removesuffix(b"\n")
-        if line.removesuffix(b"\r"):
-            self.rows += 1
-            self.first = self.first or line
-            self.last = line
+    def _take(self, data: bytes, starts: Union[np.ndarray, Sequence[int]],
+              stops: Union[np.ndarray, Sequence[int]]) -> None:
+        """Take the lines ``data[start:stop]``, without their newline, that
+        hold a row: the rule of :func:`_row_lines`, vectorised."""
+        starts, stops = np.asarray(starts), np.asarray(stops)
+        length = stops - starts
+        kept = length > 1
+        one = np.flatnonzero(length == 1)
+        kept[one] = np.frombuffer(data, np.uint8)[starts[one]] != ord("\r")
+        kept = np.flatnonzero(kept)
+        if kept.size:
+            self.rows += kept.size
+            self.first = self.first or data[starts[kept[0]]:stops[kept[0]]]
+            self.last = data[starts[kept[-1]]:stops[kept[-1]]]
 
 
 def _scan_file(path: Path) -> _EegScan:
     with path.open("rb") as f:
         return _EegScan(f)
-
-
-def read_sidecar(data: bytes, eeg_csv: bytes, width: int) -> np.ndarray:
-    """The matrix of the sidecar bytes ``data`` when they are bound to the
-    ``eeg.csv`` bytes ``eeg_csv`` with ``width`` columns.
-
-    Raises ValueError naming the reason when the sidecar is unusable.
-    :func:`load_session` reads a bundle's files by the same rules, in
-    blocks.
-    """
-    return _read_sidecar(io.BytesIO(data), _EegScan(io.BytesIO(eeg_csv)),
-                         width)
 
 
 def _read_sidecar(f: BinaryIO, scan: _EegScan, width: int) -> np.ndarray:
@@ -637,7 +616,7 @@ def load_session(path: Union[str, Path]) -> SessionRecord:
     """Parse a bundle directory into a cross-validated record.
 
     The EEG matrix comes from ``eeg.sidecar`` when it is bound to
-    ``eeg.csv`` (:func:`read_sidecar`'s rules), else from ``eeg.csv``; an
+    ``eeg.csv`` (:func:`_read_sidecar`'s rules), else from ``eeg.csv``; an
     unusable sidecar is a warning. With a sidecar, ``eeg.csv`` is read in
     blocks and not held: whole only when it is not ASCII, when the
     sidecar is unusable, or to locate a time error's row. A present

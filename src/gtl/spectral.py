@@ -48,6 +48,7 @@ class Band:
     f2: float
 
     def __post_init__(self) -> None:
+        check_fields(self, ConfigError)
         if not (0.0 <= self.f1 < self.f2):
             raise ConfigError(f"band {self.name}: need 0 <= f1 < f2, "
                               f"got [{self.f1}, {self.f2})")

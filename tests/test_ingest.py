@@ -52,6 +52,13 @@ META2 = SessionMeta("p01", "A", 1,
 _ENUM_VALUES = {k.value for k in (*EventKind, *KeyClass)}
 
 
+def _read_sidecar(sidecar: bytes, csv_bytes: bytes, width: int):
+    """The matrix of ``sidecar`` when it is bound to ``csv_bytes``, read
+    as :func:`load_session` reads a bundle's files."""
+    return ingest._read_sidecar(io.BytesIO(sidecar),
+                                ingest._EegScan(io.BytesIO(csv_bytes)), width)
+
+
 def eeg_bytes(times, n_channels=14, names=None):
     names = names or [f"c{i}" for i in range(n_channels)]
     lines = ["t," + ",".join(names)]
@@ -149,10 +156,14 @@ class TestEegCsv:
         matrix = np.loadtxt(io.StringIO(text.partition("\n")[2]),
                             delimiter=",", ndmin=2)
         sidecar = hashlib.sha256(data).digest() + matrix.astype("<f8").tobytes()
-        bound = ingest.read_sidecar(sidecar, data, 2)
+        bound = _read_sidecar(sidecar, data, 2)
         with pytest.raises(error) as err:
             parse_eeg_csv(data, meta, bound)
         assert err.value.row == row
+        # the header alone has no row to name
+        with pytest.raises(error) as err:
+            parse_eeg_csv(data[:data.find(b"\n") + 1], meta, bound)
+        assert err.value.row is None
 
     @pytest.mark.parametrize("times,fs", [
         ((-1e308, 1e308), 1.0),
@@ -805,7 +816,7 @@ class TestSidecar:
         csv_bytes = b"t,a\n\r\n"
         empty = hashlib.sha256(csv_bytes).digest()
         with pytest.raises(ValueError, match="not the 0 rows"):
-            ingest.read_sidecar(empty, csv_bytes, 2)
+            _read_sidecar(empty, csv_bytes, 2)
 
     @settings(max_examples=300)
     @given(st.data())
@@ -822,7 +833,7 @@ class TestSidecar:
             j = data.draw(st.integers(i, min(len(good), i + 16)))
             tail = (good[:i] + data.draw(st.binary(max_size=16)) + good[j:])[32:]
         try:
-            matrix = ingest.read_sidecar(good[:32] + tail, csv_bytes, 3)
+            matrix = _read_sidecar(good[:32] + tail, csv_bytes, 3)
         except ValueError:
             return
         # one row is both the first and the last, so it must be eeg.csv's
@@ -831,21 +842,16 @@ class TestSidecar:
     @settings(max_examples=500)
     @given(st.lists(st.sampled_from(["", "\r", "\r\r", " ", "1", "1,2\r",
                                      "0.5,-1.25"]),
-                    max_size=12).map("\n".join),
-           st.integers(1, 7) | st.just(ingest._ROW_SCAN_BLOCK))
-    # 2-byte blocks split the "\r\n" that ends a row and the one that
-    # ends a blank line
-    @example("t\n1\r\n\r\n\r\r\n\n0.5,-1.25", 2)
-    def test_row_spans_are_the_lines_split_rows_reads(self, text, block):
-        # blocks of 1-7 bytes put block edges inside and between lines,
-        # inside "\r\n" and next to blank lines
-        data = text.encode()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "_ROW_SCAN_BLOCK", block)
-            starts, stops = ingest._row_spans(data)
-        expected = [line.encode() for line in text.split("\n")[1:]
-                    if line.removesuffix("\r")]
-        assert [data[a:b] for a, b in zip(starts, stops)] == expected
+                    max_size=12).map("\n".join))
+    @example("t\n1\r\n\r\n\r\r\n\n0.5,-1.25")
+    def test_data_row_is_the_line_split_rows_reads(self, text):
+        """Matrix row i is row line i + 1: the header is the first."""
+        # without "," every line is one cell, so no width is wrong
+        rows = [row for row, _ in split_rows(text.replace(",", ";"),
+                                              "eeg.csv", 1)][1:]
+        for i in range(len(rows) + 2):
+            assert ingest._data_row(text, i) == (
+                rows[i] if i < len(rows) else None)
 
     @settings(max_examples=500)
     @given(st.lists(st.sampled_from(["", "\r", "\r\r", " ", "1", "1,2\r",
@@ -863,11 +869,13 @@ class TestSidecar:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_ROW_SCAN_BLOCK", block)
             scan = ingest._EegScan(io.BytesIO(data))
-        starts, stops = ingest._row_spans(data)
-        lines = [data[a:b] for a, b in zip(starts, stops)] or [b""]
+        # the rule of split_rows, on the lines after the header
+        rows = [line.encode() for line in text.split("\n")[1:]
+                if line.removesuffix("\r")]
         assert scan.digest == hashlib.sha256(data).digest()
-        assert scan.rows == starts.size
-        assert (scan.first, scan.last) == (lines[0], lines[-1])
+        assert scan.rows == len(rows)
+        rows = rows or [b""]
+        assert (scan.first, scan.last) == (rows[0], rows[-1])
         assert scan.ascii == data.isascii()
         assert scan.head == data[:data.find(b"\n") + 1 or len(data)]
 

@@ -28,7 +28,7 @@ from gtl.model import (
 from gtl.report import ReportConfig, build_report, render_json
 from gtl.simgen import (BandComponent, ScriptKey, ScriptSentence, SimSpec,
                         StudyDesign)
-from gtl.spectral import AnalysisConfig
+from gtl.spectral import AnalysisConfig, Band
 
 from conftest import (ODD_JSON_VALUES, loads_as_itself, make_event_log,
                       make_record, random_event_log)
@@ -374,6 +374,7 @@ _CHECKED_TYPES = [
     (Event, ValueError, {"t": 0.0, "kind": "KEY", "key_class": "INSERT"}),
     (AnalysisConfig, ConfigError, {}),
     (ReportConfig, ConfigError, {}),
+    (Band, ConfigError, {"name": "b", "f1": 0.0, "f2": 1.0}),
 ]
 
 

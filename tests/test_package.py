@@ -30,7 +30,8 @@ def test_cli_import_loads_no_executor():
 
 def test_one_bundle_analyze_starts_no_thread(tmp_path):
     """One bundle is loaded and analysed on the calling thread, however
-    many CPUs there are: no pool is imported or started."""
+    many CPUs there are: no pool is imported or started. Nor is numpy.ma,
+    which np.median imports on first use."""
     bundle, out = tmp_path / "b", tmp_path / "r.json"
     write_session(make_record(make_event_log([[("INSERT", "h")]])), bundle)
     src = str(Path(gtl.__file__).parents[1])
@@ -44,9 +45,9 @@ def test_one_bundle_analyze_starts_no_thread(tmp_path):
         f"rc = gtl.cli.main(['analyze', '--session', {str(bundle)!r}, "
         f"'--out', {str(out)!r}])\n"
         "print(rc, len(started), sorted(m for m in sys.modules "
-        "if m.partition('.')[0] == 'concurrent'))")
+        "if m.partition('.')[0] == 'concurrent'), 'numpy.ma' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path))
-    assert run.stdout == "0 0 []\n"
+    assert run.stdout == "0 0 [] False\n"
     assert out.exists()

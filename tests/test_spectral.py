@@ -230,6 +230,13 @@ class TestBandPowers:
         with pytest.raises(BandOutOfRange):
             band_powers(c, 8.0, (Band("bad", 1.0, 5.0),))
 
+    @pytest.mark.parametrize("name,f1,f2", [
+        ("x", "1", 2.0), ("x", None, 2.0), (3, 0.0, 2.0),
+        ("x", 0.0, float("inf"))])
+    def test_invalid_band_is_a_config_error(self, name, f1, f2):
+        with pytest.raises(ConfigError):
+            Band(name, f1, f2)
+
     def test_repeated_band_name_is_rejected(self):
         # a dict keyed by name would keep one of the two powers
         c = dft(np.random.default_rng(6).standard_normal(64))
