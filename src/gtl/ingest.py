@@ -8,8 +8,7 @@ writing a loaded bundle reproduces it byte for byte. Every number cell of
 every text input is read by :func:`read_number` and every plain
 (unquoted) csv row by :func:`split_rows`. A line holds a row when it is
 not empty once one ``\r`` before its ``\n`` is dropped; :func:`_row_lines`
-is that rule, and the ``eeg.csv`` scan of :class:`_EegScan` its
-vectorised copy.
+is that rule.
 
 ``eeg.sidecar`` is a binary copy of the (t, channels) matrix of
 ``eeg.csv``: the 32-byte sha256 digest of the exact ``eeg.csv`` bytes,
@@ -18,23 +17,25 @@ the width is ``1 + channels`` of ``meta.json`` and the row count that of
 ``eeg.csv``. Its bytes are deterministic. :func:`write_session` writes
 it; ``gtl analyze`` never does. ``eeg.csv`` stays canonical:
 :func:`load_session` takes the matrix from the sidecar only when it is
-bound to the ``eeg.csv`` bytes it read, i.e. the digest matches, the
-data holds one finite row per non-blank ``eeg.csv`` data line, and the
-first and last of those lines read as exactly the first and last rows.
-Otherwise it parses ``eeg.csv`` and the session gets a warning naming
-the reason: a digest mismatch, a length that is not those rows, a
-non-finite value, end rows that differ, or a read error. A missing
-sidecar is silent. Either way the header, channel-name, time-order and
-rate checks of :func:`parse_eeg_csv` run on the matrix unchanged. The
-digest guards against a stale sidecar, not a forged one: the lines
-between the first and the last are not read when the sidecar is bound.
+bound to the ``eeg.csv`` bytes it read, which must be as
+:func:`write_session` writes them: the digest matches, every line after
+the header is an ASCII row (the last may lack its newline), the data
+holds one finite row per line, and the first and last lines read as
+exactly the first and last rows. Otherwise it parses ``eeg.csv`` and the
+session gets a warning naming the reason: a digest mismatch, rows that
+are not ASCII, a length that is not those rows, a non-finite value, end
+rows that differ, or a read error. A missing sidecar is silent. Either
+way the header, channel-name, time-order and rate checks of
+:func:`parse_eeg_csv` run on the matrix unchanged, and a time error in
+matrix row ``i`` of a bound sidecar names line ``i + 2``. The digest
+guards against a stale sidecar, not a forged one: the lines between the
+first and the last are not read when the sidecar is bound.
 
 With a sidecar there, :func:`load_session` reads ``eeg.csv`` once in
 blocks of _ROW_SCAN_BLOCK bytes for its digest, header, row count and
 end rows, and the sidecar in row blocks straight into channel-major
 samples, so neither file is held whole. It reads ``eeg.csv`` whole only
-to parse it (no usable sidecar), to decode a file that is not ASCII,
-and to name the row of a time error. A 180 s, 14-channel bundle with a
+to parse it, when no sidecar is bound. A 180 s, 14-channel bundle with a
 6.4 MB ``eeg.csv`` loads at a tracemalloc peak of 3.2 MiB, 2.5 MiB of
 them the samples (CPython 3.11, numpy 2.4, Linux x86-64).
 
@@ -219,10 +220,10 @@ def parse_eeg_csv(data: bytes, meta: SessionMeta,
     Timestamps must be uniformly spaced to within RATE_TOLERANCE of the
     metadata rate; the rate inferred from the median spacing must agree
     with ``meta.fs_eeg`` to the same tolerance. ``matrix``, when given, is
-    the (t, channels) body of ``eeg.csv`` read from a sidecar bound to it;
-    the header and every check after the body run on it unchanged. Then
-    ``data`` may be the header line alone, and a time error found in the
-    matrix names no row.
+    the (t, channels) body of ``eeg.csv`` read from a sidecar bound to it,
+    and ``data`` may be the header line alone. The header and every check
+    after the body run unchanged, and a time error in matrix row ``i``
+    names line ``i + 2``: a bound file has one row per line.
     """
     text = as_text(data, EEG_FILE)
     body_start = text.find("\n") + 1
@@ -241,8 +242,12 @@ def parse_eeg_csv(data: bytes, meta: SessionMeta,
                 f"{len(meta.channel_names)}", row=1)
         raise ChannelCountMismatch(
             f"eeg.csv channel names {names} differ from metadata", row=1)
-    if matrix is None:
+    parsed = matrix is None
+    if parsed:
         matrix = _parse_eeg_body(text[body_start:], len(columns))
+
+    def row_of(index: int) -> Optional[int]:
+        return _data_row(text, index) if parsed else index + 2
 
     t = matrix[:, 0]
     if t.shape[0] > 1:
@@ -260,7 +265,7 @@ def parse_eeg_csv(data: bytes, meta: SessionMeta,
             raise NonMonotonicTime(
                 f"eeg.csv timestamps must increase strictly "
                 f"(t[{bad + 1}]={t[bad + 1]} after t[{bad}]={t[bad]})",
-                row=_data_row(text, bad + 1))
+                row=row_of(bad + 1))
         # |median - 1/fs| > tol/fs times fs: 1/fs overflows below 2**-1024
         if abs(median * meta.fs_eeg - 1.0) > RATE_TOLERANCE:
             raise NonUniformRate(
@@ -270,7 +275,7 @@ def parse_eeg_csv(data: bytes, meta: SessionMeta,
             bad = int(np.argmax(np.abs(spacing - median) > RATE_TOLERANCE * median))
             raise NonUniformRate(
                 f"sample spacing {spacing[bad]} s deviates from {median} s",
-                row=_data_row(text, bad + 1))
+                row=row_of(bad + 1))
     return EegRecording(t0=float(t[0]), fs=meta.fs_eeg,
                         samples=matrix[:, 1:].T)
 
@@ -389,58 +394,48 @@ class _EegScan:
 
     The header line is read first, the rest in blocks of _ROW_SCAN_BLOCK,
     and every byte goes to one sha256. Each block goes to a vectorised
-    newline scan. Only the line that a block leaves unfinished is carried
-    to the next one, in pieces joined once it ends, so a ``\\r\\n`` split
-    between two blocks ends a line as it does inside one.
+    newline scan. Every line after the header counts as a row, as in the
+    files :func:`write_session` writes, and the last may lack its newline.
+    Only the line that a block leaves unfinished is carried to the next
+    one, in pieces joined once it ends.
     """
 
     #: sha256 of the bytes
     digest: bytes
     #: the header line with its newline; all the bytes if there is none
     head: bytes
-    #: lines after the header that hold a row (:func:`_row_lines`)
+    #: lines after the header
     rows: int
     #: the first and the last of those lines, without their newline
     first: bytes
     last: bytes
-    #: whether every byte is ASCII
+    #: whether every byte after the header is ASCII
     ascii: bool
 
     def __init__(self, f: BinaryIO) -> None:
         self.head = f.readline()
         digest = hashlib.sha256(self.head)
-        self.ascii = self.head.isascii()
-        self.rows, self.first, self.last = 0, b"", b""
+        self.ascii, self.rows, self.first, self.last = True, 0, b"", b""
         pending: list[bytes] = []
+        # reused for every block; a fresh mask per block raised peak RSS
+        newline = np.empty(_ROW_SCAN_BLOCK, bool)
         while block := f.read(_ROW_SCAN_BLOCK):
             digest.update(block)
             self.ascii = self.ascii and block.isascii()
-            ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-            if not ends.size:
-                pending.append(block)
-                continue
-            line = b"".join([*pending, block[:ends[0]]])
-            self._take(line, [0], [len(line)])
-            self._take(block, ends[:-1] + 1, ends[1:])
-            pending = [block[ends[-1] + 1:]]
-        line = b"".join(pending)
-        self._take(line, [0], [len(line)])
+            ends = np.flatnonzero(np.equal(np.frombuffer(block, np.uint8),
+                                           ord("\n"), out=newline[:len(block)]))
+            if ends.size:
+                ended = b"".join([*pending, block[:ends[0]]])
+                self.first = self.first if self.rows else ended
+                self.last = (block[ends[-2] + 1:ends[-1]] if ends.size > 1
+                             else ended)
+                self.rows += ends.size
+                pending, block = [], block[ends[-1] + 1:]
+            pending.append(block)
+        if tail := b"".join(pending):
+            self.first = self.first if self.rows else tail
+            self.rows, self.last = self.rows + 1, tail
         self.digest = digest.digest()
-
-    def _take(self, data: bytes, starts: Union[np.ndarray, Sequence[int]],
-              stops: Union[np.ndarray, Sequence[int]]) -> None:
-        """Take the lines ``data[start:stop]``, without their newline, that
-        hold a row: the rule of :func:`_row_lines`, vectorised."""
-        starts, stops = np.asarray(starts), np.asarray(stops)
-        length = stops - starts
-        kept = length > 1
-        one = np.flatnonzero(length == 1)
-        kept[one] = np.frombuffer(data, np.uint8)[starts[one]] != ord("\r")
-        kept = np.flatnonzero(kept)
-        if kept.size:
-            self.rows += kept.size
-            self.first = self.first or data[starts[kept[0]]:stops[kept[0]]]
-            self.last = data[starts[kept[-1]]:stops[kept[-1]]]
 
 
 def _scan_file(path: Path) -> _EegScan:
@@ -459,6 +454,8 @@ def _read_sidecar(f: BinaryIO, scan: _EegScan, width: int) -> np.ndarray:
     """
     if f.read(_DIGEST_SIZE) != scan.digest:
         raise ValueError("digest does not match eeg.csv")
+    if not scan.ascii:
+        raise ValueError("eeg.csv rows are not ASCII")
     size = f.seek(0, io.SEEK_END) - _DIGEST_SIZE
     n_rows, row_bytes = scan.rows, width * _SIDECAR_DTYPE.itemsize
     not_the_rows = ValueError(
@@ -487,7 +484,7 @@ def _read_sidecar(f: BinaryIO, scan: _EegScan, width: int) -> np.ndarray:
 
 def _reads_as(line: bytes, values: np.ndarray) -> bool:
     """Whether csv ``line`` reads as exactly ``values``, bit for bit."""
-    cells = line.removesuffix(b"\r").decode("ascii", "replace").split(",")
+    cells = line.decode("ascii").split(",")
     try:
         read = np.array([read_number(cell, EEG_FILE, 0) for cell in cells])
     except MalformedNumber:
@@ -618,8 +615,8 @@ def load_session(path: Union[str, Path]) -> SessionRecord:
     The EEG matrix comes from ``eeg.sidecar`` when it is bound to
     ``eeg.csv`` (:func:`_read_sidecar`'s rules), else from ``eeg.csv``; an
     unusable sidecar is a warning. With a sidecar, ``eeg.csv`` is read in
-    blocks and not held: whole only when it is not ASCII, when the
-    sidecar is unusable, or to locate a time error's row. A present
+    blocks and not held, and read whole only when the sidecar is not
+    bound; :func:`parse_eeg_csv` runs once either way. A present
     ``gaze.csv`` must pass :func:`parse_gaze_csv`. Semantic violations
     (marker breaks, transcription mismatches, events outside the EEG
     span) do not raise; they land in ``rec.validation``.
@@ -627,7 +624,7 @@ def load_session(path: Union[str, Path]) -> SessionRecord:
     root = Path(path)
     if not _checked_io(Path.is_dir, root):
         raise MissingFile(f"session bundle {root} is not a directory")
-    sidecar, eeg_file = root / EEG_SIDECAR, root / EEG_FILE
+    sidecar = root / EEG_SIDECAR
     scan, matrix, sidecar_problem = None, None, None
     try:
         has_sidecar = sidecar.is_file()
@@ -654,17 +651,9 @@ def load_session(path: Union[str, Path]) -> SessionRecord:
                                        1 + len(meta.channel_names))
         except (OSError, ValueError) as exc:
             sidecar_problem = exc
-        if matrix is None or not scan.ascii:
-            contents[EEG_FILE] = _checked_io(Path.read_bytes, eeg_file)
-            scan = None
-    try:
-        eeg = parse_eeg_csv(contents[EEG_FILE], meta, matrix)
-    except (NonMonotonicTime, NonUniformRate):
-        if scan is None:
-            raise
-        # they name their row in the whole file, which the scan did not keep
-        eeg = parse_eeg_csv(_checked_io(Path.read_bytes, eeg_file), meta,
-                            matrix)
+        if matrix is None:
+            contents[EEG_FILE] = _checked_io(Path.read_bytes, root / EEG_FILE)
+    eeg = parse_eeg_csv(contents[EEG_FILE], meta, matrix)
     events = parse_events_csv(contents[EVENTS_FILE])
     gaze_file = root / GAZE_FILE
     if _checked_io(Path.is_file, gaze_file):

@@ -9,6 +9,7 @@ import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -141,29 +142,29 @@ class TestEegCsv:
         assert err.value.row == 1
         assert str(err.value).endswith("(row 1)")
 
-    @pytest.mark.parametrize("text,error,row", [
-        ("t,a\n\n0,1\n0,2\n", NonMonotonicTime, 4),
-        ("t,a\n0,1\n\n\n1,2\n1,3\n", NonMonotonicTime, 6),
-        ("t,a\n0,1\n1,1\n\r\n2,1\n\n3.5,1\n4.5,1\n", NonUniformRate, 7),
+    @pytest.mark.parametrize("text,error,row,bound_row", [
+        ("t,a\n\n0,1\n0,2\n", NonMonotonicTime, 4, 3),
+        ("t,a\n0,1\n\n\n1,2\n1,3\n", NonMonotonicTime, 6, 4),
+        ("t,a\n0,1\n1,1\n\r\n2,1\n\n3.5,1\n4.5,1\n", NonUniformRate, 7,
+         5),
     ], ids=["blank-before-first", "blanks-mid", "crlf-blank-and-blank"])
-    def test_time_error_row_skips_blank_lines(self, text, error, row):
+    def test_time_error_row_skips_blank_lines(self, text, error, row,
+                                              bound_row):
         meta = SessionMeta("p01", "A", 1, 1.0, ("a",))
         data = text.encode()
         with pytest.raises(error) as err:
             parse_eeg_csv(data, meta)
         assert err.value.row == row
-        # the same row when the matrix comes from a bound sidecar
+        # a sidecar hashed to text with blank lines does not bind
         matrix = np.loadtxt(io.StringIO(text.partition("\n")[2]),
                             delimiter=",", ndmin=2)
         sidecar = hashlib.sha256(data).digest() + matrix.astype("<f8").tobytes()
-        bound = _read_sidecar(sidecar, data, 2)
+        with pytest.raises(ValueError, match="are not the"):
+            _read_sidecar(sidecar, data, 2)
+        # a bound matrix has one row per line after the header: row i + 2
         with pytest.raises(error) as err:
-            parse_eeg_csv(data, meta, bound)
-        assert err.value.row == row
-        # the header alone has no row to name
-        with pytest.raises(error) as err:
-            parse_eeg_csv(data[:data.find(b"\n") + 1], meta, bound)
-        assert err.value.row is None
+            parse_eeg_csv(data[:data.find(b"\n") + 1], meta, matrix)
+        assert err.value.row == bound_row
 
     @pytest.mark.parametrize("times,fs", [
         ((-1e308, 1e308), 1.0),
@@ -565,9 +566,10 @@ def _fail_block(block):
     raise ValueError("block not formatted")
 
 
-def _block_record(n_channels: int, n_samples: int) -> SessionRecord:
+def _block_record(n_channels: int, n_samples: int,
+                  prefix: str = "c") -> SessionRecord:
     meta = SessionMeta("p01", "A", 1, 128.0,
-                       tuple(f"c{i}" for i in range(n_channels)))
+                       tuple(f"{prefix}{i}" for i in range(n_channels)))
     samples = np.random.default_rng(3).standard_normal((n_channels, n_samples))
     return SessionRecord(meta=meta, eeg=EegRecording(0.0, 128.0, samples),
                          events=make_event_log([[("INSERT", "h")]]))
@@ -689,6 +691,16 @@ def _edited_last(matrix: np.ndarray) -> np.ndarray:
     return bad
 
 
+def _edit_line(i: int, new: Callable[[bytes], bytes]
+               ) -> Callable[[bytes], bytes]:
+    """File bytes -> the same bytes with line ``i + 1`` made ``new(line)``."""
+    def edit(data: bytes) -> bytes:
+        lines = data.split(b"\n")
+        lines[i] = new(lines[i])
+        return b"\n".join(lines)
+    return edit
+
+
 # (digest, matrix, good sidecar) -> bad sidecar, and the reason it names
 _BAD_SIDECARS = {
     "short": (lambda d, m, good: good[:20], "digest does not match"),
@@ -779,6 +791,44 @@ class TestSidecar:
         assert warning.startswith("eeg.sidecar ignored, eeg.csv parsed: ")
         assert reason in warning
 
+    @pytest.mark.parametrize("edit,reason", [
+        (_edit_line(2, lambda line: line + b"\n"), "are not the"),
+        (lambda data: data + b"\n", "are not the"),
+        (lambda data: data.replace(b"\n", b"\r\n"), "row differs"),
+        (_edit_line(2, lambda line: line + "\xa0".encode()), "not ASCII"),
+        (_edit_line(2, lambda line: line + "\u0661".encode()), "not ASCII"),
+    ], ids=["blank-line", "blank-last-line", "crlf", "non-ascii-space",
+            "non-ascii-digit"])
+    def test_csv_not_as_written_binds_no_sidecar(self, bundle, edit,
+                                                  reason):
+        """A sidecar hashed to an eeg.csv that write_session would not
+        write is ignored with its reason, and the load gives what
+        eeg.csv alone gives: the record or the parse error."""
+        path, rec = bundle
+        eeg = path / "eeg.csv"
+        data = edit(eeg.read_bytes())
+        eeg.write_bytes(data)
+        sidecar = path / EEG_SIDECAR
+        sidecar.write_bytes(hashlib.sha256(data).digest()
+                            + _raw(eeg_matrix(rec.eeg)))
+
+        def outcome():
+            try:
+                return load_session(path)
+            except IngestError as exc:
+                return type(exc), str(exc)
+
+        with_sidecar = outcome()
+        sidecar.unlink()
+        from_csv = outcome()
+        assert with_sidecar == from_csv
+        if isinstance(from_csv, tuple):
+            return  # the parse error, raised before any warning
+        (warning,) = with_sidecar.validation.warnings
+        assert warning.startswith("eeg.sidecar ignored, eeg.csv parsed: ")
+        assert reason in warning
+        assert from_csv.validation.warnings == []
+
     def test_samples_are_frozen_on_both_paths(self, bundle):
         path, rec = bundle
         with_sidecar = load_session(path)
@@ -788,32 +838,43 @@ class TestSidecar:
         for loaded in (with_sidecar, from_csv):
             assert not loaded.eeg.samples.flags.writeable
 
-    def test_time_error_with_a_bound_sidecar_names_its_row(self, bundle):
-        """The load holds only the head of eeg.csv, yet names the row."""
+    def test_time_error_with_a_bound_sidecar_names_its_row(self, bundle,
+                                                          monkeypatch):
+        """The load holds only the head of eeg.csv, yet names the row: it
+        never reads eeg.csv whole."""
         path, _ = bundle
         eeg = path / "eeg.csv"
         lines = eeg.read_bytes().split(b"\n")
-        # a blank line, then two rows out of time order
-        lines[2:4] = [b"", lines[3], lines[2]]
+        # two rows out of time order
+        lines[2:4] = [lines[3], lines[2]]
         data = b"\n".join(lines)
         eeg.write_bytes(data)
         matrix = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1)
         (path / EEG_SIDECAR).write_bytes(hashlib.sha256(data).digest()
                                          + matrix.astype("<f8").tobytes())
+        real = Path.read_bytes
+
+        def read_bytes(self):
+            if self.name == "eeg.csv":
+                raise AssertionError("eeg.csv read whole")
+            return real(self)
+
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
         with pytest.raises(NonMonotonicTime) as err:
             load_session(path)
-        assert err.value.row == 5
+        assert err.value.row == 4
 
     def test_matrix_longer_than_the_csv_is_a_located_error(self):
-        """A time break past the last line of eeg.csv has no row to name."""
+        """Matrix row i of a bound sidecar is line i + 2 of eeg.csv, also
+        past the lines that the given data holds."""
         meta = SessionMeta("p01", "A", 1, 1.0, ("a",))
         matrix = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(NonMonotonicTime) as err:
-            parse_eeg_csv(b"t,a\n0.0,1.0\n1.0,1.0\n", meta, matrix)
-        assert err.value.row is None
+            parse_eeg_csv(b"t,a\n", meta, matrix)
+        assert err.value.row == 4
 
     def test_csv_without_rows_binds_no_sidecar(self):
-        csv_bytes = b"t,a\n\r\n"
+        csv_bytes = b"t,a\n"
         empty = hashlib.sha256(csv_bytes).digest()
         with pytest.raises(ValueError, match="not the 0 rows"):
             _read_sidecar(empty, csv_bytes, 2)
@@ -869,20 +930,22 @@ class TestSidecar:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_ROW_SCAN_BLOCK", block)
             scan = ingest._EegScan(io.BytesIO(data))
-        # the rule of split_rows, on the lines after the header
-        rows = [line.encode() for line in text.split("\n")[1:]
-                if line.removesuffix("\r")]
+        # every line after the header, the last even without its newline
+        body = data.partition(b"\n")[2]
+        rows = body.removesuffix(b"\n").split(b"\n") if body else []
         assert scan.digest == hashlib.sha256(data).digest()
         assert scan.rows == len(rows)
         rows = rows or [b""]
         assert (scan.first, scan.last) == (rows[0], rows[-1])
-        assert scan.ascii == data.isascii()
+        assert scan.ascii == body.isascii()
         assert scan.head == data[:data.find(b"\n") + 1 or len(data)]
 
-    def test_load_holds_neither_file_whole(self, tmp_path):
+    @pytest.mark.parametrize("prefix", ["c", "\xe9"],
+                             ids=["ascii-names", "non-ascii-names"])
+    def test_load_holds_neither_file_whole(self, tmp_path, prefix):
         """The sidecar load peaks at the samples plus a few scan blocks,
-        well below the size of eeg.csv."""
-        rec = _block_record(14, 180 * 128)
+        well below the size of eeg.csv, whatever the channel names."""
+        rec = _block_record(14, 180 * 128, prefix)
         write_session(rec, tmp_path)
         csv_size = (tmp_path / "eeg.csv").stat().st_size
         bound = (rec.eeg.samples.nbytes + 8 * rec.eeg.n_samples
