@@ -20,12 +20,13 @@ it; ``gtl analyze`` never does. ``eeg.csv`` stays canonical:
 bound to the ``eeg.csv`` bytes it read, which must be as
 :func:`write_session` writes them: the digest matches, every line after
 the header is an ASCII row (the last may lack its newline), the data
-holds one finite row per line, and the first and last lines read as
-exactly the first and last rows. Otherwise it parses ``eeg.csv`` and the
-session gets a warning naming the reason: a digest mismatch, rows that
-are not ASCII, a length that is not those rows, a non-finite value, end
-rows that differ, or a read error. A missing sidecar is silent. Either
-way the header, channel-name, time-order and rate checks of
+holds one finite row per line, and the first and last lines are the
+bytes it writes for the first and last rows. Otherwise it parses
+``eeg.csv`` and the session gets a warning naming the reason: a digest
+mismatch, rows that are not ASCII, a length that is not those rows, a
+non-finite value, end rows that differ (also a row spelled other than
+:func:`write_session` spells it), or a read error. A missing sidecar is
+silent. Either way the header, channel-name, time-order and rate checks of
 :func:`parse_eeg_csv` run on the matrix unchanged, and a time error in
 matrix row ``i`` of a bound sidecar names line ``i + 2``. The digest
 guards against a stale sidecar, not a forged one: the lines between the
@@ -37,7 +38,8 @@ end rows, and the sidecar in row blocks straight into channel-major
 samples, so neither file is held whole. It reads ``eeg.csv`` whole only
 to parse it, when no sidecar is bound. A 180 s, 14-channel bundle with a
 6.4 MB ``eeg.csv`` loads at a tracemalloc peak of 3.2 MiB, 2.5 MiB of
-them the samples (CPython 3.11, numpy 2.4, Linux x86-64).
+them the samples, and at 22.7 MiB from ``eeg.csv`` alone (CPython 3.11,
+numpy 2.4, Linux x86-64).
 
 :func:`write_session` streams ``eeg.csv``: :func:`eeg_to_csv` formats the
 matrix in row blocks of about EEG_BLOCK_CELLS cells, on every CPU the
@@ -244,7 +246,7 @@ def parse_eeg_csv(data: bytes, meta: SessionMeta,
             f"eeg.csv channel names {names} differ from metadata", row=1)
     parsed = matrix is None
     if parsed:
-        matrix = _parse_eeg_body(text[body_start:], len(columns))
+        matrix = _parse_eeg_body(text, len(columns))
 
     def row_of(index: int) -> Optional[int]:
         return _data_row(text, index) if parsed else index + 2
@@ -280,23 +282,25 @@ def parse_eeg_csv(data: bytes, meta: SessionMeta,
                         samples=matrix[:, 1:].T)
 
 
-def _parse_eeg_body(body: str, n_cols: int) -> np.ndarray:
-    """The (t, channels) matrix of the rows after the header."""
-    if not body.strip():
+def _parse_eeg_body(text: str, n_cols: int) -> np.ndarray:
+    """The (t, channels) matrix of the rows after the ``eeg.csv`` header."""
+    # lines, not a StringIO, which copies the text at 4 bytes a character
+    lines = text.split("\n")[1:]
+    if not any(map(str.strip, lines)):
         raise MalformedRow("eeg.csv has no data rows", row=2)
     try:
-        matrix = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
-                            comments=None)
+        matrix = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
     except ValueError:
         matrix = None
     if (matrix is None or matrix.shape[1] != n_cols
             or not np.all(np.isfinite(matrix))):
         # loadtxt reads the same grammar; where they differ, one scan with
-        # the shared readers names the first bad row or cell in row order
-        matrix = np.array([
-            [read_number(cell, EEG_FILE, row, col)
-             for col, cell in enumerate(cells, start=1)]
-            for row, cells in split_rows(body, EEG_FILE, n_cols, first_row=2)])
+        # the shared readers names the first bad row or cell in row order,
+        # after the header: the first row line, and as wide as the rows
+        rows = islice(split_rows(text, EEG_FILE, n_cols), 1, None)
+        matrix = np.array([[read_number(cell, EEG_FILE, row, col)
+                            for col, cell in enumerate(cells, start=1)]
+                           for row, cells in rows])
     return matrix
 
 
@@ -445,7 +449,9 @@ def _scan_file(path: Path) -> _EegScan:
 
 def _read_sidecar(f: BinaryIO, scan: _EegScan, width: int) -> np.ndarray:
     """The (rows, width) matrix of the sidecar ``f`` when it is bound to
-    the scanned ``eeg.csv``; ValueError naming the reason otherwise.
+    the scanned ``eeg.csv``; ValueError naming the reason otherwise. Its end
+    rows must format (:func:`_eeg_lines`) as the end lines: ``repr`` spells
+    each double one way, so this is bit for bit.
 
     The rows are read in blocks of about _ROW_SCAN_BLOCK bytes into a
     channel-major array, and the matrix is its transpose: the time column
@@ -476,20 +482,9 @@ def _read_sidecar(f: BinaryIO, scan: _EegScan, width: int) -> np.ndarray:
             raise ValueError("holds a non-finite value")
         columns[:, i:i + len(rows)] = rows.T
     matrix = columns.T
-    if not (_reads_as(scan.first, matrix[0])
-            and _reads_as(scan.last, matrix[-1])):
+    if _eeg_lines(matrix[[0, -1]]) != scan.first + b"\n" + scan.last + b"\n":
         raise ValueError("first or last row differs from eeg.csv")
     return matrix
-
-
-def _reads_as(line: bytes, values: np.ndarray) -> bool:
-    """Whether csv ``line`` reads as exactly ``values``, bit for bit."""
-    cells = line.decode("ascii").split(",")
-    try:
-        read = np.array([read_number(cell, EEG_FILE, 0) for cell in cells])
-    except MalformedNumber:
-        return False
-    return read.tobytes() == values.tobytes()
 
 
 # --- events.csv --------------------------------------------------------------

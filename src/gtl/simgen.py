@@ -80,7 +80,7 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
 
 
 class SplitMix64:
-    """Counter-based SplitMix64; ``take`` methods advance the stream."""
+    """Counter-based SplitMix64, one draw at a time as Python ints."""
 
     __slots__ = ("seed", "_count")
 
@@ -95,19 +95,8 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
 
-    def take_u64(self, count: int) -> np.ndarray:
-        """Vectorized batch; identical to ``count`` calls of next_u64."""
-        self._count += count
-        return _draws(self.seed, self._count - count + 1, count)
-
     def next_float(self) -> float:
         return (self.next_u64() >> 11) * _U53
-
-    def take_floats(self, count: int) -> np.ndarray:
-        return _uniforms(self.take_u64(count))
-
-    def take_gaussians(self, count: int) -> np.ndarray:
-        return _box_muller(self.take_floats(2 * ((count + 1) // 2)))[:count]
 
 
 @dataclass(frozen=True)
@@ -225,7 +214,7 @@ def synth_eeg(spec: SimSpec) -> EegRecording:
     n = int(round(spec.duration_s * spec.fs))
     t = np.arange(n, dtype=np.float64) / spec.fs
     samples = np.zeros((spec.n_channels, n), dtype=np.float64)
-    seeds = SplitMix64(spec.seed).take_u64(spec.n_channels)
+    seeds = _draws(spec.seed, 1, spec.n_channels)
     rows = max(1, EEG_BLOCK_CELLS // n)
     blocks = [slice(i, i + rows) for i in range(0, spec.n_channels, rows)]
     # one component's pair at a time

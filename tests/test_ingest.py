@@ -797,8 +797,13 @@ class TestSidecar:
         (lambda data: data.replace(b"\n", b"\r\n"), "row differs"),
         (_edit_line(2, lambda line: line + "\xa0".encode()), "not ASCII"),
         (_edit_line(2, lambda line: line + "\u0661".encode()), "not ASCII"),
+        # the same values, spelled as write_session does not spell them
+        (_edit_line(1, lambda line: line.replace(b",", b"0,", 1)),
+         "row differs"),
+        (_edit_line(-2, lambda line: line.replace(b",", b"0,", 1)),
+         "row differs"),
     ], ids=["blank-line", "blank-last-line", "crlf", "non-ascii-space",
-            "non-ascii-digit"])
+            "non-ascii-digit", "first-row-respelled", "last-row-respelled"])
     def test_csv_not_as_written_binds_no_sidecar(self, bundle, edit,
                                                   reason):
         """A sidecar hashed to an eeg.csv that write_session would not
@@ -963,6 +968,23 @@ class TestSidecar:
         assert peak < bound
         # the channel-major sidecar matrix becomes the samples uncopied
         assert loaded.eeg.samples.base is not None
+
+    def test_csv_load_makes_no_wide_copy_of_the_text(self, tmp_path):
+        """Without a sidecar the whole text is parsed, but never copied
+        into a buffer of four bytes a character."""
+        rec = _block_record(14, 180 * 128)
+        write_session(rec, tmp_path)
+        (tmp_path / EEG_SIDECAR).unlink()
+        csv_size = (tmp_path / "eeg.csv").stat().st_size
+        load_session(tmp_path)
+        tracemalloc.start()
+        try:
+            loaded = load_session(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded == rec
+        assert peak < 5.5 * csv_size
 
     def test_read_error_inside_eeg_csv_is_named(self, bundle, monkeypatch):
         path, _ = bundle

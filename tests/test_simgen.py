@@ -19,6 +19,9 @@ from gtl.simgen import (
     SimSpec,
     SplitMix64,
     StudyDesign,
+    _box_muller,
+    _draws,
+    _uniforms,
     expected_composition,
     simspec_from_dict,
     simulate_session,
@@ -53,6 +56,13 @@ def _script():
     )
 
 
+def _gaussians(rng: SplitMix64, count: int) -> np.ndarray:
+    """``count`` Gaussians from the stream of ``rng`` after the draws it
+    has made, from an even count of uniforms."""
+    return _box_muller(_uniforms(
+        _draws(rng.seed, rng._count + 1, count + count % 2)))[:count]
+
+
 class TestSplitMix64:
     def test_published_reference_vector(self):
         r = SplitMix64(0)
@@ -61,17 +71,16 @@ class TestSplitMix64:
 
     def test_vectorized_equals_sequential(self):
         a = SplitMix64(987654321)
-        b = SplitMix64(987654321)
         seq = [a.next_u64() for _ in range(100)]
-        assert b.take_u64(100).tolist() == seq
+        assert _draws(987654321, 1, 100).tolist() == seq
 
     def test_floats_in_unit_interval(self):
-        u = SplitMix64(5).take_floats(10_000)
+        u = _uniforms(_draws(5, 1, 10_000))
         assert np.all(u >= 0.0) and np.all(u < 1.0)
         assert abs(u.mean() - 0.5) < 0.02
 
     def test_gaussian_moments(self):
-        g = SplitMix64(6).take_gaussians(50_001)
+        g = _gaussians(SplitMix64(6), 50_001)
         assert abs(g.mean()) < 0.02
         assert abs(g.std() - 1.0) < 0.02
 
@@ -117,7 +126,7 @@ class TestSynthEeg:
             rng = SplitMix64(root.next_u64())
             for _ in components:
                 rng.next_float()
-            want = spec.noise_sigma * rng.take_gaussians(eeg.shape[1])
+            want = spec.noise_sigma * _gaussians(rng, eeg.shape[1])
             assert np.array_equal(row, want)
 
     def test_blocks_equal_the_per_channel_reference(self):
@@ -141,7 +150,7 @@ class TestSynthEeg:
                 phase = 2.0 * math.pi * rng.next_float()
                 want += np.sin(wt) * (c.amplitude * math.cos(phase))
                 want += np.cos(wt) * (c.amplitude * math.sin(phase))
-            want += rng.take_gaussians(n) * spec.noise_sigma
+            want += _gaussians(rng, n) * spec.noise_sigma
             assert row.tobytes() == want.tobytes()
 
     def test_no_generator_per_channel(self, monkeypatch):
