@@ -228,6 +228,7 @@ def parse_eeg_csv(data: bytes, meta: SessionMeta,
     names line ``i + 2``: a bound file has one row per line.
     """
     text = as_text(data, EEG_FILE)
+    del data  # a caller that passes its only reference frees the bytes here
     body_start = text.find("\n") + 1
     if not body_start:
         raise BadHeader("eeg.csv has no header row", row=1)
@@ -648,7 +649,8 @@ def load_session(path: Union[str, Path]) -> SessionRecord:
             sidecar_problem = exc
         if matrix is None:
             contents[EEG_FILE] = _checked_io(Path.read_bytes, root / EEG_FILE)
-    eeg = parse_eeg_csv(contents[EEG_FILE], meta, matrix)
+    # the dict lets go of the bytes, which parse_eeg_csv drops once decoded
+    eeg = parse_eeg_csv(contents.pop(EEG_FILE), meta, matrix)
     events = parse_events_csv(contents[EVENTS_FILE])
     gaze_file = root / GAZE_FILE
     if _checked_io(Path.is_file, gaze_file):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -127,10 +127,12 @@ def make_windows(samples: np.ndarray, cfg: AnalysisConfig, fs: float,
     if x.ndim != 1:
         raise ValueError("make_windows expects one channel, a 1-D sample "
                          "vector")
-    n = cfg.window_len
-    frames = (np.lib.stride_tricks.sliding_window_view(x, n)[::cfg.hop]
-              if x.shape[0] >= n else np.empty((0, n)))
-    return t0 + (np.arange(frames.shape[0]) * cfg.hop) / fs, frames
+    n_win = window_count(x.shape[0], cfg.window_len, cfg.hop)
+    step = x.strides[0]
+    frames = np.lib.stride_tricks.as_strided(
+        x, shape=(n_win, cfg.window_len), strides=(cfg.hop * step, step),
+        writeable=False)
+    return t0 + (np.arange(n_win) * cfg.hop) / fs, frames
 
 
 @lru_cache(maxsize=32)
@@ -147,17 +149,21 @@ def _window_curve(kind: WindowFn, n: int) -> np.ndarray:
     return curve
 
 
-def apply_window_fn(x: np.ndarray, kind: WindowFn,
-                    detrend: bool = False) -> np.ndarray:
+def apply_window_fn(x: np.ndarray, kind: WindowFn, detrend: bool = False,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-row mean removal (optional), then the window function along the
     last axis; returns ``x`` itself when neither applies. ``kind`` may be
-    the enum's value; the curve cache is only ever filled for the enum."""
+    the enum's value; the curve cache is only ever filled for the enum.
+
+    ``out``, as in numpy's ufuncs, is an array of ``x``'s shape that
+    receives the result, which is then ``out`` itself; it may be ``x``.
+    Its values are the same as without it."""
     kind = WindowFn(kind)
     with _OVERFLOW_QUIET():
         if detrend:
-            x = x - x.mean(axis=-1, keepdims=True)
+            x = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out)
         if kind is not WindowFn.RECT:
-            x = x * _window_curve(kind, x.shape[-1])
+            x = np.multiply(x, _window_curve(kind, x.shape[-1]), out=out)
     return x
 
 
@@ -177,6 +183,7 @@ def dft(samples: np.ndarray) -> np.ndarray:
 
 # --- band powers -------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def _band_bins(band: Band, n: int, fs: float) -> tuple[int, int]:
     """Half-open bin range [lo, hi) of a band; Nyquist bin joins the top band."""
     nyquist = fs / 2
@@ -190,19 +197,24 @@ def _band_bins(band: Band, n: int, fs: float) -> tuple[int, int]:
 
 
 def _band_powers(half: np.ndarray, bands: Sequence[Band], n: int,
-                 fs: float) -> tuple[np.ndarray, np.ndarray]:
+                 fs: float, bins: Optional[np.ndarray] = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Band powers (1/N) * sum |C_k|^2 over the last axis of ``half``
     (C_k or its conjugate for k = 0..N/2), one row per band, and their
-    total summed in band order. A power past the float range is inf."""
+    total summed in band order. A power past the float range is inf.
+    ``bins``, a float array of ``half``'s shape, receives the |C_k|^2."""
     with _OVERFLOW_QUIET():
-        power_bins = np.abs(half)
+        power_bins = np.abs(half, out=bins)
         np.square(power_bins, out=power_bins)
-        per_band = np.stack([power_bins[..., lo:hi].sum(axis=-1) / n
-                             for lo, hi in (_band_bins(b, n, fs)
-                                            for b in bands)])
-        total = np.zeros(per_band.shape[1:])
+        per_band = np.empty((len(bands),) + half.shape[:-1])
+        for i, band in enumerate(bands):
+            lo, hi = _band_bins(band, n, fs)
+            np.add.reduce(power_bins[..., lo:hi], axis=-1,
+                          out=per_band[i, ...])
+        per_band /= n
+        total = np.zeros(half.shape[:-1])
         for row in per_band:
-            total = total + row
+            total += row
     return per_band, total
 
 
@@ -247,6 +259,11 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
     ratios (:func:`band_ratios`'s ZeroPower): it is zero, e.g. a detrended
     constant stretch, or past the float range, e.g. samples of amplitude
     1e160.
+
+    The work arrays (tapered windows and |C_k|^2 bins, one channel's
+    worth each) are allocated once per call and reused for every channel;
+    they live only for the call, so calls on different threads share
+    nothing.
     """
     bands = default_bands(eeg.fs)
     band_names = [b.name for b in bands]
@@ -261,16 +278,20 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
     ratios = np.empty((eeg.n_channels, n_win), dtype=np.float64)
     alive = np.ones(n_win, dtype=bool)
     load_row = band_names.index(load_band)
-    # one channel per transform: batching all channels raises peak memory
+    # one channel per transform: batching all channels raises peak memory;
+    # of a channel's window-sized arrays only rfft's output is new
+    tapered = np.empty((n_win, n))
+    bins = np.empty((n_win, n // 2 + 1))
     for ch in range(eeg.n_channels):
         starts, frames = make_windows(eeg.samples[ch], cfg, eeg.fs, eeg.t0)
-        x = apply_window_fn(frames, cfg.window_fn, cfg.detrend)
+        x = apply_window_fn(frames, cfg.window_fn, cfg.detrend, out=tapered)
         with _OVERFLOW_QUIET():
-            per_band, total = _band_powers(np.fft.rfft(x), bands, n, eeg.fs)
+            per_band, total = _band_powers(np.fft.rfft(x), bands, n, eeg.fs,
+                                           bins)
         live = _has_ratios(total)
         alive &= live
         total[~live] = 1.0  # placeholder; dropped below
-        ratios[ch] = per_band[load_row] / total
+        np.divide(per_band[load_row], total, out=ratios[ch])
 
     loads = ratios.mean(axis=0)
     dropped = int(n_win - alive.sum())

@@ -971,7 +971,8 @@ class TestSidecar:
 
     def test_csv_load_makes_no_wide_copy_of_the_text(self, tmp_path):
         """Without a sidecar the whole text is parsed, but never copied
-        into a buffer of four bytes a character."""
+        into a buffer of four bytes a character, and the file's bytes are
+        not held once decoded."""
         rec = _block_record(14, 180 * 128)
         write_session(rec, tmp_path)
         (tmp_path / EEG_SIDECAR).unlink()
@@ -984,7 +985,7 @@ class TestSidecar:
         finally:
             tracemalloc.stop()
         assert loaded == rec
-        assert peak < 5.5 * csv_size
+        assert peak < 3 * csv_size
 
     def test_read_error_inside_eeg_csv_is_named(self, bundle, monkeypatch):
         path, _ = bundle

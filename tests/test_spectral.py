@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +97,72 @@ class TestWindowing:
         starts, frames = make_windows(np.arange(8.0), cfg, 2.0, t0=10.0)
         assert starts.tolist() == [10.0, 11.0, 12.0]
         assert np.array_equal(frames[1], np.arange(2.0, 6.0))
+
+    @pytest.mark.parametrize("samples", [
+        np.arange(40.0),
+        np.arange(80.0)[::2],  # a strided channel, e.g. a matrix column
+    ])
+    def test_frames_are_a_read_only_view_of_the_input(self, samples):
+        cfg = AnalysisConfig(window_len=8, hop=3)
+        _, frames = make_windows(samples, cfg, 1.0)
+        assert frames.shape == (window_count(40, 8, 3), 8)
+        assert not frames.flags.writeable
+        assert np.shares_memory(frames, samples)
+        for i, row in enumerate(frames):
+            assert np.array_equal(row, samples[3 * i:3 * i + 8])
+
+    @pytest.mark.parametrize("length", [0, 1, 7])
+    def test_input_shorter_than_a_window_has_no_frames(self, length):
+        starts, frames = make_windows(np.zeros(length),
+                                      AnalysisConfig(window_len=8, hop=4), 1.0)
+        assert starts.shape == (0,)
+        assert frames.shape == (0, 8)
+        assert not frames.flags.writeable
+
+    @pytest.mark.parametrize("detrend", [False, True])
+    @pytest.mark.parametrize("kind", list(WindowFn))
+    def test_out_gives_the_same_bits(self, kind, detrend):
+        x = np.random.default_rng(5).standard_normal((6, 32)) * 1e3
+        fresh = apply_window_fn(x, kind, detrend)
+        buf = np.full(x.shape, np.nan)
+        got = apply_window_fn(x, kind, detrend, out=buf)
+        if detrend or kind is not WindowFn.RECT:
+            assert got is buf
+        else:
+            assert got is x and fresh is x
+            assert np.isnan(buf).all()
+        assert got.tobytes() == fresh.tobytes()
+
+    def test_out_may_be_the_input(self):
+        x = np.random.default_rng(6).standard_normal((3, 16))
+        want = apply_window_fn(x, WindowFn.HANN, detrend=True)
+        assert apply_window_fn(x, WindowFn.HANN, True, out=x) is x
+        assert x.tobytes() == want.tobytes()
+
+    def test_input_is_left_untouched(self):
+        x = np.random.default_rng(7).standard_normal((3, 16))
+        before = x.copy()
+        apply_window_fn(x, WindowFn.HALF_COSINE, True, out=np.empty(x.shape))
+        apply_window_fn(x, WindowFn.RECT, False, out=np.empty(x.shape))
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.bool_,
+                                       np.float32])
+    def test_other_dtypes_are_detrended_by_their_mean(self, dtype):
+        # numpy's mean sums integers and bools in float64; float32 keeps
+        # its own type until the taper. Rows of 12 make means that the
+        # two precisions round apart.
+        rng = np.random.default_rng(8)
+        x = rng.integers(-100, 100, (4, 12)).astype(dtype)
+        for kind in WindowFn:
+            want = x - x.mean(axis=-1, keepdims=True)
+            if kind is not WindowFn.RECT:
+                want = want * spectral._window_curve(kind, 12)
+            got = apply_window_fn(x, kind, detrend=True)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            out = apply_window_fn(x, kind, True, out=np.empty(x.shape))
+            assert out.tobytes() == want.astype(np.float64).tobytes()
 
     def test_rect_is_identity(self):
         w = make_windows(np.arange(4.0), AnalysisConfig(window_len=4, hop=4),
@@ -293,6 +361,18 @@ class TestBandPowers:
             assert abs(r - 0.25) <= 0.02
 
 
+    def test_reused_bin_buffer_gives_a_fresh_calls_powers(self):
+        rng = np.random.default_rng(9)
+        bands, n = default_bands(128.0), 256
+        bins = np.empty((5, n // 2 + 1))
+        for scale in (1.0, 1e-160, 1e160):
+            half = np.fft.rfft(rng.standard_normal((5, n)) * scale)
+            fresh = spectral._band_powers(half, bands, n, 128.0)
+            reused = spectral._band_powers(half, bands, n, 128.0, bins)
+            for a, b in zip(fresh, reused):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestLoadSeries:
     def _recording(self, freq: float, n_channels: int = 14,
                    seconds: float = 60.0) -> EegRecording:
@@ -397,3 +477,21 @@ class TestLoadSeries:
         series = cognitive_load_series(eeg, AnalysisConfig())
         assert len(series) == 0
         assert series.dropped == 0
+
+    def test_peak_memory_is_under_three_channel_frames(self):
+        """An 850 s, 14-channel recording: one call's work arrays and one
+        channel's transform, not a fresh set of window-sized arrays per
+        step or per channel."""
+        cfg = AnalysisConfig()
+        eeg = EegRecording(0.0, 128.0, np.random.default_rng(13)
+                           .standard_normal((14, 850 * 128)))
+        frame_bytes = (window_count(eeg.n_samples, cfg.window_len, cfg.hop)
+                       * cfg.window_len * 8)
+        cognitive_load_series(eeg, cfg)
+        tracemalloc.start()
+        try:
+            cognitive_load_series(eeg, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * frame_bytes
