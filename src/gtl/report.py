@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import combinations
 from typing import (Callable, Iterable, Literal, Optional, Sequence,
                     TypeVar)
@@ -93,6 +93,11 @@ def _group_section(groups: dict[tuple, list[float]],
             for gkey, values in groups.items()]
 
 
+def _fields_dict(obj) -> dict:
+    # not dataclasses.asdict, which deep-copies every leaf
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def analyze_session(rec: SessionRecord, config: ReportConfig,
                     ) -> tuple[dict, list[LabeledLoadSample]]:
     """Per-session report entry plus the labeled windows it contributes.
@@ -141,7 +146,9 @@ def analyze_session(rec: SessionRecord, config: ReportConfig,
         "max": float(series.loads.max()) if len(series) else None,
     }
     if typing is not None:
-        entry["metrics"] = asdict(typing)
+        entry["metrics"] = {
+            **_fields_dict(typing),
+            "sentences": tuple(map(_fields_dict, typing.sentences))}
     return entry, samples
 
 

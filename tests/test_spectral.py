@@ -57,6 +57,28 @@ def one_sided_power_oracle(coeffs: np.ndarray) -> float:
     return float(np.sum(np.abs(coeffs[:n // 2 + 1]) ** 2) / n)
 
 
+def composed_load_series(samples: np.ndarray, cfg: AnalysisConfig,
+                         fs: float) -> tuple[list, list, int]:
+    """Starts, loads and dropped count from the single-window API: each
+    channel framed on its own, each window tapered, transformed and
+    ratioed alone, and a position dropped where any channel's ratios are
+    ZeroPower."""
+    bands = default_bands(fs)
+    starts, loads = [], []
+    per_channel = [make_windows(row, cfg, fs) for row in samples]
+    for t, *windows in zip(per_channel[0][0],
+                           *(frames for _, frames in per_channel)):
+        try:
+            beta = [band_ratios(dft(apply_window_fn(
+                w, cfg.window_fn, cfg.detrend)), fs, bands)["Beta"]
+                for w in windows]
+        except ZeroPower:
+            continue
+        starts.append(float(t))
+        loads.append(np.mean(np.array(beta)))
+    return starts, loads, len(per_channel[0][1]) - len(loads)
+
+
 class TestWindowing:
     @pytest.mark.parametrize("length,expected", [
         (1024, 1),
@@ -85,12 +107,32 @@ class TestWindowing:
                 start += hop
             assert window_count(length, n, hop) == count
 
-    @pytest.mark.parametrize("shape", [(2, 4096), (2000, 4), ()])
-    def test_input_that_is_not_one_channel_is_rejected(self, shape):
-        # a (2, 4096) matrix used to give no windows, a (2000, 4) one
-        # numpy's own error
-        with pytest.raises(ValueError, match="1-D"):
-            make_windows(np.zeros(shape), AnalysisConfig(), 128.0)
+    @pytest.mark.parametrize("samples", [np.zeros(()), 5.0])
+    def test_input_without_a_sample_axis_is_rejected(self, samples):
+        with pytest.raises(ValueError, match="0-d"):
+            make_windows(samples, AnalysisConfig(), 128.0)
+
+    @pytest.mark.parametrize("shape", [(2, 4096), (2000, 4), (2, 3, 40)])
+    def test_each_row_of_a_matrix_is_framed_as_one_channel(self, shape):
+        # the last axis is framed: a (2, 4096) matrix gives each row's
+        # windows, and a (2000, 4) one a window per row of 4-sample frames
+        n = 1024 if shape[-1] >= 1024 else 4
+        cfg = AnalysisConfig(window_len=n, hop=n // 2)
+        matrix = np.random.default_rng(14).standard_normal(shape)
+        # C order, and rows that are strided as the columns of a matrix
+        for samples in (matrix, np.asfortranarray(matrix)):
+            starts, frames = make_windows(samples, cfg, 128.0, t0=2.0)
+            n_win = window_count(shape[-1], n, n // 2)
+            assert n_win > 0
+            assert frames.shape == shape[:-1] + (n_win, n)
+            assert not frames.flags.writeable
+            assert np.shares_memory(frames, samples)
+            for row in np.ndindex(shape[:-1]):
+                one_starts, one_frames = make_windows(samples[row], cfg,
+                                                      128.0, t0=2.0)
+                assert starts.tobytes() == one_starts.tobytes()
+                assert frames[row].tobytes() == one_frames.tobytes()
+                assert np.shares_memory(frames[row], samples[row])
 
     def test_window_start_times(self):
         cfg = AnalysisConfig(window_len=4, hop=2)
@@ -447,23 +489,31 @@ class TestLoadSeries:
         samples, cfg = case
         fs = 128.0
         series = cognitive_load_series(EegRecording(0.0, fs, samples), cfg)
-        bands = default_bands(fs)
-        starts, loads = [], []
-        per_channel = [make_windows(row, cfg, fs) for row in samples]
-        for t, *windows in zip(per_channel[0][0],
-                               *(frames for _, frames in per_channel)):
-            try:
-                beta = [band_ratios(dft(apply_window_fn(
-                    w, cfg.window_fn, cfg.detrend)), fs, bands)["Beta"]
-                    for w in windows]
-            except ZeroPower:
-                continue
-            starts.append(float(t))
-            loads.append(np.mean(np.array(beta)))
+        starts, loads, dropped = composed_load_series(samples, cfg, fs)
         assert series.starts.tolist() == starts
         assert series.loads.tolist() == loads
-        assert series.dropped == len(per_channel[0][1]) - len(loads)
+        assert series.dropped == dropped
         assert np.all((series.loads >= 0.0) & (series.loads <= 1.0))
+
+    @pytest.mark.parametrize("block_windows", [1, 3, 7])
+    def test_blocks_that_split_and_span_channels_give_the_same_bits(
+            self, block_windows, monkeypatch):
+        """Five channels of four windows: blocks of 3 split channels and
+        the last one (rows 18-19) starts mid-channel; blocks of 7 span
+        three channels (rows 7-13) and end mid-channel. A constant stretch
+        in channel 2 (rows 9 and 10) drops two window positions."""
+        cfg = AnalysisConfig(window_len=16, hop=8)
+        fs = 128.0
+        samples = np.random.default_rng(15).standard_normal((5, 45))
+        samples[2, 8:32] = 3.0
+        monkeypatch.setattr(spectral, "_BLOCK_CELLS",
+                            block_windows * cfg.window_len)
+        series = cognitive_load_series(EegRecording(0.0, fs, samples), cfg)
+        starts, loads, dropped = composed_load_series(samples, cfg, fs)
+        assert dropped == 2
+        assert series.starts.tolist() == starts
+        assert series.loads.tolist() == loads
+        assert series.dropped == dropped
 
     def test_spans_overlap_by_window_minus_hop(self):
         eeg = self._recording(20.0, n_channels=1, seconds=24.0)
@@ -478,15 +528,15 @@ class TestLoadSeries:
         assert len(series) == 0
         assert series.dropped == 0
 
-    def test_peak_memory_is_under_three_channel_frames(self):
-        """An 850 s, 14-channel recording: one call's work arrays and one
-        channel's transform, not a fresh set of window-sized arrays per
-        step or per channel."""
+    @pytest.mark.parametrize("seconds", [850, 3400])
+    def test_peak_memory_is_under_one_mib(self, seconds):
+        """A 14-channel recording: one call's work arrays hold one block of
+        windows and its transform, not a channel's or the recording's, so
+        only one value per (channel, window) row grows with the length
+        (a channel's windows alone are 1.7 MB at 850 s)."""
         cfg = AnalysisConfig()
         eeg = EegRecording(0.0, 128.0, np.random.default_rng(13)
-                           .standard_normal((14, 850 * 128)))
-        frame_bytes = (window_count(eeg.n_samples, cfg.window_len, cfg.hop)
-                       * cfg.window_len * 8)
+                           .standard_normal((14, seconds * 128)))
         cognitive_load_series(eeg, cfg)
         tracemalloc.start()
         try:
@@ -494,4 +544,4 @@ class TestLoadSeries:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.75 * frame_bytes
+        assert peak < 1 << 20
