@@ -40,7 +40,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import ingest
 from .errors import (ConfigError, IngestError, MalformedMeta, SpecInvalid,
@@ -51,9 +51,11 @@ from .metrics import TIMING_ANCHORS
 from .model import EPOC14_CHANNELS, SessionMeta, SessionRecord
 from .report import ReportConfig, build_report, render_csv, render_json, report_has_violations
 from .segmentation import AGGREGATION_LEVELS
-from .simgen import SimSpec, simspec_from_dict, simulate_session
 from .spectral import WindowFn
 from .stats import TTEST_VARIANTS, anova_oneway, ttest_two_sample
+
+if TYPE_CHECKING:
+    from .simgen import SimSpec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -182,6 +184,9 @@ def _meta_from_spec_file(obj: dict, spec: SimSpec) -> SessionMeta:
 
 
 def _cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
+    # imported here: analyze and stats need no simulator
+    from .simgen import simspec_from_dict, simulate_session
+
     try:
         raw = as_text(Path(args.spec).read_bytes(), args.spec)
     except (OSError, IngestError) as exc:

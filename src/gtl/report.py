@@ -89,7 +89,7 @@ def _group_section(groups: dict[tuple, list[float]],
                    key_names: Sequence[str]) -> list[dict]:
     # aggregate makes a group only for a row it keeps, so none is empty
     return [{**dict(zip(key_names, gkey)),
-             "boxplot": asdict(stats_mod.boxplot_summary(values))}
+             "boxplot": _fields_dict(stats_mod.boxplot_summary(values))}
             for gkey, values in groups.items()]
 
 

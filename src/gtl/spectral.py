@@ -7,12 +7,13 @@ The transform convention is the positive-exponent DFT
 
 evaluated with numpy's FFT for any N. For real windows C_k is the
 complex conjugate of ``numpy.fft.rfft``'s bin k, so the load pipeline
-takes |C_k|^2 straight from ``rfft``. Band powers are one-sided (bins
-0..N/2, no factor-2 doubling): P = (1/N) * sum |C_k|^2 over the band's
-bins. Bin ranges are half-open on the right so that adjacent bands never
-share a bin; the band reaching Nyquist additionally includes bin N/2.
-Power ratios are therefore unaffected by the one-sided convention and
-sum to 1.
+takes |C_k|^2 straight from ``rfft``, as Re(C_k)^2 + Im(C_k)^2 (two
+squares and an add, the same bits for C_k and its conjugate). Band
+powers are one-sided (bins 0..N/2, no factor-2 doubling):
+P = (1/N) * sum |C_k|^2 over the band's bins. Bin ranges are half-open
+on the right so that adjacent bands never share a bin; the band
+reaching Nyquist additionally includes bin N/2. Power ratios are
+therefore unaffected by the one-sided convention and sum to 1.
 """
 
 from __future__ import annotations
@@ -199,15 +200,18 @@ def _band_bins(band: Band, n: int, fs: float) -> tuple[int, int]:
 
 
 def _band_powers(half: np.ndarray, bands: Sequence[Band], n: int,
-                 fs: float, bins: Optional[np.ndarray] = None
+                 fs: float, bins: Optional[np.ndarray] = None,
+                 scratch: Optional[np.ndarray] = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Band powers (1/N) * sum |C_k|^2 over the last axis of ``half``
     (C_k or its conjugate for k = 0..N/2), one row per band, and their
-    total summed in band order. A power past the float range is inf.
-    ``bins``, a float array of ``half``'s shape, receives the |C_k|^2."""
+    total summed in band order. |C_k|^2 is Re(C_k)^2 + Im(C_k)^2, not
+    ``np.abs`` squared (a libm ``hypot`` per bin). A power past the float
+    range is inf. ``bins`` and ``scratch``, float arrays of ``half``'s
+    shape, receive the |C_k|^2 and the Im(C_k)^2."""
     with _OVERFLOW_QUIET():
-        power_bins = np.abs(half, out=bins)
-        np.square(power_bins, out=power_bins)
+        power_bins = np.square(half.real, out=bins)
+        power_bins += np.square(half.imag, out=scratch)
         per_band = np.empty((len(bands),) + half.shape[:-1])
         for i, band in enumerate(bands):
             lo, hi = _band_bins(band, n, fs)
@@ -271,10 +275,10 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
     The recording is framed once, and its (channel, window) rows are
     tapered, transformed and reduced in blocks of ``_BLOCK_CELLS`` window
     samples that may span channels. The work arrays (one block of tapered
-    windows and of |C_k|^2 bins) are allocated once per call, so a call's
-    memory does not grow with the recording's length beyond one value per
-    row; they live only for the call, so calls on different threads share
-    nothing.
+    windows, which then holds the Im(C_k)^2, and one of |C_k|^2 bins) are
+    allocated once per call, so a call's memory does not grow with the
+    recording's length beyond one value per row; they live only for the
+    call, so calls on different threads share nothing.
     """
     bands = default_bands(eeg.fs)
     band_names = [b.name for b in bands]
@@ -293,6 +297,8 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
     # one channel at a time pays numpy's call costs per channel
     tapered = np.empty((block, n))
     bins = np.empty((block, n // 2 + 1))
+    # the Im(C_k)^2 go to the tapered block, which rfft has read by then
+    imag_sq = tapered.reshape(-1)[:bins.size].reshape(bins.shape)
     ratios = np.empty(n_rows)
     live = np.empty(n_rows, dtype=bool)
     load_row = band_names.index(load_band)
@@ -308,7 +314,8 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
         apply_window_fn(x, cfg.window_fn, cfg.detrend, out=x)  # in place
         with _OVERFLOW_QUIET():
             per_band, total = _band_powers(np.fft.rfft(x), bands, n, eeg.fs,
-                                           bins[:r1 - r0])
+                                           bins[:r1 - r0],
+                                           imag_sq[:r1 - r0])
         ok = _has_ratios(total)
         live[r0:r1] = ok
         total[~ok] = 1.0  # placeholder; dropped below

@@ -28,6 +28,18 @@ def test_cli_import_loads_no_executor():
     assert out.stdout == "[]\n"
 
 
+def test_cli_import_loads_no_simulator():
+    """Startup of ``gtl analyze`` does not import (or compile) gtl.simgen;
+    only ``gtl simulate`` needs it."""
+    src = str(Path(gtl.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, gtl.cli; print('gtl.simgen' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout == "False\n"
+
+
 def test_one_bundle_analyze_starts_no_thread(tmp_path):
     """One bundle is loaded and analysed on the calling thread, however
     many CPUs there are: no pool is imported or started. Nor is numpy.ma,

@@ -415,6 +415,29 @@ class TestBandPowers:
                 assert a.tobytes() == b.tobytes()
 
 
+    @pytest.mark.parametrize("re_scale,im_scale", [
+        (1.0, 1.0), (1e154, 1e154), (1e-160, 1e-160), (1e154, 1e-160),
+        (1e-160, 1e154), (1.0, 1e-160)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bin_power_is_re_squared_plus_im_squared(self, re_scale,
+                                                     im_scale, seed):
+        """|C_k|^2 is Re^2 + Im^2, bit for bit, also where the squares
+        overflow (near 1e154) or go subnormal (near 1e-160)."""
+        fs, n = 128.0, 64
+        rng = np.random.default_rng(seed)
+        c = (rng.standard_normal(n) * re_scale
+             + 1j * rng.standard_normal(n) * im_scale)
+        bands = default_bands(fs)
+        powers = band_powers(c, fs, bands)
+        with np.errstate(over="ignore"):
+            sq = c.real ** 2 + c.imag ** 2
+            for band in bands:
+                lo, hi = spectral._band_bins(band, n, fs)
+                want = np.add.reduce(sq[lo:hi]) / n
+                assert (np.float64(powers[band.name]).tobytes()
+                        == want.tobytes())
+
+
 class TestLoadSeries:
     def _recording(self, freq: float, n_channels: int = 14,
                    seconds: float = 60.0) -> EegRecording:
@@ -511,6 +534,30 @@ class TestLoadSeries:
         series = cognitive_load_series(EegRecording(0.0, fs, samples), cfg)
         starts, loads, dropped = composed_load_series(samples, cfg, fs)
         assert dropped == 2
+        assert series.starts.tolist() == starts
+        assert series.loads.tolist() == loads
+        assert series.dropped == dropped
+
+    def test_window_whose_bin_power_overflows_is_dropped_as_zero_power(self):
+        """A 24 Hz tone in channel 1's second window puts Re = Im = 1e154
+        in bin 3, so Re^2 and Im^2 are finite and their sum is inf: the
+        pipeline drops exactly the window that band_ratios rejects."""
+        fs, n = 128.0, 16
+        cfg = AnalysisConfig(window_len=n, hop=n, window_fn=WindowFn.RECT,
+                             detrend=False)
+        samples = np.random.default_rng(17).standard_normal((2, 4 * n))
+        j = np.arange(n)
+        amp = 1e154 * np.sqrt(2.0) / (n / 2)
+        samples[1, n:2 * n] = amp * np.cos(2 * np.pi * 3 * j / n + np.pi / 4)
+        bin3 = np.fft.rfft(samples[1, n:2 * n])[3]
+        assert np.isfinite(bin3.real ** 2) and np.isfinite(bin3.imag ** 2)
+        with np.errstate(over="ignore"):
+            assert bin3.real ** 2 + bin3.imag ** 2 == np.inf
+        series = cognitive_load_series(EegRecording(0.0, fs, samples), cfg)
+        starts, loads, dropped = composed_load_series(samples, cfg, fs)
+        with pytest.raises(ZeroPower):
+            band_ratios(dft(samples[1, n:2 * n]), fs, default_bands(fs))
+        assert dropped == 1 and starts == [0.0, 0.25, 0.375]
         assert series.starts.tolist() == starts
         assert series.loads.tolist() == loads
         assert series.dropped == dropped
