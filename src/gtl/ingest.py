@@ -32,24 +32,24 @@ matrix row ``i`` of a bound sidecar names line ``i + 2``. The digest
 guards against a stale sidecar, not a forged one: the lines between the
 first and the last are not read when the sidecar is bound.
 
-With a sidecar there, :func:`load_session` reads ``eeg.csv`` once in
-blocks of _ROW_SCAN_BLOCK bytes for its digest, header, row count and
-end rows, and the sidecar in row blocks straight into channel-major
-samples, so neither file is held whole. It reads ``eeg.csv`` whole only
-to parse it, when no sidecar is bound. A 180 s, 14-channel bundle with a
-6.4 MB ``eeg.csv`` loads at a tracemalloc peak of 3.2 MiB, 2.5 MiB of
-them the samples, and at 22.7 MiB from ``eeg.csv`` alone (CPython 3.11,
-numpy 2.4, Linux x86-64).
+Blocks hold :data:`gtl.model.BLOCK_BYTES`. With a sidecar there,
+:func:`load_session` reads ``eeg.csv`` once in blocks for its digest,
+header, row count and end rows, and the sidecar in row blocks straight
+into channel-major samples, so neither file is held whole. It reads
+``eeg.csv`` whole only to parse it, when no sidecar is bound. A 180 s,
+14-channel bundle with a 6.4 MB ``eeg.csv`` loads at a tracemalloc peak
+of 3.2 MiB, 2.5 MiB of them the samples, and at 22.7 MiB from ``eeg.csv``
+alone (CPython 3.11, numpy 2.4, Linux x86-64).
 
 :func:`write_session` streams ``eeg.csv``: :func:`eeg_to_csv` formats the
-matrix in row blocks of about EEG_BLOCK_CELLS cells, on every CPU the
-process may use (forked workers where ``os.fork`` exists), and writes
-them in file order to the file and to the sidecar's digest, so the text
-is never held whole and never read back. The bytes are those of one
-serial pass. The sidecar is written from the matrix's own buffer.
+matrix in row blocks, on every CPU the process may use (forked workers
+where ``os.fork`` exists), and writes them in file order to the file and
+to the sidecar's digest, so the text is never held whole and never read
+back. The bytes are those of one serial pass. The sidecar is written
+from the matrix's own buffer.
 ``gtl simulate`` of an 850 s, 14-channel session at 128 Hz peaks at
-70 MiB, and a 14- to 256-channel spec at the memory budget of
-:mod:`gtl.simgen` at 236 MiB (CPython 3.11, numpy 2.4, Linux x86-64,
+64 MiB, and a 14- to 256-channel spec at the memory budget of
+:mod:`gtl.simgen` at 232 MiB (CPython 3.11, numpy 2.4, Linux x86-64,
 two CPUs).
 """
 
@@ -83,6 +83,7 @@ from .errors import (
     NonMonotonicTime,
     NonUniformRate,
 )
+from . import model
 from .model import (
     EVENT_FIELDS,
     EegRecording,
@@ -93,6 +94,7 @@ from .model import (
     SessionMeta,
     SessionRecord,
     event_log_violations,
+    row_blocks,
     validate_session,
 )
 
@@ -104,14 +106,6 @@ EEG_FILE = "eeg.csv"
 EVENTS_FILE = "events.csv"
 GAZE_FILE = "gaze.csv"
 EEG_SIDECAR = "eeg.sidecar"
-
-#: Cells of the (t, channels) matrix that :func:`eeg_to_csv` formats as
-#: one block of rows; a row wider than this is a block of its own.
-EEG_BLOCK_CELLS = 64 * 1024
-
-#: Bytes of ``eeg.csv`` that :class:`_EegScan` scans at a time, and about
-#: the bytes of sidecar rows read at a time.
-_ROW_SCAN_BLOCK = 256 * 1024
 
 _DIGEST_SIZE = hashlib.sha256().digest_size
 #: What the sidecar stores: float64, little-endian on every platform, so
@@ -207,10 +201,9 @@ def meta_from_dict(obj: object) -> SessionMeta:
 
 
 def meta_to_json(meta: SessionMeta) -> str:
-    # not dataclasses.asdict, which deep-copies every channel name
-    obj = {f.name: getattr(meta, f.name) for f in fields(meta)}
+    obj = fields_dict(meta)
     obj["channels"] = obj.pop("channel_names")
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json_text(obj)
 
 
 # --- eeg.csv -----------------------------------------------------------------
@@ -326,7 +319,7 @@ def eeg_to_csv(matrix: np.ndarray, channel_names: tuple[str, ...],
     """Write the ``eeg.csv`` bytes of an :func:`eeg_matrix` to ``out`` and
     return their sha256 digest.
 
-    The rows are formatted in blocks of about EEG_BLOCK_CELLS cells. With
+    The rows are formatted in blocks (:func:`gtl.model.row_blocks`). With
     more than one block, more than one CPU and ``os.fork``, forked workers
     format them, one per CPU the process may use and at most one per
     block, with at most two blocks per worker in flight; otherwise this
@@ -340,8 +333,7 @@ def eeg_to_csv(matrix: np.ndarray, channel_names: tuple[str, ...],
         digest.update(chunk)
 
     put(("t," + ",".join(channel_names) + "\n").encode("utf-8"))
-    rows = max(1, EEG_BLOCK_CELLS // matrix.shape[1])
-    blocks = [matrix[i:i + rows] for i in range(0, matrix.shape[0], rows)]
+    blocks = [matrix[b] for b in row_blocks(len(matrix), 8 * matrix.shape[1])]
     workers = min(len(blocks), _usable_cpus()) if hasattr(os, "fork") else 1
     if workers > 1:
         _format_in_pool(blocks, workers, put)
@@ -397,12 +389,12 @@ class _EegScan:
     """What one pass over the ``eeg.csv`` bytes of ``f`` keeps to bind a
     sidecar to them.
 
-    The header line is read first, the rest in blocks of _ROW_SCAN_BLOCK,
-    and every byte goes to one sha256. Each block goes to a vectorised
-    newline scan. Every line after the header counts as a row, as in the
-    files :func:`write_session` writes, and the last may lack its newline.
-    Only the line that a block leaves unfinished is carried to the next
-    one, in pieces joined once it ends.
+    The header line is read first, the rest in blocks of
+    :data:`gtl.model.BLOCK_BYTES`, and every byte goes to one sha256.
+    Each block goes to a vectorised newline scan. Every line after the
+    header counts as a row, as in the files :func:`write_session` writes,
+    and the last may lack its newline. Only the line that a block leaves
+    unfinished is carried to the next one, in pieces joined once it ends.
     """
 
     #: sha256 of the bytes
@@ -423,8 +415,8 @@ class _EegScan:
         self.ascii, self.rows, self.first, self.last = True, 0, b"", b""
         pending: list[bytes] = []
         # reused for every block; a fresh mask per block raised peak RSS
-        newline = np.empty(_ROW_SCAN_BLOCK, bool)
-        while block := f.read(_ROW_SCAN_BLOCK):
+        newline = np.empty(model.BLOCK_BYTES, bool)
+        while block := f.read(model.BLOCK_BYTES):
             digest.update(block)
             self.ascii = self.ascii and block.isascii()
             ends = np.flatnonzero(np.equal(np.frombuffer(block, np.uint8),
@@ -454,7 +446,7 @@ def _read_sidecar(f: BinaryIO, scan: _EegScan, width: int) -> np.ndarray:
     rows must format (:func:`_eeg_lines`) as the end lines: ``repr`` spells
     each double one way, so this is bit for bit.
 
-    The rows are read in blocks of about _ROW_SCAN_BLOCK bytes into a
+    The rows are read in blocks (:func:`gtl.model.row_blocks`) into a
     channel-major array, and the matrix is its transpose: the time column
     and each channel's column are contiguous, so the samples of an
     :class:`EegRecording` need no copy.
@@ -472,16 +464,16 @@ def _read_sidecar(f: BinaryIO, scan: _EegScan, width: int) -> np.ndarray:
         raise not_the_rows
     f.seek(_DIGEST_SIZE)
     columns = np.empty((width, n_rows))
-    block = np.empty((max(1, _ROW_SCAN_BLOCK // row_bytes), width),
-                     _SIDECAR_DTYPE)
-    for i in range(0, n_rows, len(block)):
-        rows = block[:n_rows - i]
+    blocks = row_blocks(n_rows, row_bytes)
+    block = np.empty((blocks[0].stop, width), _SIDECAR_DTYPE)
+    for b in blocks:
+        rows = block[:b.stop - b.start]
         if f.readinto(rows) != rows.nbytes:
             # the file shrank since its size was taken
             raise not_the_rows
         if not np.all(np.isfinite(rows)):
             raise ValueError("holds a non-finite value")
-        columns[:, i:i + len(rows)] = rows.T
+        columns[:, b] = rows.T
     matrix = columns.T
     if _eeg_lines(matrix[[0, -1]]) != scan.first + b"\n" + scan.last + b"\n":
         raise ValueError("first or last row differs from eeg.csv")
@@ -556,6 +548,16 @@ def csv_text(rows: Iterable[Sequence[str]]) -> str:
     for row in rows:
         (quoted if any("\r" in cell for cell in row) else plain).writerow(row)
     return buf.getvalue()
+
+
+def json_text(obj: object) -> str:
+    """``meta.json`` and JSON report text: sorted keys, indent 2, newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def fields_dict(obj: object) -> dict:
+    """A dataclass's fields by name, as ``asdict`` but copying no value."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def _event_row(ev: Event) -> list[str]:

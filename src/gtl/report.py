@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from itertools import combinations
 from typing import (Callable, Iterable, Literal, Optional, Sequence,
                     TypeVar)
@@ -28,7 +28,7 @@ from .errors import (
     ToolError,
     ZeroVariance,
 )
-from .ingest import csv_text
+from .ingest import csv_text, fields_dict, json_text
 from .model import SessionMeta, SessionRecord, ViolationCode, validate_session
 from .segmentation import (AGGREGATION_LEVELS, LOAD_UNITS, LabeledLoadSample,
                            aggregate, label_load_windows)
@@ -69,7 +69,7 @@ class ReportConfig(AnalysisConfig):
             raise ConfigError("label_threshold must lie in (0, 1]")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "window_fn": self.window_fn.value}
+        return {**fields_dict(self), "window_fn": self.window_fn.value}
 
     def hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True,
@@ -89,13 +89,8 @@ def _group_section(groups: dict[tuple, list[float]],
                    key_names: Sequence[str]) -> list[dict]:
     # aggregate makes a group only for a row it keeps, so none is empty
     return [{**dict(zip(key_names, gkey)),
-             "boxplot": _fields_dict(stats_mod.boxplot_summary(values))}
+             "boxplot": fields_dict(stats_mod.boxplot_summary(values))}
             for gkey, values in groups.items()]
-
-
-def _fields_dict(obj) -> dict:
-    # not dataclasses.asdict, which deep-copies every leaf
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def analyze_session(rec: SessionRecord, config: ReportConfig,
@@ -147,8 +142,8 @@ def analyze_session(rec: SessionRecord, config: ReportConfig,
     }
     if typing is not None:
         entry["metrics"] = {
-            **_fields_dict(typing),
-            "sentences": tuple(map(_fields_dict, typing.sentences))}
+            **fields_dict(typing),
+            "sentences": tuple(map(fields_dict, typing.sentences))}
     return entry, samples
 
 
@@ -272,8 +267,7 @@ def report_has_violations(report: dict) -> bool:
 
 # --- rendering ----------------------------------------------------------------
 
-def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+render_json = json_text
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:

@@ -35,7 +35,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoundaryFrequency, ScriptInvalid, SpecInvalid
-from .ingest import EEG_BLOCK_CELLS
 from .model import (
     KEYBOARDS,
     EegRecording,
@@ -46,6 +45,7 @@ from .model import (
     SessionRecord,
     check_fields,
     replay_keystrokes,
+    row_blocks,
 )
 from .spectral import Band
 
@@ -135,8 +135,8 @@ class ScriptSentence:
 #: session at 128 Hz asks for 116 MiB), counted per cell of
 #: (channels + 3) x (samples + 3). A bound: with the block writer of
 #: :func:`gtl.ingest.eeg_to_csv`, the peak RSS measured at the budget is
-#: 10-59 B per cell (CPython 3.11, numpy 2.4, Linux x86-64); the
-#: interpreter adds 33 MiB.
+#: 10-61 B per cell with the default channel names (CPython 3.11, numpy
+#: 2.4, Linux x86-64, noise on); the interpreter adds 33 MiB.
 MAX_SIMULATE_BYTES = 800 * 2**20
 EEG_CELL_BYTES = 66
 
@@ -215,8 +215,7 @@ def synth_eeg(spec: SimSpec) -> EegRecording:
     t = np.arange(n, dtype=np.float64) / spec.fs
     samples = np.zeros((spec.n_channels, n), dtype=np.float64)
     seeds = _draws(spec.seed, 1, spec.n_channels)
-    rows = max(1, EEG_BLOCK_CELLS // n)
-    blocks = [slice(i, i + rows) for i in range(0, spec.n_channels, rows)]
+    blocks = row_blocks(spec.n_channels, samples[0].nbytes)
     # one component's pair at a time
     sin_wt, cos_wt = np.empty((2, n), dtype=np.float64)
     for k, comp in enumerate(spec.components, start=1):

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BandOutOfRange, ConfigError, ZeroPower
-from .model import EegRecording, check_fields
+from .model import EegRecording, check_fields, row_blocks
 
 #: What an overflowing window computes in silence: inf or nan powers,
 #: which drop the window, instead of a RuntimeWarning.
@@ -255,12 +255,6 @@ def band_ratios(coeffs: np.ndarray, fs: float,
 
 # --- load series -------------------------------------------------------------
 
-#: Window samples per transform block (32 windows of the default 1024).
-#: From 64 such windows on, the block's arrays faulted in fresh pages on
-#: every pass, and 128 ran 30% slower on the study corpus than 32.
-_BLOCK_CELLS = 32 * 1024
-
-
 def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
                           load_band: str = "Beta") -> LoadSeries:
     """Per-window load: the named band's power ratio averaged over channels,
@@ -273,12 +267,12 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
     1e160.
 
     The recording is framed once, and its (channel, window) rows are
-    tapered, transformed and reduced in blocks of ``_BLOCK_CELLS`` window
-    samples that may span channels. The work arrays (one block of tapered
-    windows, which then holds the Im(C_k)^2, and one of |C_k|^2 bins) are
-    allocated once per call, so a call's memory does not grow with the
-    recording's length beyond one value per row; they live only for the
-    call, so calls on different threads share nothing.
+    tapered, transformed and reduced in blocks of :data:`gtl.model.BLOCK_BYTES`
+    that may span channels. The work arrays (one block of tapered windows,
+    which then holds the Im(C_k)^2, and one of |C_k|^2 bins) are allocated
+    once per call, so a call's memory does not grow with the recording's
+    length beyond one value per row; they live only for the call, so calls
+    on different threads share nothing.
     """
     bands = default_bands(eeg.fs)
     band_names = [b.name for b in bands]
@@ -292,34 +286,32 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
         return LoadSeries(np.zeros(0), np.zeros(0), n / eeg.fs)
 
     n_rows = n_ch * n_win
-    block = min(max(1, _BLOCK_CELLS // n), n_rows)
     # fixed-size blocks: the whole recording at once raises peak memory,
     # one channel at a time pays numpy's call costs per channel
-    tapered = np.empty((block, n))
-    bins = np.empty((block, n // 2 + 1))
+    blocks = row_blocks(n_rows, 8 * n)  # rows of n float64
+    tapered = np.empty((blocks[0].stop, n))  # the first block is the longest
+    bins = np.empty((len(tapered), n // 2 + 1))
     # the Im(C_k)^2 go to the tapered block, which rfft has read by then
     imag_sq = tapered.reshape(-1)[:bins.size].reshape(bins.shape)
     ratios = np.empty(n_rows)
     live = np.empty(n_rows, dtype=bool)
     load_row = band_names.index(load_band)
-    for r0 in range(0, n_rows, block):
-        r1 = min(r0 + block, n_rows)
-        x = tapered[:r1 - r0]
-        r = r0
-        while r < r1:  # one piece per channel the block touches
-            ch, w = divmod(r, n_win)
-            take = min(n_win - w, r1 - r)
-            x[r - r0:r - r0 + take] = frames[ch, w:w + take]
-            r += take
+    for b in blocks:
+        x = tapered[:b.stop - b.start]
+        i = 0
+        while i < len(x):  # one piece per channel the block touches
+            ch, w = divmod(b.start + i, n_win)
+            take = min(n_win - w, len(x) - i)
+            x[i:i + take] = frames[ch, w:w + take]
+            i += take
         apply_window_fn(x, cfg.window_fn, cfg.detrend, out=x)  # in place
         with _OVERFLOW_QUIET():
             per_band, total = _band_powers(np.fft.rfft(x), bands, n, eeg.fs,
-                                           bins[:r1 - r0],
-                                           imag_sq[:r1 - r0])
+                                           bins[:len(x)], imag_sq[:len(x)])
         ok = _has_ratios(total)
-        live[r0:r1] = ok
+        live[b] = ok
         total[~ok] = 1.0  # placeholder; dropped below
-        np.divide(per_band[load_row], total, out=ratios[r0:r1])
+        np.divide(per_band[load_row], total, out=ratios[b])
 
     alive = live.reshape(n_ch, n_win).all(axis=0)
     loads = ratios.reshape(n_ch, n_win).mean(axis=0)

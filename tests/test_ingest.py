@@ -27,7 +27,7 @@ from gtl.errors import (
     NonMonotonicTime,
     NonUniformRate,
 )
-from gtl import ingest
+from gtl import ingest, model
 from gtl.ingest import (
     EEG_SIDECAR,
     eeg_matrix,
@@ -577,11 +577,11 @@ def _block_record(n_channels: int, n_samples: int,
 
 # 14 channels in five full blocks and a partial one; a row too wide for
 # two to share a block. Six blocks are more than two workers keep in
-# flight.
-_ROWS_PER_BLOCK = ingest.EEG_BLOCK_CELLS // 15
+# flight. A row holds the time and each channel as 8-byte floats.
+_ROWS_PER_BLOCK = model.BLOCK_BYTES // (15 * 8)
 _BLOCK_SHAPES = {
     "partial-block": (14, 5 * _ROWS_PER_BLOCK + _ROWS_PER_BLOCK // 2),
-    "row-per-block": (ingest.EEG_BLOCK_CELLS // 2, 6),
+    "row-per-block": (model.BLOCK_BYTES // (2 * 8), 6),
 }
 
 
@@ -923,7 +923,7 @@ class TestSidecar:
     @given(st.lists(st.sampled_from(["", "\r", "\r\r", " ", "1", "1,2\r",
                                      "0.5,-1.25", "\xe9,1"]),
                     max_size=12).map("\n".join),
-           st.integers(1, 7) | st.just(ingest._ROW_SCAN_BLOCK))
+           st.integers(1, 7) | st.just(model.BLOCK_BYTES))
     @example("t\n1\r\n\r\n\r\r\n\n0.5,-1.25", 2)
     @example("t,a\r\n", 3)
     @example("t,a", 2)
@@ -933,7 +933,7 @@ class TestSidecar:
         lines; the scan keeps what the whole file gives."""
         data = text.encode()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "_ROW_SCAN_BLOCK", block)
+            mp.setattr(model, "BLOCK_BYTES", block)
             scan = ingest._EegScan(io.BytesIO(data))
         # every line after the header, the last even without its newline
         body = data.partition(b"\n")[2]
@@ -954,7 +954,7 @@ class TestSidecar:
         write_session(rec, tmp_path)
         csv_size = (tmp_path / "eeg.csv").stat().st_size
         bound = (rec.eeg.samples.nbytes + 8 * rec.eeg.n_samples
-                 + 4 * ingest._ROW_SCAN_BLOCK)
+                 + 4 * model.BLOCK_BYTES)
         assert bound < 0.7 * csv_size
         # the first load in a process imports numpy modules lazily
         load_session(tmp_path)

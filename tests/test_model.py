@@ -23,6 +23,7 @@ from gtl.model import (
     ViolationCode,
     event_log_violations,
     replay_keystrokes,
+    row_blocks,
     validate_session,
 )
 from gtl.report import ReportConfig, build_report, render_json
@@ -405,3 +406,14 @@ class TestFieldRules:
             int, int, float, bool]
         assert config == ReportConfig(window_len=256, hop=128,
                                       label_threshold=0.25, detrend=False)
+
+
+@pytest.mark.parametrize("n_rows, row_bytes, want", [
+    (0, 8, []),
+    (5, 2**17, [(0, 2), (2, 4), (4, 5)]),   # two rows a block, one left
+    (3, 2**18 + 1, [(0, 1), (1, 2), (2, 3)]),  # a row past the budget
+    (4, 1, [(0, 4)]),                       # all rows in one block
+])
+def test_row_blocks_cover_the_rows_in_budget_sized_slices(n_rows, row_bytes,
+                                                          want):
+    assert [(b.start, b.stop) for b in row_blocks(n_rows, row_bytes)] == want

@@ -40,6 +40,19 @@ def test_cli_import_loads_no_simulator():
     assert out.stdout == "False\n"
 
 
+def test_simulator_import_loads_no_bundle_or_report_code():
+    """gtl.simgen builds records; writing and reporting them is ingest's
+    and report's, which its import does not load."""
+    src = str(Path(gtl.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, gtl.simgen; print(sorted({'gtl.ingest', "
+            "'gtl.report'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout == "[]\n"
+
+
 def test_one_bundle_analyze_starts_no_thread(tmp_path):
     """One bundle is loaded and analysed on the calling thread, however
     many CPUs there are: no pool is imported or started. Nor is numpy.ma,

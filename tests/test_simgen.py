@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from gtl.errors import BoundaryFrequency, ScriptInvalid, SpecInvalid
-from gtl.ingest import EEG_BLOCK_CELLS
 from gtl.metrics import session_metrics
-from gtl.model import SessionMeta, validate_session
+from gtl.model import BLOCK_BYTES, SessionMeta, validate_session
 from gtl.segmentation import phase_intervals
 from gtl.simgen import (
     EEG_CELL_BYTES,
@@ -130,16 +129,16 @@ class TestSynthEeg:
             assert np.array_equal(row, want)
 
     def test_blocks_equal_the_per_channel_reference(self):
-        # 1,281 samples make blocks of 51 channels, so 100 channels end in
+        # 1,281 samples make blocks of 25 channels, so 60 channels end in
         # a partial block
         components = (BandComponent(2.0, 3.0), BandComponent(6.0, 2.0),
                       BandComponent(10.0, 1.5), BandComponent(20.0, 1.0))
-        spec = SimSpec(duration_s=1281 / 128, n_channels=100,
+        spec = SimSpec(duration_s=1281 / 128, n_channels=60,
                        components=components, noise_sigma=0.7, seed=23)
         eeg = synth_eeg(spec).samples
         n = eeg.shape[1]
-        rows = EEG_BLOCK_CELLS // n
-        assert n == 1281 and rows < 100 and 100 % rows  # two blocks
+        rows = BLOCK_BYTES // (8 * n)
+        assert n == 1281 and rows < 60 and 60 % rows  # three blocks
         t = np.arange(n, dtype=np.float64) / spec.fs
         root = SplitMix64(spec.seed)
         for row in eeg:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtl import spectral
+from gtl import model, spectral
 from gtl.errors import BandOutOfRange, ConfigError, ZeroPower
 from gtl.model import EegRecording
 from gtl.spectral import (
@@ -529,8 +529,8 @@ class TestLoadSeries:
         fs = 128.0
         samples = np.random.default_rng(15).standard_normal((5, 45))
         samples[2, 8:32] = 3.0
-        monkeypatch.setattr(spectral, "_BLOCK_CELLS",
-                            block_windows * cfg.window_len)
+        monkeypatch.setattr(model, "BLOCK_BYTES",
+                            block_windows * cfg.window_len * 8)
         series = cognitive_load_series(EegRecording(0.0, fs, samples), cfg)
         starts, loads, dropped = composed_load_series(samples, cfg, fs)
         assert dropped == 2
