@@ -95,7 +95,7 @@ from .model import (
     SessionRecord,
     event_log_violations,
     row_blocks,
-    validate_session,
+    validate_session,  # not called here; still importable from this module
 )
 
 #: Relative tolerance for uniform sample spacing and the rate cross-check.
@@ -608,16 +608,18 @@ def _checked_io(call: Callable[[Path], _T], path: Path) -> _T:
 
 
 def load_session(path: Union[str, Path]) -> SessionRecord:
-    """Parse a bundle directory into a cross-validated record.
+    """Parse a bundle directory into a record whose parts agree.
 
     The EEG matrix comes from ``eeg.sidecar`` when it is bound to
     ``eeg.csv`` (:func:`_read_sidecar`'s rules), else from ``eeg.csv``; an
-    unusable sidecar is a warning. With a sidecar, ``eeg.csv`` is read in
-    blocks and not held, and read whole only when the sidecar is not
-    bound; :func:`parse_eeg_csv` runs once either way. A present
-    ``gaze.csv`` must pass :func:`parse_gaze_csv`. Semantic violations
-    (marker breaks, transcription mismatches, events outside the EEG
-    span) do not raise; they land in ``rec.validation``.
+    unusable sidecar is one of the record's ``notes``. With a sidecar,
+    ``eeg.csv`` is read in blocks and not held, and read whole only when
+    the sidecar is not bound; :func:`parse_eeg_csv` runs once either way.
+    A present ``gaze.csv`` must pass :func:`parse_gaze_csv`. Semantic
+    violations (marker breaks, transcription mismatches, events outside
+    the EEG span) do not raise: :func:`gtl.model.validate_session` finds
+    them in the record, and lists the record's ``notes`` as its last
+    warnings.
     """
     root = Path(path)
     if not _checked_io(Path.is_dir, root):
@@ -658,12 +660,9 @@ def load_session(path: Union[str, Path]) -> SessionRecord:
     if _checked_io(Path.is_file, gaze_file):
         parse_gaze_csv(_checked_io(Path.read_bytes, gaze_file))
 
-    rec = SessionRecord(meta=meta, eeg=eeg, events=events)
-    rec.validation = validate_session(rec)
-    if sidecar_problem is not None:
-        rec.validation.warnings.append(
-            f"{EEG_SIDECAR} ignored, {EEG_FILE} parsed: {sidecar_problem}")
-    return rec
+    notes = () if sidecar_problem is None else (
+        f"{EEG_SIDECAR} ignored, {EEG_FILE} parsed: {sidecar_problem}",)
+    return SessionRecord(meta=meta, eeg=eeg, events=events, notes=notes)
 
 
 def write_session(rec: SessionRecord, path: Union[str, Path]) -> None:

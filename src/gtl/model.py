@@ -1,11 +1,11 @@
 """Core domain model: session metadata, EEG recording, event log.
 
-A session is its metadata, EEG and event log. Metadata, events and the
-event log are frozen dataclasses, and an EEG recording freezes its sample
-matrix. A SessionRecord and its ValidationReport are mutable:
-``load_session`` sets ``rec.validation`` and appends its own warnings to
-that report. Timestamps are seconds (float64) relative to one shared
-epoch for the EEG and the events of a session.
+A session is its metadata, EEG and event log. Every value type is a
+frozen dataclass, and an EEG recording also freezes its sample matrix. A
+record's validation is computed from the record (:func:`validate_session`),
+never stored: the notes its load made are that report's last warnings.
+Timestamps are seconds (float64) relative to one shared epoch for the EEG
+and the events of a session.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
 
 #: What a field of each annotated type takes; a bool is no number.
 _KINDS = {int: numbers.Integral, float: numbers.Real, bool: (bool, np.bool_),
-          str: str, tuple: (tuple, list), Literal: object}
+          str: str, tuple: (tuple, list), Literal: object, np.ndarray: object}
 _hints = cache(lambda cls: [(f.name, get_type_hints(cls)[f.name])
                             for f in fields(cls)])
 
@@ -68,7 +68,8 @@ def _fit(hint: object, value: object) -> object:
             or kind is tuple and not all(isinstance(v, args[0]) for v in value)
             or kind is Literal and value not in args
             or kind is float and not math.isfinite(value)):
-        name = hint.__name__ if isinstance(hint, type) else hint
+        name = ("finite float" if kind is float
+                else hint.__name__ if isinstance(hint, type) else hint)
         raise TypeError(f"expected {name}, got {value!r:.60}")
     return kind(value) if kind in (int, float, bool, tuple) else value
 
@@ -241,29 +242,32 @@ class SessionMeta:
         return self.session_index == 0
 
 
+@dataclass(frozen=True, eq=False)
 class EegRecording:
     """Uniformly sampled multi-channel EEG block.
 
     Sample ``i`` of every channel has the implicit timestamp ``t0 + i/fs``.
-    ``t0`` and every sample are finite, or ValueError. The sample matrix is
-    frozen on construction.
+    ``t0`` is finite, ``fs`` finite and positive (neither a bool), and every
+    sample finite, or ValueError. The sample matrix is stored as read-only
+    contiguous float64.
     """
 
-    __slots__ = ("t0", "fs", "samples")
+    t0: float
+    fs: float
+    samples: np.ndarray
 
-    def __init__(self, t0: float, fs: float, samples: np.ndarray) -> None:
-        if not fs > 0:
+    def __post_init__(self) -> None:
+        check_fields(self, ValueError)
+        if not self.fs > 0:
             raise ValueError("fs must be positive")
-        arr = np.ascontiguousarray(samples, dtype=np.float64)
+        arr = np.ascontiguousarray(self.samples, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("samples must be a [n_channels, n_samples] "
                              "matrix with at least one channel")
-        if not (math.isfinite(t0) and np.isfinite(arr).all()):
-            raise ValueError("t0 and samples must be finite")
+        if not np.isfinite(arr).all():
+            raise ValueError("samples must be finite")
         arr.setflags(write=False)
-        self.t0 = float(t0)
-        self.fs = float(fs)
-        self.samples = arr
+        object.__setattr__(self, "samples", arr)
 
     @property
     def n_channels(self) -> int:
@@ -290,16 +294,16 @@ class EegRecording:
                 f"shape={self.samples.shape})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionRecord:
-    """One participant-session bundle: metadata, EEG and events.
-    The EEG's rate and channel count are the meta's; ValueError otherwise."""
+    """One participant-session bundle: metadata, EEG and events, plus the
+    ``notes`` its load made (e.g. an ignored sidecar). The EEG's rate and
+    channel count are the meta's; ValueError otherwise."""
 
     meta: SessionMeta
     eeg: EegRecording
     events: EventLog
-    validation: Optional["ValidationReport"] = field(default=None,
-                                                     compare=False, init=False)
+    notes: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         # a bundle stores both; one that disagrees would not reload
@@ -309,6 +313,11 @@ class SessionRecord:
         if self.eeg.n_channels != len(self.meta.channel_names):
             raise ValueError(f"eeg has {self.eeg.n_channels} channels, "
                              f"meta names {len(self.meta.channel_names)}")
+
+    @property
+    def validation(self) -> "ValidationReport":
+        """:func:`validate_session` of this record, computed on each read."""
+        return validate_session(self)
 
 
 # --- transcription reconstruction -------------------------------------------
@@ -355,7 +364,7 @@ class Violation:
     event_index: Optional[int] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     """What validation found in one record.
 
@@ -429,7 +438,8 @@ def validate_session(rec: SessionRecord) -> ValidationReport:
 
     An empty violation list means the record satisfies every event-log and
     timeline invariant. Events must fall into the EEG span widened by
-    :data:`EVENT_SLACK_S` on both sides.
+    :data:`EVENT_SLACK_S` on both sides. The record's load ``notes`` follow
+    the warnings validation finds.
     """
     events = rec.events.events
     violations = list(event_log_violations(events))
@@ -453,4 +463,5 @@ def validate_session(rec: SessionRecord) -> ValidationReport:
                 ViolationCode.EVENT_OUTSIDE_EEG,
                 f"event at t={ev.t} outside EEG span [{lo}, {hi}]", i))
 
+    warnings.extend(rec.notes)
     return ValidationReport(violations, warnings)

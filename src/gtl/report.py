@@ -101,7 +101,7 @@ def analyze_session(rec: SessionRecord, config: ReportConfig,
     the default bands, becomes a violation of this session: its ``load``
     and ``metrics`` stay null and it contributes no windows.
     """
-    validation = rec.validation or validate_session(rec)
+    validation = validate_session(rec)
     entry = {
         "participant": rec.meta.participant_id,
         "keyboard": rec.meta.keyboard,

@@ -113,6 +113,18 @@ def loads_as_itself(got: object, value: object) -> bool:
     return got == value and type(got) is type(value)
 
 
+def unbind_sidecar(bundle: Path) -> None:
+    """Edit one byte of ``bundle``'s ``eeg.csv``, the first decimal of the
+    last cell of its third line, so that its sidecar's digest no longer
+    matches and a load parses ``eeg.csv`` with a note."""
+    eeg = bundle / "eeg.csv"
+    lines = eeg.read_bytes().split(b"\n")
+    i = lines[3].rindex(b".") + 1
+    digit = str((int(lines[3][i:i + 1]) + 1) % 10).encode()
+    lines[3] = lines[3][:i] + digit + lines[3][i + 1:]
+    eeg.write_bytes(b"\n".join(lines))
+
+
 def deny_reading(monkeypatch, name: str) -> None:
     """Make ``Path.read_bytes`` and ``Path.open`` fail as the OS does on a
     file ``name`` that the process may not read (a chmod cannot deny

@@ -26,7 +26,7 @@ from gtl.segmentation import AGGREGATION_LEVELS
 from gtl.simgen import simspec_from_dict, study_sessions, simulate_session
 
 from conftest import (ODD_JSON_VALUES, deny_reading, make_event_log,
-                      make_record, strict_json)
+                      make_record, strict_json, unbind_sidecar)
 
 
 #: A well-formed gaze.csv: checked on load, kept nowhere.
@@ -115,6 +115,29 @@ class TestSimulateAnalyze:
         assert reports[0] == reports[1]
         # analyze reads bundles and writes only its report
         assert not (bare / EEG_SIDECAR).exists()
+
+    def test_stale_sidecar_note_ends_the_session_warnings(self, tmp_path):
+        # a BKSP on an empty buffer gives validation a warning of its own
+        log = make_event_log([[("BKSP", ""), ("INSERT", "h"),
+                               ("INSERT", "i")]])
+        stale, bare = tmp_path / "stale", tmp_path / "bare"
+        write_session(make_record(log), stale)
+        unbind_sidecar(stale)
+        shutil.copytree(stale, bare, ignore=shutil.ignore_patterns(
+            EEG_SIDECAR))
+        entries = []
+        for bundle in (stale, bare):
+            out = tmp_path / f"{bundle.name}.json"
+            assert main(["analyze", "--session", str(bundle),
+                         "--out", str(out)]) == 0
+            (entry,) = json.loads(out.read_text())["sessions"]
+            entries.append(entry)
+        assert entries[0]["warnings"] == [
+            "sentence 0: 1 BKSP on empty buffer",
+            "eeg.sidecar ignored, eeg.csv parsed: "
+            "digest does not match eeg.csv"]
+        entries[0]["warnings"].pop()
+        assert entries[0] == entries[1]
 
     def test_well_formed_gaze_csv_changes_nothing(self, tmp_path, spec_file):
         bundle = tmp_path / "bundle"

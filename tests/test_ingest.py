@@ -45,7 +45,8 @@ from gtl.model import (EegRecording, EventKind, KeyClass, SessionMeta,
                        SessionRecord)
 
 from conftest import (ODD_JSON_VALUES, deny_reading, loads_as_itself,
-                      make_event_log, make_record, random_event_log)
+                      make_event_log, make_record, random_event_log,
+                      unbind_sidecar)
 
 META14 = SessionMeta("p01", "A", 1)
 META2 = SessionMeta("p01", "A", 1,
@@ -763,12 +764,7 @@ class TestSidecar:
     def test_edited_csv_unbinds_the_sidecar(self, bundle):
         path, rec = bundle
         eeg = path / "eeg.csv"
-        lines = eeg.read_bytes().split(b"\n")
-        # one byte: the first decimal of the row's last cell
-        i = lines[3].rindex(b".") + 1
-        digit = str((int(lines[3][i:i + 1]) + 1) % 10).encode()
-        lines[3] = lines[3][:i] + digit + lines[3][i + 1:]
-        eeg.write_bytes(b"\n".join(lines))
+        unbind_sidecar(path)
         loaded = load_session(path)
         assert loaded.eeg == parse_eeg_csv(eeg.read_bytes(), rec.meta)
         assert loaded.eeg != rec.eeg

@@ -2,7 +2,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from typing import Optional
 
 import numpy as np
@@ -308,15 +308,28 @@ class TestRecordingInvariants:
         with pytest.raises(ValueError, match=match):
             SessionRecord(meta=meta, eeg=rec.eeg, events=rec.events)
 
-    @pytest.mark.parametrize("t0,sample", [
-        (math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan), (0.0, -math.inf),
-    ], ids=["t0-nan", "t0-inf", "sample-nan", "sample-inf"])
-    def test_non_finite_eeg_rejected(self, t0, sample):
-        # such a recording used to write a bundle that did not reload
+    @pytest.mark.parametrize("t0,fs,sample", [
+        (math.nan, 128.0, 0.0), (math.inf, 128.0, 0.0),
+        (0.0, 128.0, math.nan), (0.0, 128.0, -math.inf),
+        (True, 128.0, 0.0), (0.0, True, 0.0), (0.0, math.inf, 0.0),
+    ], ids=["t0-nan", "t0-inf", "sample-nan", "sample-inf", "t0-bool",
+            "fs-bool", "fs-inf"])
+    def test_non_finite_eeg_rejected(self, t0, fs, sample):
+        # such a recording used to write a bundle that did not reload; a
+        # bool is no finite float
         samples = np.zeros((2, 8))
         samples[1, 3] = sample
         with pytest.raises(ValueError, match="finite"):
-            EegRecording(t0, 128.0, samples)
+            EegRecording(t0, fs, samples)
+
+    def test_record_is_frozen(self, simple_log):
+        # rec.eeg.fs = 256.0 used to make write_session write a bundle
+        # that failed to reload with NonUniformRate
+        rec = make_record(simple_log)
+        for part, name in ((rec, "meta"), (rec.eeg, "fs"),
+                           (rec.validation, "warnings")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(part, name, getattr(part, name))
 
     def test_bad_meta_rejected(self):
         from gtl.model import SessionMeta

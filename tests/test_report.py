@@ -16,7 +16,7 @@ from gtl.simgen import BandComponent, SimSpec, simulate_session
 from gtl.spectral import AnalysisConfig, WindowFn, cognitive_load_series
 from gtl.stats import anova_oneway
 
-from conftest import make_event_log, make_record, strict_json
+from conftest import make_event_log, make_record, strict_json, unbind_sidecar
 
 
 class TestReportConfig:
@@ -121,6 +121,14 @@ def test_a_loaded_record_with_other_events_is_validated_afresh(tmp_path,
     broken = replace(loaded, events=EventLog(simple_log.events[1:]))
     (entry,) = build_report([broken], ReportConfig())["sessions"]
     assert "MarkerOrder" in {v["code"] for v in entry["violations"]}
+    # the note of a stale sidecar is the record's: the replaced record
+    # keeps it, after the fresh verdict's own findings
+    unbind_sidecar(tmp_path)
+    stale = replace(load_session(tmp_path), events=broken.events)
+    (entry,) = build_report([stale], ReportConfig())["sessions"]
+    assert "MarkerOrder" in {v["code"] for v in entry["violations"]}
+    assert entry["warnings"] == [
+        "eeg.sidecar ignored, eeg.csv parsed: digest does not match eeg.csv"]
 
 
 def _typed(key_dt: float, **where):
