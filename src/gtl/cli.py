@@ -45,8 +45,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import ingest
 from .errors import (ConfigError, IngestError, MalformedMeta, SpecInvalid,
                      StatsError, ToolError)
-from .ingest import (as_text, load_session, meta_from_dict, read_number,
-                     split_rows, write_session)
+from .ingest import (as_text, decode_json, load_session, meta_from_dict,
+                     read_number, split_rows, write_session)
 from .metrics import TIMING_ANCHORS
 from .model import EPOC14_CHANNELS, SessionMeta, SessionRecord
 from .report import ReportConfig, build_report, render_csv, render_json, report_has_violations
@@ -193,15 +193,13 @@ def _cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
         print(f"gtl: cannot read spec: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        obj = json.loads(raw)
+        obj = decode_json(raw)
         spec = simspec_from_dict(obj)
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
         meta = _meta_from_spec_file(obj, spec)
         rec = simulate_session(spec, meta)
-    except (ValueError, RecursionError, SpecInvalid, MalformedMeta) as exc:
-        # ValueError covers JSONDecodeError and integers past Python's
-        # digit limit; RecursionError deeply nested arrays or objects
+    except (ValueError, SpecInvalid, MalformedMeta) as exc:
         parser.error(f"bad simulation spec: {exc}")
     try:
         write_session(rec, args.out)

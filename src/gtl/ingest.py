@@ -17,29 +17,30 @@ the width is ``1 + channels`` of ``meta.json`` and the row count that of
 ``eeg.csv``. Its bytes are deterministic. :func:`write_session` writes
 it; ``gtl analyze`` never does. ``eeg.csv`` stays canonical:
 :func:`load_session` takes the matrix from the sidecar only when it is
-bound to the ``eeg.csv`` bytes it read, which must be as
-:func:`write_session` writes them: the digest matches, every line after
-the header is an ASCII row (the last may lack its newline), the data
-holds one finite row per line, and the first and last lines are the
-bytes it writes for the first and last rows. Otherwise it parses
+bound to the ``eeg.csv`` bytes, which must be as :func:`write_session`
+writes them: the digest matches, every line after the header is an
+ASCII row (the last may lack its newline), the data holds one finite
+row per line, and its first and last rows, as written, lie where those
+rows do: right after the header, and after a newline at the end of the
+file (without their newline if the file has none). Otherwise it parses
 ``eeg.csv`` and the session gets a warning naming the reason: a digest
 mismatch, rows that are not ASCII, a length that is not those rows, a
 non-finite value, end rows that differ (also a row spelled other than
 :func:`write_session` spells it), or a read error. A missing sidecar is
-silent. Either way the header, channel-name, time-order and rate checks of
-:func:`parse_eeg_csv` run on the matrix unchanged, and a time error in
-matrix row ``i`` of a bound sidecar names line ``i + 2``. The digest
+silent. Either way the header, channel-name, time-order and rate checks
+of :func:`parse_eeg_csv` run on the matrix unchanged, and a time error
+in matrix row ``i`` of a bound sidecar names line ``i + 2``. The digest
 guards against a stale sidecar, not a forged one: the lines between the
 first and the last are not read when the sidecar is bound.
 
-Blocks hold :data:`gtl.model.BLOCK_BYTES`. With a sidecar there,
-:func:`load_session` reads ``eeg.csv`` once in blocks for its digest,
-header, row count and end rows, and the sidecar in row blocks straight
-into channel-major samples, so neither file is held whole. It reads
-``eeg.csv`` whole only to parse it, when no sidecar is bound. A 180 s,
-14-channel bundle with a 6.4 MB ``eeg.csv`` loads at a tracemalloc peak
-of 3.2 MiB, 2.5 MiB of them the samples, and at 22.7 MiB from ``eeg.csv``
-alone (CPython 3.11, numpy 2.4, Linux x86-64).
+Blocks hold :data:`gtl.model.BLOCK_BYTES`. :func:`load_session` reads
+``eeg.csv`` once in blocks for its digest, header and line count, and
+keeps no row; a bound sidecar is read in row blocks straight into
+channel-major samples, so neither file is held whole. ``eeg.csv`` is
+read whole only to parse it, when no sidecar is bound. A 180 s,
+14-channel bundle with a 6.6 MB ``eeg.csv`` loads at a tracemalloc peak
+of 3.2 MiB, 2.5 MiB of them the samples, and at 16.7 MiB from
+``eeg.csv`` alone (CPython 3.11, numpy 2.4, Linux x86-64).
 
 :func:`write_session` streams ``eeg.csv``: :func:`eeg_to_csv` formats the
 matrix in row blocks, on every CPU the process may use (forked workers
@@ -175,12 +176,19 @@ def split_rows(text: str, name: str, width: int, first_row: int = 1,
 
 # --- meta.json ---------------------------------------------------------------
 
+def decode_json(text: str) -> object:
+    """``json.loads(text)``, which also raises a ValueError for nesting
+    past Python's recursion limit."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(exc) from None
+
+
 def parse_meta_json(data: bytes) -> SessionMeta:
     try:
-        obj = json.loads(as_text(data, META_FILE))
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and integers past Python's
-        # digit limit; RecursionError deeply nested arrays or objects
+        obj = decode_json(as_text(data, META_FILE))
+    except ValueError as exc:
         raise MalformedMeta(f"meta.json is not valid JSON: {exc}") from exc
     return meta_from_dict(obj)
 
@@ -386,65 +394,46 @@ def _format_in_pool(blocks: list[np.ndarray], workers: int,
 # --- eeg.sidecar -------------------------------------------------------------
 
 class _EegScan:
-    """What one pass over the ``eeg.csv`` bytes of ``f`` keeps to bind a
-    sidecar to them.
-
-    The header line is read first, the rest in blocks of
-    :data:`gtl.model.BLOCK_BYTES`, and every byte goes to one sha256.
-    Each block goes to a vectorised newline scan. Every line after the
-    header counts as a row, as in the files :func:`write_session` writes,
-    and the last may lack its newline. Only the line that a block leaves
-    unfinished is carried to the next one, in pieces joined once it ends.
+    """What one pass over the ``eeg.csv`` bytes of ``f`` yields to bind a
+    sidecar to them. After the header line, blocks of
+    :data:`gtl.model.BLOCK_BYTES` go to one sha256 and a vectorised
+    newline count, and none is kept. Every line after the header counts
+    as a row, as in the files :func:`write_session` writes.
     """
 
-    #: sha256 of the bytes
-    digest: bytes
-    #: the header line with its newline; all the bytes if there is none
-    head: bytes
-    #: lines after the header
-    rows: int
-    #: the first and the last of those lines, without their newline
-    first: bytes
-    last: bytes
-    #: whether every byte after the header is ASCII
-    ascii: bool
+    digest: bytes  # sha256 of the bytes
+    head: bytes  # the header line with its newline; all bytes if none
+    rows: int  # lines after the header, the last maybe without newline
+    ascii: bool  # whether every byte after the header is ASCII
+    size: int  # the byte count
+    newline_end: bool  # whether the last byte is a newline
 
     def __init__(self, f: BinaryIO) -> None:
         self.head = f.readline()
-        digest = hashlib.sha256(self.head)
-        self.ascii, self.rows, self.first, self.last = True, 0, b"", b""
-        pending: list[bytes] = []
+        digest, newlines = hashlib.sha256(self.head), 0
+        self.ascii, self.newline_end = True, self.head.endswith(b"\n")
         # reused for every block; a fresh mask per block raised peak RSS
         newline = np.empty(model.BLOCK_BYTES, bool)
         while block := f.read(model.BLOCK_BYTES):
             digest.update(block)
             self.ascii = self.ascii and block.isascii()
-            ends = np.flatnonzero(np.equal(np.frombuffer(block, np.uint8),
-                                           ord("\n"), out=newline[:len(block)]))
-            if ends.size:
-                ended = b"".join([*pending, block[:ends[0]]])
-                self.first = self.first if self.rows else ended
-                self.last = (block[ends[-2] + 1:ends[-1]] if ends.size > 1
-                             else ended)
-                self.rows += ends.size
-                pending, block = [], block[ends[-1] + 1:]
-            pending.append(block)
-        if tail := b"".join(pending):
-            self.first = self.first if self.rows else tail
-            self.rows, self.last = self.rows + 1, tail
-        self.digest = digest.digest()
+            newlines += np.count_nonzero(np.equal(
+                np.frombuffer(block, np.uint8), ord("\n"),
+                out=newline[:len(block)]))
+            self.newline_end = block.endswith(b"\n")
+        self.size, self.digest = f.tell(), digest.digest()
+        # a last line without its newline is a row too
+        self.rows = newlines + (self.size > len(self.head)
+                                and not self.newline_end)
 
 
-def _scan_file(path: Path) -> _EegScan:
-    with path.open("rb") as f:
-        return _EegScan(f)
-
-
-def _read_sidecar(f: BinaryIO, scan: _EegScan, width: int) -> np.ndarray:
+def _read_sidecar(f: BinaryIO, eeg_csv: BinaryIO, scan: _EegScan,
+                  width: int) -> np.ndarray:
     """The (rows, width) matrix of the sidecar ``f`` when it is bound to
-    the scanned ``eeg.csv``; ValueError naming the reason otherwise. Its end
-    rows must format (:func:`_eeg_lines`) as the end lines: ``repr`` spells
-    each double one way, so this is bit for bit.
+    the scanned ``eeg.csv``, open as ``eeg_csv``; ValueError naming the
+    reason otherwise. Its end rows must format (:func:`_eeg_lines`) as the
+    end lines, read where they lie; ``repr`` spells each double one way,
+    so this is bit for bit.
 
     The rows are read in blocks (:func:`gtl.model.row_blocks`) into a
     channel-major array, and the matrix is its transpose: the time column
@@ -475,8 +464,16 @@ def _read_sidecar(f: BinaryIO, scan: _EegScan, width: int) -> np.ndarray:
             raise ValueError("holds a non-finite value")
         columns[:, b] = rows.T
     matrix = columns.T
-    if _eeg_lines(matrix[[0, -1]]) != scan.first + b"\n" + scan.last + b"\n":
-        raise ValueError("first or last row differs from eeg.csv")
+    last = b"\n" + _eeg_lines(matrix[-1:])
+    if not scan.newline_end:
+        last = last[:-1]
+    # a single row is also the last, which the end check covers
+    first = _eeg_lines(matrix[:1]) if n_rows > 1 else b""
+    for offset, want in ((len(scan.head), first),
+                         (max(scan.size - len(last), 0), last)):
+        eeg_csv.seek(offset)
+        if eeg_csv.read(len(want)) != want:
+            raise ValueError("first or last row differs from eeg.csv")
     return matrix
 
 
@@ -607,61 +604,63 @@ def _checked_io(call: Callable[[Path], _T], path: Path) -> _T:
         raise MissingFile(f"cannot read {path}: {reason}") from None
 
 
+def _bundle_file(root: Path, name: str,
+                 read: Callable[[BinaryIO], _T] = lambda f: f.read()) -> _T:
+    """``read`` to its end of bundle file ``name``, opened in binary mode;
+    a MissingFile if it is not there, cannot be read or is empty."""
+    path = root / name
+    if not _checked_io(Path.is_file, path):
+        raise MissingFile(f"bundle {root} misses {name}")
+
+    def read_to_end(path: Path) -> tuple[_T, int]:
+        with path.open("rb") as f:
+            return read(f), f.tell()
+
+    data, size = _checked_io(read_to_end, path)
+    if not size:
+        raise MissingFile(f"bundle file {path} is empty")
+    return data
+
+
 def load_session(path: Union[str, Path]) -> SessionRecord:
     """Parse a bundle directory into a record whose parts agree.
 
-    The EEG matrix comes from ``eeg.sidecar`` when it is bound to
-    ``eeg.csv`` (:func:`_read_sidecar`'s rules), else from ``eeg.csv``; an
-    unusable sidecar is one of the record's ``notes``. With a sidecar,
-    ``eeg.csv`` is read in blocks and not held, and read whole only when
-    the sidecar is not bound; :func:`parse_eeg_csv` runs once either way.
-    A present ``gaze.csv`` must pass :func:`parse_gaze_csv`. Semantic
-    violations (marker breaks, transcription mismatches, events outside
-    the EEG span) do not raise: :func:`gtl.model.validate_session` finds
-    them in the record, and lists the record's ``notes`` as its last
-    warnings.
+    ``meta.json``, ``eeg.csv`` and ``events.csv`` are checked in that
+    order (:func:`_bundle_file`) before any is parsed. The EEG matrix
+    comes from ``eeg.sidecar`` when it is bound to ``eeg.csv``
+    (:func:`_read_sidecar`), else from ``eeg.csv`` read whole. A sidecar
+    that is not a file is silent, an unusable one one of the record's
+    ``notes``. A present ``gaze.csv`` must pass :func:`parse_gaze_csv`.
+    Semantic violations (marker breaks, transcription mismatches, events
+    outside the EEG span) do not raise: :func:`gtl.model.validate_session`
+    finds them, and lists the record's ``notes`` as its last warnings.
     """
     root = Path(path)
     if not _checked_io(Path.is_dir, root):
         raise MissingFile(f"session bundle {root} is not a directory")
-    sidecar = root / EEG_SIDECAR
-    scan, matrix, sidecar_problem = None, None, None
-    try:
-        has_sidecar = sidecar.is_file()
-    except OSError as exc:
-        has_sidecar, sidecar_problem = False, exc
-    contents: dict[str, bytes] = {}
-    for name in (META_FILE, EEG_FILE, EVENTS_FILE):
-        f = root / name
-        if not _checked_io(Path.is_file, f):
-            raise MissingFile(f"bundle {root} misses {name}")
-        if name == EEG_FILE and has_sidecar:
-            scan = _checked_io(_scan_file, f)
-            contents[name] = scan.head
-        else:
-            contents[name] = _checked_io(Path.read_bytes, f)
-        if not contents[name]:
-            raise MissingFile(f"bundle file {f} is empty")
+    meta_data = _bundle_file(root, META_FILE)
+    scan = _bundle_file(root, EEG_FILE, _EegScan)
+    events_data = _bundle_file(root, EVENTS_FILE)
 
-    meta = parse_meta_json(contents[META_FILE])
-    if scan is not None:
-        try:
-            with sidecar.open("rb") as stream:
-                matrix = _read_sidecar(stream, scan,
+    meta = parse_meta_json(meta_data)
+    sidecar, matrix, notes = root / EEG_SIDECAR, None, ()
+    try:
+        # not a file, e.g. none, or a FIFO, whose open would wait for a writer
+        if sidecar.is_file():
+            with sidecar.open("rb") as f, \
+                    (root / EEG_FILE).open("rb") as eeg_csv:
+                matrix = _read_sidecar(f, eeg_csv, scan,
                                        1 + len(meta.channel_names))
-        except (OSError, ValueError) as exc:
-            sidecar_problem = exc
-        if matrix is None:
-            contents[EEG_FILE] = _checked_io(Path.read_bytes, root / EEG_FILE)
-    # the dict lets go of the bytes, which parse_eeg_csv drops once decoded
-    eeg = parse_eeg_csv(contents.pop(EEG_FILE), meta, matrix)
-    events = parse_events_csv(contents[EVENTS_FILE])
+    except (OSError, ValueError) as exc:
+        notes = (f"{EEG_SIDECAR} ignored, {EEG_FILE} parsed: {exc}",)
+    # passed as the only reference, which parse_eeg_csv drops once decoded
+    eeg = parse_eeg_csv(scan.head if matrix is not None
+                        else _checked_io(Path.read_bytes, root / EEG_FILE),
+                        meta, matrix)
+    events = parse_events_csv(events_data)
     gaze_file = root / GAZE_FILE
     if _checked_io(Path.is_file, gaze_file):
         parse_gaze_csv(_checked_io(Path.read_bytes, gaze_file))
-
-    notes = () if sidecar_problem is None else (
-        f"{EEG_SIDECAR} ignored, {EEG_FILE} parsed: {sidecar_problem}",)
     return SessionRecord(meta=meta, eeg=eeg, events=events, notes=notes)
 
 

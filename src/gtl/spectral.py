@@ -255,9 +255,9 @@ def band_ratios(coeffs: np.ndarray, fs: float,
 
 # --- load series -------------------------------------------------------------
 
-def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
-                          load_band: str = "Beta") -> LoadSeries:
-    """Per-window load: the named band's power ratio averaged over channels,
+def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig
+                          ) -> LoadSeries:
+    """Per-window load: the Beta band's power ratio averaged over channels,
     over the :func:`default_bands` split of the recording rate.
 
     Channels are processed with identical windowing; a window position is
@@ -275,10 +275,6 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
     on different threads share nothing.
     """
     bands = default_bands(eeg.fs)
-    band_names = [b.name for b in bands]
-    if load_band not in band_names:
-        raise ConfigError(f"load band {load_band!r} not among {band_names}")
-
     n = cfg.window_len
     starts, frames = make_windows(eeg.samples, cfg, eeg.fs, eeg.t0)
     n_ch, n_win = frames.shape[:2]
@@ -295,7 +291,6 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
     imag_sq = tapered.reshape(-1)[:bins.size].reshape(bins.shape)
     ratios = np.empty(n_rows)
     live = np.empty(n_rows, dtype=bool)
-    load_row = band_names.index(load_band)
     for b in blocks:
         x = tapered[:b.stop - b.start]
         i = 0
@@ -311,7 +306,7 @@ def cognitive_load_series(eeg: EegRecording, cfg: AnalysisConfig,
         ok = _has_ratios(total)
         live[b] = ok
         total[~ok] = 1.0  # placeholder; dropped below
-        np.divide(per_band[load_row], total, out=ratios[b])
+        np.divide(per_band[-1], total, out=ratios[b])  # Beta, the last band
 
     alive = live.reshape(n_ch, n_win).all(axis=0)
     loads = ratios.reshape(n_ch, n_win).mean(axis=0)

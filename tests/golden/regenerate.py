@@ -8,8 +8,10 @@ way to rewrite them. Run it from the repository root:
 
     PYTHONPATH=src:tests python tests/golden/regenerate.py
 
-A change that moves these bytes reruns it and says in CHANGES.md which
-values moved and by how much.
+For each JSON fixture it rewrites, it prints the values that moved: their
+path, old and new value, and relative difference. A change that moves
+these bytes reruns it and says in CHANGES.md which values moved and by
+how much.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from contextlib import redirect_stdout
 from dataclasses import replace
 from io import StringIO
 from pathlib import Path
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -46,6 +49,8 @@ CONFIGS = {
 }
 REPORTS = tuple(f"{name}.{ext}" for name in CONFIGS for ext in ("json", "csv"))
 MANIFEST = "manifest.json"
+#: What :func:`moved` gives for a key or item one side does not have.
+ABSENT = "(absent)"
 
 
 def _c8_spec(seed: int) -> SimSpec:
@@ -130,9 +135,36 @@ def outputs(root: Path) -> dict[str, bytes]:
     return out
 
 
+def moved(old: object, new: object, where: str = "$"
+          ) -> Iterator[tuple[str, object, object, Optional[float]]]:
+    """(path, old value, new value, relative difference) for each value
+    that differs between two decoded JSON documents, in document order,
+    old keys first. A key or item only one side has is :data:`ABSENT` on
+    the other; the difference is None unless both values are numbers."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in [*old, *(key for key in new if key not in old)]:
+            yield from moved(old.get(key, ABSENT), new.get(key, ABSENT),
+                             f"{where}.{key}")
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            yield from moved(old[i] if i < len(old) else ABSENT,
+                             new[i] if i < len(new) else ABSENT,
+                             f"{where}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        numbers = all(type(v) in (int, float) for v in (old, new))
+        yield where, old, new, (
+            None if not numbers else abs(new - old) / abs(old) if old
+            else math.inf)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in outputs(Path(tmp)).items():
             old = (HERE / name).read_bytes() if (HERE / name).exists() else None
             (HERE / name).write_bytes(data)
             print(f"{name}: {'unchanged' if old == data else 'rewritten'}")
+            if old is not None and old != data and name.endswith(".json"):
+                for where, was, now, rel in moved(json.loads(old),
+                                                  json.loads(data)):
+                    diff = "" if rel is None else f" (relative {rel:.3g})"
+                    print(f"  {where}: {was!r} -> {now!r}{diff}")

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from regenerate import HERE, MANIFEST, REPORTS, outputs
+from regenerate import ABSENT, HERE, MANIFEST, REPORTS, moved, outputs
 
 REL_TOL = 1e-9
 #: Bundle files whose bytes no numpy routine computes.
@@ -104,3 +104,14 @@ def test_the_corpus_holds_each_kind_of_session(built):
         "eeg.sidecar ignored, eeg.csv parsed: digest does not match eeg.csv"]
     assert bare["warnings"] == [] and bare["violations"] == []
     assert "MarkerOrder" in {v["code"] for v in marker["violations"]}
+
+
+def test_moved_lists_each_value_that_differs():
+    """What regenerate.py prints for a rewritten JSON fixture."""
+    old = {"a": 1.0, "b": [1, 2], "c": "x", "d": 0, "e": 1}
+    new = {"a": 1.5, "b": [1], "c": "x", "d": 0.5, "e": 1.0, "f": True}
+    assert list(moved(old, new)) == [
+        ("$.a", 1.0, 1.5, 0.5), ("$.b[1]", 2, ABSENT, None),
+        ("$.d", 0, 0.5, math.inf), ("$.e", 1, 1.0, 0.0),
+        ("$.f", ABSENT, True, None)]
+    assert list(moved(new, new)) == []

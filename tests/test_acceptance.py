@@ -31,7 +31,9 @@ from gtl.simgen import (
     study_sessions,
     expected_composition,
 )
-from gtl.spectral import AnalysisConfig, cognitive_load_series, default_bands, dft
+from gtl.spectral import (AnalysisConfig, apply_window_fn, band_ratios,
+                          cognitive_load_series, default_bands, dft,
+                          make_windows)
 from gtl.stats import anova_oneway, ttest_two_sample
 from gtl.model import KeyClass
 
@@ -113,10 +115,19 @@ def test_c3_end_to_end_spectral_recovery(tmp_path):
     write_session(simulate_session(mix, SessionMeta("p01", "A", 1)), bundle)
     rec = load_session(bundle)
     assert rec.validation is not None and rec.validation.ok
-    for band_obj in default_bands(128.0):
-        got = cognitive_load_series(rec.eeg, AnalysisConfig(),
-                                    load_band=band_obj.name).loads.mean()
+    # each band's share, averaged over the windows the load series frames;
+    # the load is the Beta share
+    cfg, bands = AnalysisConfig(), default_bands(128.0)
+    _, frames = make_windows(rec.eeg.samples, cfg, 128.0)
+    shares = [band_ratios(dft(apply_window_fn(w, cfg.window_fn, cfg.detrend)),
+                          128.0, bands)
+              for w in frames.reshape(-1, cfg.window_len)]
+    for band_obj in bands:
+        got = np.mean([share[band_obj.name] for share in shares])
         assert abs(got - comp.fraction(band_obj.name)) <= 0.02
+    load = cognitive_load_series(rec.eeg, cfg).loads.mean()
+    assert math.isclose(load, np.mean([s["Beta"] for s in shares]),
+                        rel_tol=1e-12)
     out = tmp_path / "mix.json"
     assert main(["analyze", "--session", str(bundle), "--out", str(out)]) == 0
     reported = json.loads(out.read_text())["sessions"][0]["load"]["mean"]

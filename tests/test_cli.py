@@ -504,6 +504,27 @@ class TestExitCodes:
                    "--out", str(tmp_path / "b")])
         assert rc == 64
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000, "1" * 5000, "{"],
+        ids=["nested-too-deeply", "integer-too-long", "truncated"])
+    def test_undecodable_json_is_usage_or_io_error(self, tmp_path, capsys,
+                                                   text):
+        """A spec and a meta.json are decoded by one rule; what it
+        refuses is a usage error in a spec, an I/O error in a bundle."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert main(["simulate", "--spec", str(spec), "--out",
+                     str(tmp_path / "b")]) == 64
+        spec.write_text('{"duration_s": 10.0, "n_channels": 2}')
+        bundle = tmp_path / "b"
+        assert main(["simulate", "--spec", str(spec), "--out",
+                     str(bundle)]) == 0
+        (bundle / "meta.json").write_text(text)
+        capsys.readouterr()
+        assert main(["analyze", "--session", str(bundle), "--out",
+                     str(tmp_path / "r.json")]) == 74
+        assert "meta.json is not valid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_seed_outside_u64_is_usage_error(self, tmp_path, spec_file,
                                              seed):

@@ -7,6 +7,7 @@ import os
 import random
 import struct
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from typing import Callable
@@ -57,7 +58,7 @@ _ENUM_VALUES = {k.value for k in (*EventKind, *KeyClass)}
 def _read_sidecar(sidecar: bytes, csv_bytes: bytes, width: int):
     """The matrix of ``sidecar`` when it is bound to ``csv_bytes``, read
     as :func:`load_session` reads a bundle's files."""
-    return ingest._read_sidecar(io.BytesIO(sidecar),
+    return ingest._read_sidecar(io.BytesIO(sidecar), io.BytesIO(csv_bytes),
                                 ingest._EegScan(io.BytesIO(csv_bytes)), width)
 
 
@@ -525,6 +526,28 @@ class TestBundles:
         with pytest.raises(MissingFile):
             load_session(bundle)
 
+    @pytest.mark.parametrize("files,named", [
+        ({"eeg.csv": None, "meta.json": b"{"}, "misses eeg.csv"),
+        ({"eeg.csv": None, "events.csv": None}, "misses eeg.csv"),
+        ({"eeg.csv": b"", "meta.json": b"{"}, "eeg.csv is empty"),
+        ({"events.csv": b"", "eeg.csv": b"no header"}, "events.csv is empty"),
+    ], ids=["no-eeg-bad-meta", "no-eeg-no-events", "empty-eeg-bad-meta",
+            "empty-events-bad-eeg"])
+    def test_files_are_checked_in_order_before_any_parse(
+            self, tmp_path, simple_log, files, named):
+        """meta.json, eeg.csv, events.csv: the first that is missing or
+        empty is named, even where another is malformed."""
+        bundle = tmp_path / "b"
+        write_session(make_record(simple_log), bundle)
+        for name, data in files.items():
+            if data is None:
+                (bundle / name).unlink()
+            else:
+                (bundle / name).write_bytes(data)
+        with pytest.raises(MissingFile) as err:
+            load_session(bundle)
+        assert str(err.value).endswith(named)
+
     @pytest.mark.parametrize("name", ["meta.json", "eeg.csv", "events.csv",
                                       "gaze.csv"])
     def test_unreadable_file_is_named(self, tmp_path, simple_log,
@@ -742,9 +765,20 @@ class TestSidecar:
         write_session(rec, tmp_path / "again")
         assert (tmp_path / "again" / EEG_SIDECAR).read_bytes() == data
 
+    @pytest.mark.parametrize("edit", [
+        lambda data: data,
+        lambda data: data.removesuffix(b"\n"),
+    ], ids=["as-written", "no-final-newline"])
     def test_load_takes_the_matrix_from_the_sidecar(self, bundle,
-                                                    monkeypatch):
+                                                    monkeypatch, edit):
+        """Also when eeg.csv's last line lacks its newline, with the
+        sidecar's digest taken of those bytes."""
         path, rec = bundle
+        data = edit((path / "eeg.csv").read_bytes())
+        (path / "eeg.csv").write_bytes(data)
+        sidecar = path / EEG_SIDECAR
+        sidecar.write_bytes(hashlib.sha256(data).digest()
+                            + sidecar.read_bytes()[32:])
 
         def no_text_parse(*args):
             raise AssertionError("eeg.csv body parsed")
@@ -760,6 +794,30 @@ class TestSidecar:
         loaded = load_session(path)
         assert loaded == rec
         assert loaded.validation.warnings == []
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    def test_sidecar_that_is_no_file_is_silent(self, bundle, kind):
+        """A named pipe is not opened: the open would wait for a writer,
+        which the test supplies if the load is still waiting."""
+        path, rec = bundle
+        sidecar = path / EEG_SIDECAR
+        sidecar.unlink()
+        if kind == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no named pipes on this platform")
+            os.mkfifo(sidecar)
+        else:
+            sidecar.mkdir()
+        loaded = []
+        worker = threading.Thread(
+            target=lambda: loaded.append(load_session(path)), daemon=True)
+        worker.start()
+        worker.join(10)
+        if worker.is_alive():
+            os.close(os.open(sidecar, os.O_WRONLY | os.O_NONBLOCK))
+            worker.join(10)
+        assert loaded == [rec]
+        assert loaded[0].validation.warnings == []
 
     def test_edited_csv_unbinds_the_sidecar(self, bundle):
         path, rec = bundle
@@ -798,8 +856,13 @@ class TestSidecar:
          "row differs"),
         (_edit_line(-2, lambda line: line.replace(b",", b"0,", 1)),
          "row differs"),
+        # the newline after the first row and the one before the last
+        # are part of the end rows' bytes
+        (_edit_line(1, lambda line: line + b"0"), "row differs"),
+        (_edit_line(-2, lambda line: b"0" + line), "row differs"),
     ], ids=["blank-line", "blank-last-line", "crlf", "non-ascii-space",
-            "non-ascii-digit", "first-row-respelled", "last-row-respelled"])
+            "non-ascii-digit", "first-row-respelled", "last-row-respelled",
+            "digit-after-first-row", "digit-before-last-row"])
     def test_csv_not_as_written_binds_no_sidecar(self, bundle, edit,
                                                   reason):
         """A sidecar hashed to an eeg.csv that write_session would not
@@ -880,6 +943,16 @@ class TestSidecar:
         with pytest.raises(ValueError, match="not the 0 rows"):
             _read_sidecar(empty, csv_bytes, 2)
 
+    @pytest.mark.parametrize("csv_bytes", [b"t,a\n0.0,1.0\n",
+                                           b"t,a\n0.0,1.0"],
+                             ids=["newline", "no-newline"])
+    def test_one_row_is_the_first_and_the_last(self, csv_bytes):
+        matrix = np.array([[0.0, 1.0]])
+        sidecar = hashlib.sha256(csv_bytes).digest() + _raw(matrix)
+        assert _read_sidecar(sidecar, csv_bytes, 2).tolist() == [[0.0, 1.0]]
+        with pytest.raises(ValueError, match="row differs"):
+            _read_sidecar(sidecar[:32] + _raw(matrix + 1), csv_bytes, 2)
+
     @settings(max_examples=300)
     @given(st.data())
     def test_damaged_sidecar_is_a_value_error(self, data):
@@ -936,9 +1009,9 @@ class TestSidecar:
         rows = body.removesuffix(b"\n").split(b"\n") if body else []
         assert scan.digest == hashlib.sha256(data).digest()
         assert scan.rows == len(rows)
-        rows = rows or [b""]
-        assert (scan.first, scan.last) == (rows[0], rows[-1])
         assert scan.ascii == body.isascii()
+        assert scan.size == len(data)
+        assert scan.newline_end == data.endswith(b"\n")
         assert scan.head == data[:data.find(b"\n") + 1 or len(data)]
 
     @pytest.mark.parametrize("prefix", ["c", "\xe9"],
