@@ -45,8 +45,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import ingest
 from .errors import (ConfigError, IngestError, MalformedMeta, SpecInvalid,
                      StatsError, ToolError)
-from .ingest import (as_text, decode_json, load_session, meta_from_dict,
-                     read_number, split_rows, write_session)
+from .ingest import (as_text, decode_json, fields_dict, load_session,
+                     meta_from_dict, read_number, split_rows, write_session)
 from .metrics import TIMING_ANCHORS
 from .model import EPOC14_CHANNELS, SessionMeta, SessionRecord
 from .report import ReportConfig, build_report, render_csv, render_json, report_has_violations
@@ -234,7 +234,7 @@ def _cmd_stats(parser: _Parser, args: argparse.Namespace) -> int:
     except StatsError as exc:
         print(f"gtl: degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    print(json.dumps(result.to_dict(), sort_keys=True))
+    print(json.dumps(fields_dict(result), sort_keys=True))
     return EXIT_OK
 
 

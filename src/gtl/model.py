@@ -333,8 +333,6 @@ def replay_keystrokes(keys: Sequence[Event]) -> tuple[str, int]:
     buf: list[str] = []
     empty_bksp = 0
     for ev in keys:
-        if ev.kind is not EventKind.KEY:
-            continue
         if ev.key_class is KeyClass.BKSP:
             if buf:
                 buf.pop()

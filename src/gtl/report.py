@@ -13,21 +13,12 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import (Callable, Iterable, Literal, Optional, Sequence,
-                    TypeVar)
+from typing import Callable, Iterable, Literal, Sequence, TypeVar
 
 from . import metrics as metrics_mod
 from . import stats as stats_mod
-from .errors import (
-    ConfigError,
-    DegenerateInput,
-    EmptyTranscription,
-    NonFiniteMetric,
-    NonPositiveDuration,
-    StatsError,
-    ToolError,
-    ZeroVariance,
-)
+from .errors import (ConfigError, EmptyTranscription, NonFiniteMetric,
+                     NonPositiveDuration, StatsError, ToolError)
 from .ingest import csv_text, fields_dict, json_text
 from .model import SessionMeta, SessionRecord, ViolationCode, validate_session
 from .segmentation import (AGGREGATION_LEVELS, LOAD_UNITS, LabeledLoadSample,
@@ -147,24 +138,6 @@ def analyze_session(rec: SessionRecord, config: ReportConfig,
     return entry, samples
 
 
-def _metric_anova(session_entries: Sequence[dict], metric_key: str,
-                  warnings: list[str]) -> Optional[dict]:
-    """One-way ANOVA over keyboards on participant-level metric means."""
-    groups = aggregate(((e["keyboard"],), (e["participant"],),
-                        e["metrics"][metric_key])
-                       for e in session_entries if e["metrics"] is not None)
-    if len(groups) < 2 or any(len(v) < 2 for v in groups.values()):
-        warnings.append(f"anova on {metric_key} skipped: not enough groups")
-        return None
-    try:
-        result = stats_mod.anova_oneway(list(groups.values()))
-    except StatsError as exc:
-        warnings.append(f"anova on {metric_key} failed: {exc}")
-        return None
-    return {"metric": metric_key, "groups": [k for (k,) in groups],
-            **result.to_dict()}
-
-
 _Item = TypeVar("_Item")
 
 
@@ -235,19 +208,37 @@ def build_report(records: Iterable[_Item], config: ReportConfig,
     groups_kb = load_groups["by_keyboard"]
 
     tests: list[dict] = []
+
+    def run_test(metric: str, group_names: list[str], failure: str,
+                 test: Callable[..., stats_mod.StatResult], *args) -> None:
+        """Append the entry of ``test(*args)``, or ``failure`` and the
+        StatsError's text as a warning when the test is undefined."""
+        try:
+            result = test(*args)
+        except StatsError as exc:
+            warnings.append(f"{failure}: {exc}")
+            return
+        tests.append({"metric": metric, "groups": group_names,
+                      **fields_dict(result)})
+
+    # ANOVA over keyboards on each metric's participant-level means
     for metric_key in ("mean_wpm", "mean_keystrokes_saved_pct",
                        "mean_backspace_count"):
-        result = _metric_anova(session_entries, metric_key, warnings)
-        if result is not None:
-            tests.append(result)
-    for ((kb_a,), a), ((kb_b,), b) in combinations(groups_kb.items(), 2):
-        try:
-            result = stats_mod.ttest_two_sample(a, b, config.ttest_variant)
-        except (DegenerateInput, ZeroVariance) as exc:
-            warnings.append(f"t-test {kb_a} vs {kb_b} skipped: {exc}")
+        groups = aggregate(((e["keyboard"],), (e["participant"],),
+                            e["metrics"][metric_key])
+                           for e in session_entries
+                           if e["metrics"] is not None)
+        if len(groups) < 2 or any(len(v) < 2 for v in groups.values()):
+            warnings.append(f"anova on {metric_key} skipped: "
+                            "not enough groups")
             continue
-        tests.append({"metric": f"load_{level}", "groups": [kb_a, kb_b],
-                      **result.to_dict()})
+        run_test(metric_key, [k for (k,) in groups],
+                 f"anova on {metric_key} failed", stats_mod.anova_oneway,
+                 list(groups.values()))
+    for ((kb_a,), a), ((kb_b,), b) in combinations(groups_kb.items(), 2):
+        run_test(f"load_{level}", [kb_a, kb_b],
+                 f"t-test {kb_a} vs {kb_b} skipped",
+                 stats_mod.ttest_two_sample, a, b, config.ttest_variant)
 
     return {
         "config": config.to_dict(),

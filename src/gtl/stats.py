@@ -39,22 +39,14 @@ class BoxplotSummary:
 
 @dataclass(frozen=True)
 class StatResult:
-    """Outcome of one hypothesis test."""
+    """Outcome of one hypothesis test; its fields, by name, are the test's
+    report entry and ``gtl stats`` output (:func:`gtl.ingest.fields_dict`)."""
 
-    kind: str
+    test: str
     statistic: float
     df: tuple[float, ...]
     p: float
     n_per_group: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "test": self.kind,
-            "statistic": self.statistic,
-            "df": list(self.df),
-            "p": self.p,
-            "n_per_group": list(self.n_per_group),
-        }
 
 
 # --- special functions -------------------------------------------------------

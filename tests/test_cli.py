@@ -23,7 +23,9 @@ from gtl.model import Event, EventLog, KeyClass, SessionMeta
 from gtl.report import (ReportConfig, analyze_session, build_report,
                         render_csv, render_json)
 from gtl.segmentation import AGGREGATION_LEVELS
-from gtl.simgen import simspec_from_dict, study_sessions, simulate_session
+from gtl.simgen import (StudyDesign, simspec_from_dict, study_sessions,
+                        simulate_session)
+from gtl.stats import StatResult
 
 from conftest import (ODD_JSON_VALUES, deny_reading, make_event_log,
                       make_record, strict_json, unbind_sidecar)
@@ -237,7 +239,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags", [
         ["--hop", "0"], ["--hop", "2048"],
         ["--label-threshold", "0"], ["--label-threshold", "nan"],
-    ], ids=["hop-0", "hop-over-window", "threshold-0", "threshold-nan"])
+        ["--detrend", "maybe"],
+    ], ids=["hop-0", "hop-over-window", "threshold-0", "threshold-nan",
+            "detrend-maybe"])
     def test_bad_analysis_option_is_usage_error(self, tmp_path, flags):
         rc = main(["analyze", "--session", "x", "--out",
                    str(tmp_path / "r.json"), *flags])
@@ -250,6 +254,16 @@ class TestExitCodes:
         rc = main(["analyze", "--session", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "r.json")])
         assert rc == 74
+
+    def test_report_out_in_a_missing_directory_is_io_error(
+            self, tmp_path, spec_file, capsys):
+        bundle = tmp_path / "bundle"
+        main(["simulate", "--spec", str(spec_file), "--out", str(bundle)])
+        capsys.readouterr()
+        rc = main(["analyze", "--session", str(bundle),
+                   "--out", str(tmp_path / "nope" / "r.json")])
+        assert rc == 74
+        assert capsys.readouterr().err.startswith("gtl: cannot write report: ")
 
     def test_ingest_error_names_the_bundle(self, tmp_path, spec_file,
                                            capsys):
@@ -563,6 +577,15 @@ class TestExitCodes:
         assert rc == 74
         assert "not valid UTF-8" in capsys.readouterr().err
 
+    def test_simulate_onto_an_existing_file_is_io_error(self, tmp_path,
+                                                        spec_file, capsys):
+        out = tmp_path / "taken"
+        out.write_bytes(b"kept")
+        rc = main(["simulate", "--spec", str(spec_file), "--out", str(out)])
+        assert rc == 74
+        assert capsys.readouterr().err.startswith("gtl: cannot write bundle: ")
+        assert out.read_bytes() == b"kept"
+
     def test_missing_spec_is_io_error(self, tmp_path):
         rc = main(["simulate", "--spec", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "b")])
@@ -636,6 +659,18 @@ class TestStatsCommand:
         Path(paths[1]).write_bytes(b"3\n" + bad + b"\n4\n")
         assert main(["stats", "--test", "ttest", "--groups", *paths]) == 74
         assert "(row 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("test", ["anova", "ttest"])
+    def test_output_is_the_result_fields(self, tmp_path, capsys, test):
+        paths = self._write_groups(tmp_path, [1, 2], [3, 5])
+        assert main(["stats", "--test", test, "--groups", *paths]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert sorted(out) == sorted(f.name for f in
+                                     dataclasses.fields(StatResult))
+
+    def test_anova_needs_two_groups(self, tmp_path):
+        paths = self._write_groups(tmp_path, [1, 2])
+        assert main(["stats", "--test", "anova", "--groups", *paths]) == 64
 
     def test_ttest_needs_two_groups(self, tmp_path):
         paths = self._write_groups(tmp_path, [1, 2], [3, 4], [5, 6])
@@ -874,6 +909,27 @@ class TestReportStructure:
         tests = {t["metric"] for t in report["tests"]}
         assert "load_session" in tests
         assert "mean_wpm" in tests
+
+    def test_without_training_a_keyboard_has_a_session_per_later_index(
+            self, tmp_path):
+        # the rule behind a 25-sample group: 5 participants x (6 - 1)
+        design = StudyDesign(participants=2, sessions_per_keyboard=3,
+                             sentences_per_session=1)
+        bundles = []
+        for i, (meta, spec) in enumerate(study_sessions(design)):
+            bundles.append(str(tmp_path / f"s{i}"))
+            write_session(simulate_session(spec, meta), bundles[-1])
+        out = tmp_path / "rep.json"
+        assert main(["analyze", "--session", *bundles, "--out", str(out),
+                     "--level", "session", "--include-training", "off"]) == 0
+        report = json.loads(out.read_text())
+        n = design.participants * (design.sessions_per_keyboard - 1)
+        assert [(g["keyboard"], g["boxplot"]["n"])
+                for g in report["load_groups"]["by_keyboard"]] == [
+            (kb, n) for kb in "ABC"]
+        assert [t["n_per_group"] for t in report["tests"]
+                if t["metric"] == "load_session"] == [[n, n]] * 3
+        assert len(report["warnings"]) == design.participants * 3
 
 
 _DOCUMENTED_EXITS = {0, 2, 3, 64, 74}

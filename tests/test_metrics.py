@@ -121,6 +121,16 @@ class TestEventLogMetrics:
         assert first.duration_s == pytest.approx(1.0)  # first key..SUBMIT
         assert first.wpm > shown.wpm
 
+    def test_first_key_anchor_of_a_keyless_sentence(self):
+        (sentence,) = make_event_log([[]]).sentences()
+        with pytest.raises(NonPositiveDuration, match="no keystrokes"):
+            sentence_metrics(sentence, "first-key")
+
+    def test_unknown_timing_anchor(self):
+        (sentence,) = make_event_log([[("INSERT", "a")]]).sentences()
+        with pytest.raises(ValueError, match="timing_anchor must be one of"):
+            sentence_metrics(sentence, "last-key")
+
     def test_session_means_are_unweighted(self):
         log = make_event_log([
             [("INSERT", "a"), ("INSERT", "b"), ("INSERT", "c")],

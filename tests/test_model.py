@@ -296,6 +296,16 @@ class TestRecordingInvariants:
         with pytest.raises(ValueError, match="at least one channel"):
             EegRecording(0.0, 128.0, np.zeros((0, 256)))
 
+    @pytest.mark.parametrize("fs", [0.0, -128.0], ids=["fs-0", "fs-negative"])
+    def test_non_positive_rate_rejected(self, fs):
+        with pytest.raises(ValueError, match="fs must be positive"):
+            EegRecording(0.0, fs, np.zeros((2, 8)))
+
+    def test_recording_equals_no_other_type(self, simple_log):
+        eeg = make_record(simple_log).eeg
+        assert eeg.__eq__(object()) is NotImplemented
+        assert eeg != "eeg"
+
     @pytest.mark.parametrize("fs,n_channels,match", [
         (256.0, 2, "Hz"),
         (128.0, 3, "channels"),

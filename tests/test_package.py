@@ -9,6 +9,16 @@ from gtl.ingest import write_session
 from conftest import make_event_log, make_record
 
 
+def _run_fresh(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports this
+    checkout's gtl."""
+    src = str(Path(gtl.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path)).stdout
+
+
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from gtl import *", namespace)
@@ -18,39 +28,24 @@ def test_star_import_binds_every_public_name():
 
 def test_cli_import_loads_no_executor():
     """Startup of ``gtl analyze`` pays for no process or thread pool."""
-    src = str(Path(gtl.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, gtl.cli; print(sorted(m for m in sys.modules if "
             "m.partition('.')[0] in ('multiprocessing', 'concurrent')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout == "[]\n"
+    assert _run_fresh(code) == "[]\n"
 
 
 def test_cli_import_loads_no_simulator():
     """Startup of ``gtl analyze`` does not import (or compile) gtl.simgen;
     only ``gtl simulate`` needs it."""
-    src = str(Path(gtl.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import sys, gtl.cli; print('gtl.simgen' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout == "False\n"
+    assert _run_fresh(code) == "False\n"
 
 
 def test_simulator_import_loads_no_bundle_or_report_code():
     """gtl.simgen builds records; writing and reporting them is ingest's
     and report's, which its import does not load."""
-    src = str(Path(gtl.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, gtl.simgen; print(sorted({'gtl.ingest', "
             "'gtl.report'} & sys.modules.keys()))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout == "[]\n"
+    assert _run_fresh(code) == "[]\n"
 
 
 def test_one_bundle_analyze_starts_no_thread(tmp_path):
@@ -59,8 +54,6 @@ def test_one_bundle_analyze_starts_no_thread(tmp_path):
     which np.median imports on first use."""
     bundle, out = tmp_path / "b", tmp_path / "r.json"
     write_session(make_record(make_event_log([[("INSERT", "h")]])), bundle)
-    src = str(Path(gtl.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, threading, gtl.cli, gtl.ingest\n"
         "gtl.ingest._usable_cpus = lambda: 2\n"
@@ -71,8 +64,5 @@ def test_one_bundle_analyze_starts_no_thread(tmp_path):
         f"'--out', {str(out)!r}])\n"
         "print(rc, len(started), sorted(m for m in sys.modules "
         "if m.partition('.')[0] == 'concurrent'), 'numpy.ma' in sys.modules)")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=path))
-    assert run.stdout == "0 0 [] False\n"
+    assert _run_fresh(code) == "0 0 [] False\n"
     assert out.exists()

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from gtl.errors import ConfigError
-from gtl.ingest import load_session, write_session
+from gtl.ingest import fields_dict, load_session, write_session
 from gtl.model import EegRecording, Event, EventLog, KeyClass, SessionMeta
 from gtl.report import (ReportConfig, _flatten, build_report, render_csv,
                         render_json)
-from gtl.simgen import BandComponent, SimSpec, simulate_session
+from gtl.segmentation import AGGREGATION_LEVELS
+from gtl.simgen import (BandComponent, SimSpec, StudyDesign,
+                        simulate_session, study_sessions)
 from gtl.spectral import AnalysisConfig, WindowFn, cognitive_load_series
-from gtl.stats import anova_oneway
+from gtl.stats import StatResult, anova_oneway
 
 from conftest import make_event_log, make_record, strict_json, unbind_sidecar
 
@@ -177,8 +179,8 @@ def test_metric_anova_averages_each_participant_per_keyboard():
         [*wpm[("B", "p01")], *wpm[("B", "p02")]]])
     (result,) = [t for t in _anovas(report) if t["metric"] == "mean_wpm"]
     assert result == {"metric": "mean_wpm", "groups": ["A", "B"],
-                      **expected.to_dict()}
-    assert result["n_per_group"] == [2, 2]
+                      **fields_dict(expected)}
+    assert result["n_per_group"] == (2, 2)
 
 
 def test_sentenceless_session_has_no_metrics():
@@ -208,6 +210,43 @@ def test_constant_groups_with_different_means_keep_the_report_json():
         in report["warnings"]
     assert "t-test A vs B skipped: both samples constant: t undefined" \
         in report["warnings"]
+
+
+@pytest.fixture(scope="module")
+def small_study() -> list:
+    """Two participants x three keyboards x sessions 0 (training) to 2,
+    one sentence each."""
+    design = StudyDesign(participants=2, sessions_per_keyboard=3,
+                         sentences_per_session=1)
+    return [simulate_session(spec, meta)
+            for meta, spec in study_sessions(design)]
+
+
+def test_every_test_entry_is_its_groups_and_the_result_fields(small_study):
+    tests = build_report(small_study, ReportConfig(level="session"))["tests"]
+    assert [t["test"] for t in tests] == ["anova"] * 3 + ["ttest-student"] * 3
+    keys = ["metric", "groups", *(f.name for f in fields(StatResult))]
+    assert [list(t) for t in tests] == [keys] * len(tests)
+
+
+@pytest.mark.parametrize("level", AGGREGATION_LEVELS)
+def test_training_sessions_leave_every_load_group(small_study, level):
+    """Without training, each session of index 0 is still analysed and
+    listed, but its windows join no load group and no t-test, and a
+    warning names it."""
+    config = ReportConfig(level=level)
+    off = build_report(small_study, replace(config, include_training=False))
+    trained = build_report(
+        [rec for rec in small_study if rec.meta.session_index > 0], config)
+    assert off["load_groups"] != build_report(small_study,
+                                              config)["load_groups"]
+    assert off["load_groups"] == trained["load_groups"]
+    assert ([t for t in off["tests"] if t["metric"] == f"load_{level}"]
+            == [t for t in trained["tests"] if t["metric"] == f"load_{level}"])
+    assert len(off["sessions"]) == len(small_study)
+    assert off["warnings"] == [
+        f"training session {p}/{kb} excluded from load groups"
+        for p in ("p01", "p02") for kb in "ABC"]
 
 
 def test_overflowing_band_power_drops_windows_and_keeps_the_report_json():

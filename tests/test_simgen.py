@@ -200,6 +200,29 @@ class TestSynthEeg:
                 ScriptSentence(4.0, (ScriptKey(2.0, KeyClass.INSERT, "a"),)),
             ))
 
+    @pytest.mark.parametrize("build,error,match", [
+        (lambda: BandComponent(20.0, -1.0), SpecInvalid, "amplitude"),
+        (lambda: ScriptKey(-0.5, KeyClass.INSERT, "a"), ScriptInvalid,
+         "negative keystroke gap"),
+        (lambda: SimSpec(duration_s=1.0, noise_sigma=-0.1), SpecInvalid,
+         "noise_sigma"),
+        (lambda: SimSpec(duration_s=10.0, script=(
+            ScriptSentence(1.0, (ScriptKey(2.0, KeyClass.INSERT, "a"),)),
+            ScriptSentence(2.0))), ScriptInvalid, "sentence 1 .* overlaps"),
+    ], ids=["amplitude-negative", "gap-negative", "noise-negative",
+            "sentences-overlap"])
+    def test_bad_part_is_rejected(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
+
+    @pytest.mark.parametrize("meta,match", [
+        (_meta(n_channels=2), "spec has 14 channels but meta names 2"),
+        (SessionMeta("p01", "A", 1, fs_eeg=256.0), "meta fs 256.0"),
+    ], ids=["channel-count", "rate"])
+    def test_spec_must_agree_with_its_meta(self, meta, match):
+        with pytest.raises(SpecInvalid, match=match):
+            simulate_session(SimSpec(duration_s=1.0), meta)
+
     # one channel is 4 x (samples + 3) cells, and one sample 4 a channel
     @pytest.mark.parametrize("fields,ok", [
         ({"duration_s": _MOST_SAMPLES}, True),
@@ -289,6 +312,23 @@ class TestExpectedComposition:
         spec = SimSpec(duration_s=8.0, components=(BandComponent(14.0, 1.0),))
         with pytest.raises(BoundaryFrequency):
             expected_composition(spec, default_bands(128.0))
+
+    def test_zero_amplitude_component_adds_nothing(self):
+        # not even a boundary error: 14 Hz is the Alpha/Beta edge
+        spec = SimSpec(duration_s=8.0, components=(
+            BandComponent(14.0, 0.0), BandComponent(20.0, 1.0)))
+        comp = expected_composition(spec, default_bands(128.0))
+        assert comp.fraction("Beta") == 1.0
+
+    def test_no_nonzero_component_rejected(self):
+        spec = SimSpec(duration_s=8.0, components=(BandComponent(20.0, 0.0),))
+        with pytest.raises(SpecInvalid, match="no nonzero components"):
+            expected_composition(spec, default_bands(128.0))
+
+    def test_fraction_of_an_unknown_band_is_a_key_error(self):
+        spec = SimSpec(duration_s=8.0, components=(BandComponent(20.0, 1.0),))
+        with pytest.raises(KeyError):
+            expected_composition(spec, default_bands(128.0)).fraction("Gamma")
 
     def test_noisy_spec_rejected(self):
         spec = SimSpec(duration_s=8.0, components=(BandComponent(20.0, 1.0),),

@@ -342,7 +342,7 @@ class TestBandPowers:
 
     @pytest.mark.parametrize("name,f1,f2", [
         ("x", "1", 2.0), ("x", None, 2.0), (3, 0.0, 2.0),
-        ("x", 0.0, float("inf"))])
+        ("x", 0.0, float("inf")), ("x", 2.0, 2.0)])
     def test_invalid_band_is_a_config_error(self, name, f1, f2):
         with pytest.raises(ConfigError):
             Band(name, f1, f2)
